@@ -37,14 +37,11 @@ from .network import (
     NetConfig,
     NetworkParams,
     bind_params,
-    forward,
     forward_rows,
     grad_flat,
     init_params,
-    predict,
     predict_rows,
     sample_candidates,
-    sample_noise,
 )
 from .objective import (
     ObjectiveConfig,
@@ -116,14 +113,11 @@ __all__ = [
     "NetConfig",
     "NetworkParams",
     "bind_params",
-    "forward",
     "forward_rows",
     "grad_flat",
     "init_params",
-    "predict",
     "predict_rows",
     "sample_candidates",
-    "sample_noise",
     "ObjectiveConfig",
     "disco_objective",
     "disco_objective_node",

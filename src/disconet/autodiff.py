@@ -11,6 +11,7 @@ values and gradients.
 import numpy as np
 
 from .errors import ContractError, DimensionError, NumericError, ParameterError
+from .scoring import _loss_weights, beta_norm, sq_norm
 
 # Below this squared-norm threshold the power-norm gradient is taken as
 # zero: a valid subgradient at the coincident point, and a measure-zero
@@ -52,23 +53,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape})"
-
-
-def _loss_weights(weights, beta, dim):
-    """Validate a (weights, beta) pair and return the weight vector."""
-    beta = float(beta)
-    if not 0.0 < beta < 2.0:
-        raise ParameterError(f"beta must lie strictly inside (0, 2), got {beta}")
-    if weights is None:
-        return np.ones(dim), beta
-    w = np.asarray(weights, dtype=np.float64).reshape(-1)
-    if w.shape != (dim,):
-        raise DimensionError(f"expected {dim} loss weights, got {w.shape[0]}")
-    if np.any(w < 0.0):
-        raise ParameterError("loss weights must be non-negative")
-    if not np.any(w > 0.0):
-        raise ParameterError("loss weights must not all be zero")
-    return w, beta
 
 
 class _Node:
@@ -184,27 +168,21 @@ class Graph:
 
     def weighted_pow_norm(self, a, b, weights=None, beta=1.0):
         """Scalar (sum_i w_i (a_i - b_i)^2)^(beta/2) between two vectors."""
-        av, bv = self.value(a).array, self.value(b).array
-        if av.ndim != 1 or av.shape != bv.shape:
-            raise DimensionError(
-                f"weighted_pow_norm needs equal-length vectors, got {av.shape} and {bv.shape}"
-            )
-        w, beta = _loss_weights(weights, beta, av.shape[0])
-        d = av - bv
-        s = float(np.dot(w * d, d))
-        return self._append("pow_norm", (a, b), np.asarray(s ** (beta / 2.0)), ctx=(w, beta))
+        return self._pow_norm("weighted_pow_norm", 1, a, b, weights, beta)
 
     def row_pow_norms(self, a, b, weights=None, beta=1.0):
         """Row-wise weighted_pow_norm between two equal-shape matrices."""
+        return self._pow_norm("row_pow_norms", 2, a, b, weights, beta)
+
+    def _pow_norm(self, name, ndim, a, b, weights, beta):
+        """One op for both entry points: the norm over the trailing axis."""
         av, bv = self.value(a).array, self.value(b).array
-        if av.ndim != 2 or av.shape != bv.shape:
+        if av.ndim != ndim or av.shape != bv.shape:
             raise DimensionError(
-                f"row_pow_norms needs equal-shape matrices, got {av.shape} and {bv.shape}"
+                f"{name} needs equal-shape rank-{ndim} operands, got {av.shape} and {bv.shape}"
             )
-        w, beta = _loss_weights(weights, beta, av.shape[1])
-        d = av - bv
-        s = (d * d) @ w
-        return self._append("row_pow_norms", (a, b), s ** (beta / 2.0), ctx=(w, beta))
+        w, beta = _loss_weights(weights, beta, av.shape[-1])
+        return self._append("pow_norm", (a, b), beta_norm(av - bv, w, beta), ctx=(w, beta))
 
     # -- reverse sweep ---------------------------------------------------
 
@@ -264,22 +242,11 @@ class Graph:
                 a, b = node.inputs
                 w, beta = node.ctx
                 av, bv = self._nodes[a].value.array, self._nodes[b].value.array
-                d = av - bv
-                s = float(np.dot(w * d, d))
-                if s >= SINGULARITY_EPS:
-                    gb = float(g) * beta * s ** (beta / 2.0 - 1.0) * (w * (bv - av))
-                    grads[b] = grads[b] + gb
-                    grads[a] = grads[a] - gb
-            elif node.op == "row_pow_norms":
-                a, b = node.inputs
-                w, beta = node.ctx
-                av, bv = self._nodes[a].value.array, self._nodes[b].value.array
-                d = av - bv
-                s = (d * d) @ w
+                s = np.asarray(sq_norm(av - bv, w))
                 coeff = np.zeros_like(s)
                 live = s >= SINGULARITY_EPS
                 coeff[live] = g[live] * beta * s[live] ** (beta / 2.0 - 1.0)
-                gb = coeff[:, None] * (w[None, :] * (bv - av))
+                gb = coeff[..., None] * (w * (bv - av))
                 grads[b] = grads[b] + gb
                 grads[a] = grads[a] - gb
             else:  # pragma: no cover - every op above registers its rule

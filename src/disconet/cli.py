@@ -53,20 +53,16 @@ SCHEMA_VERSION = 1
 _REQUIRED = object()
 
 
-def _is_int(v):
+def _check_int(v):
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _is_num(v):
-    return _is_int(v) or isinstance(v, float)
-
-
-def _check_int(v):
-    return _is_int(v)
-
-
 def _check_float(v):
-    return _is_num(v)
+    """A finite number: JSON NaN and Infinity fail, as does an int past float range."""
+    try:
+        return (_check_int(v) or isinstance(v, float)) and math.isfinite(v)
+    except OverflowError:
+        return False
 
 
 def _check_bool(v):
@@ -82,15 +78,15 @@ def _check_opt_str(v):
 
 
 def _check_list_int(v):
-    return isinstance(v, list) and len(v) > 0 and all(_is_int(x) for x in v)
+    return isinstance(v, list) and len(v) > 0 and all(_check_int(x) for x in v)
 
 
 def _check_list_int_or_empty(v):
-    return isinstance(v, list) and all(_is_int(x) for x in v)
+    return isinstance(v, list) and all(_check_int(x) for x in v)
 
 
 def _check_list_float(v):
-    return isinstance(v, list) and len(v) > 0 and all(_is_num(x) for x in v)
+    return isinstance(v, list) and len(v) > 0 and all(_check_float(x) for x in v)
 
 
 def _check_opt_list_float(v):
@@ -238,7 +234,12 @@ def config_hash(config):
 
 
 def _write_json(path, doc):
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf8")
+    """Write standard JSON; a non-finite value is a NumericError, not a bare NaN token."""
+    try:
+        text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NumericError(f"{path}: {exc}") from exc
+    Path(path).write_text(text + "\n", encoding="utf8")
 
 
 def _write_csv(path, comments, header, rows):
@@ -270,6 +271,21 @@ def _objective_config(section):
         gamma=float(section["gamma"]),
         num_candidates=section["num_candidates"],
         loss=loss,
+    )
+
+
+def _train_config(config):
+    tc = config["train"]
+    return TrainConfig(
+        objective=_objective_config(config["objective"]),
+        lr=float(tc["lr"]),
+        momentum=float(tc["momentum"]),
+        l2=float(tc["l2"]),
+        batch_size=tc["batch_size"],
+        epochs=tc["epochs"],
+        seed=tc["seed"],
+        val_count=tc["val_count"],
+        checkpoint_every=tc["checkpoint_every"],
     )
 
 
@@ -351,19 +367,8 @@ def _val_probloss(params, x_val, y_val, num_candidates, seed):
 def cmd_train(config, out_dir, data_override=None):
     """Train one model and write checkpoint, history, and summary."""
     net = _net_config(config["net"])
-    objective = _objective_config(config["objective"])
+    train_config = _train_config(config)
     tc = config["train"]
-    train_config = TrainConfig(
-        objective=objective,
-        lr=float(tc["lr"]),
-        momentum=float(tc["momentum"]),
-        l2=float(tc["l2"]),
-        batch_size=tc["batch_size"],
-        epochs=tc["epochs"],
-        seed=tc["seed"],
-        val_count=tc["val_count"],
-        checkpoint_every=tc["checkpoint_every"],
-    )
     data = _load_xy(config, data_override, tc["seed"], net.x_dim, net.y_dim)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -388,7 +393,8 @@ def cmd_train(config, out_dir, data_override=None):
     }
     if train_config.val_count:
         (_, _), (x_val, y_val) = train_val_split(data, train_config.val_count, tc["seed"])
-        value, sem = _val_probloss(params, x_val, y_val, objective.num_candidates, tc["seed"])
+        k = train_config.objective.num_candidates
+        value, sem = _val_probloss(params, x_val, y_val, k, tc["seed"])
         summary["val_probloss"] = value
         summary["val_probloss_sem"] = sem
     _write_json(out / "summary.json", summary)
@@ -501,22 +507,13 @@ def cmd_sweep(config, out_dir, data_override=None):
             run["train"]["seed"] = seed
             run["train"]["l2"] = l2
             net = _net_config(run["net"])
-            objective = _objective_config(run["objective"])
-            tc = run["train"]
-            train_config = TrainConfig(
-                objective=objective,
-                lr=float(tc["lr"]),
-                momentum=float(tc["momentum"]),
-                l2=float(l2),
-                batch_size=tc["batch_size"],
-                epochs=tc["epochs"],
-                seed=seed,
-                val_count=tc["val_count"],
-            )
+            train_config = _train_config(run)
             data = _load_xy(run, data_override, seed, net.x_dim, net.y_dim)
             params, history = train(net, train_config, data)
             (_, _), (x_val, y_val) = train_val_split(data, train_config.val_count, seed)
-            value, sem = _val_probloss(params, x_val, y_val, objective.num_candidates, seed)
+            value, sem = _val_probloss(
+                params, x_val, y_val, train_config.objective.num_candidates, seed
+            )
             rows.append(
                 [seed, _fmt(l2), _fmt(history.final().val_objective), _fmt(value), _fmt(sem)]
             )

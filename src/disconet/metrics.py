@@ -191,7 +191,7 @@ def base_candidates(pointwise, num_candidates, sigma, rng, index=0):
         raise ContractError("num_candidates must be >= 1")
     p = np.asarray(pointwise, dtype=np.float64).reshape(-1)
     outs = p[None, :] + sigma * rng.standard_normal((num_candidates, p.shape[0]))
-    return CandidateSet(index, outs, None)
+    return CandidateSet(index, outs)
 
 
 @dataclass

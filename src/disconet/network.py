@@ -184,9 +184,12 @@ class NetworkParams:
             if not line.strip():
                 continue
             try:
-                values.append(float(line))
+                value = float(line)
             except ValueError as exc:
                 raise ParseError(f"{path}: line {ln}: not a number: {line!r}") from exc
+            if not math.isfinite(value):
+                raise ParseError(f"{path}: line {ln}: not a finite number: {line!r}")
+            values.append(value)
         if len(values) != config.param_count():
             raise ParseError(
                 f"{path}: expected {config.param_count()} values, found {len(values)}"
@@ -205,20 +208,12 @@ def init_params(config, seed):
     return NetworkParams(config, layers)
 
 
-def sample_noise(z_dim, rng):
-    """One noise vector: coordinates i.i.d. uniform on [-1, 1]."""
-    if z_dim < 1:
-        raise ContractError("z_dim must be >= 1")
-    return rng.uniform(-1.0, 1.0, size=z_dim)
-
-
 @dataclass
 class CandidateSet:
-    """K sampled outputs for one input, with the noise draws that made them."""
+    """K sampled outputs for one input."""
 
     index: int
     outputs: np.ndarray
-    noises: np.ndarray = None
 
     def __post_init__(self):
         outs = np.array(self.outputs, dtype=np.float64)
@@ -226,12 +221,6 @@ class CandidateSet:
             raise ContractError(f"outputs must be a non-empty (K, y_dim) array, got {outs.shape}")
         outs.setflags(write=False)
         object.__setattr__(self, "outputs", outs)
-        if self.noises is not None:
-            z = np.array(self.noises, dtype=np.float64)
-            if z.ndim != 2 or z.shape[0] != outs.shape[0]:
-                raise ContractError(f"noises shape {z.shape} does not match K={outs.shape[0]}")
-            z.setflags(write=False)
-            object.__setattr__(self, "noises", z)
 
     @property
     def num_candidates(self):
@@ -299,19 +288,6 @@ def forward_rows(g, params, x, z=None):
     return g.add(g.matmul(h, wid), bid)
 
 
-def forward(g, params, x, z=None):
-    """Single-example pass: vector x (and z) in, vector y node out."""
-    bound = bind_params(g, params) if isinstance(params, NetworkParams) else params
-    cfg = bound.config
-    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    if cfg.noise_enabled:
-        if z is None:
-            raise ContractError("noise-enabled network needs z")
-        z = np.asarray(z, dtype=np.float64).reshape(1, -1)
-    rows = forward_rows(g, bound, x, z)
-    return g.reshape(rows, (cfg.y_dim,))
-
-
 def predict_rows(params, x, z=None):
     """Plain-array forward pass, mirroring the graph arithmetic exactly."""
     cfg = params.config
@@ -338,17 +314,6 @@ def predict_rows(params, x, z=None):
     return h @ w + b.reshape(1, -1)
 
 
-def predict(params, x, z=None):
-    """Single-example plain forward pass; returns a (y_dim,) array."""
-    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    if params.config.noise_enabled:
-        if z is None:
-            raise ContractError("noise-enabled network needs z")
-        z = np.asarray(z, dtype=np.float64).reshape(1, -1)
-        return predict_rows(params, x, z)[0]
-    return predict_rows(params, x)[0]
-
-
 def sample_candidates(params, x, num_candidates, rng, index=0):
     """Draw `num_candidates` noise vectors and run the generator on each.
 
@@ -361,6 +326,6 @@ def sample_candidates(params, x, num_candidates, rng, index=0):
     if params.config.noise_enabled:
         z = rng.uniform(-1.0, 1.0, size=(num_candidates, params.config.z_dim))
         outs = predict_rows(params, np.repeat(x, num_candidates, axis=0), z)
-        return CandidateSet(index, outs, z)
+        return CandidateSet(index, outs)
     out = predict_rows(params, x)
-    return CandidateSet(index, np.repeat(out, num_candidates, axis=0), None)
+    return CandidateSet(index, np.repeat(out, num_candidates, axis=0))

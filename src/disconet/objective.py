@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ContractError, DimensionError, EstimatorError, ParameterError
 from .network import NetworkParams, bind_params, forward_rows
-from .scoring import LossSpec, delta_rows, pairwise_delta
+from .scoring import LossSpec, data_term, pair_term
 
 
 @dataclass(frozen=True)
@@ -63,14 +63,15 @@ def _batch_arrays(batch):
 
 
 def _check_sets(candidate_sets, n=None):
+    """Return the (K, y_dim) shape that every candidate set must share."""
     if not candidate_sets:
         raise ContractError("no candidate sets")
     if n is not None and len(candidate_sets) != n:
         raise ContractError(f"{n} examples but {len(candidate_sets)} candidate sets")
-    ks = {cs.num_candidates for cs in candidate_sets}
-    if len(ks) != 1:
-        raise ContractError(f"candidate sets must share one K, got {sorted(ks)}")
-    return ks.pop()
+    shapes = {cs.outputs.shape for cs in candidate_sets}
+    if len(shapes) != 1:
+        raise ContractError(f"candidate sets must share one (K, y_dim) shape, got {sorted(shapes)}")
+    return shapes.pop()
 
 
 def div_pq_hat(batch, candidate_sets, loss=LossSpec()):
@@ -81,11 +82,11 @@ def div_pq_hat(batch, candidate_sets, loss=LossSpec()):
     example index, then candidate index.
     """
     _, y = _batch_arrays(batch)
-    _check_sets(candidate_sets, n=y.shape[0])
-    per_example = [
-        float(delta_rows(loss, cs.outputs, np.broadcast_to(yn, cs.outputs.shape)).mean())
-        for yn, cs in zip(y, candidate_sets)
-    ]
+    _, y_dim = _check_sets(candidate_sets, n=y.shape[0])
+    if y.shape[1] != y_dim:
+        raise DimensionError(f"ground truths have dim {y.shape[1]}, candidates {y_dim}")
+    w = loss.weight_vector(y_dim)
+    per_example = [float(data_term(yn, cs.outputs, w, loss.beta)) for yn, cs in zip(y, candidate_sets)]
     return float(np.mean(per_example))
 
 
@@ -95,13 +96,11 @@ def div_qq_hat(candidate_sets, loss=LossSpec()):
     Unbiased estimate of E Delta(G, G') for two independent model samples
     at the same input; needs K >= 2.
     """
-    k = _check_sets(candidate_sets)
+    k, y_dim = _check_sets(candidate_sets)
     if k < 2:
         raise EstimatorError("pair diversity needs at least two candidates")
-    per_example = [
-        float(pairwise_delta(loss, cs.outputs).sum()) / (k * (k - 1))
-        for cs in candidate_sets
-    ]
+    w = loss.weight_vector(y_dim)
+    per_example = [float(pair_term(cs.outputs, w, loss.beta)) for cs in candidate_sets]
     return float(np.mean(per_example))
 
 

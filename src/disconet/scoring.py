@@ -6,16 +6,36 @@ beta strictly inside (0, 2) and non-negative weights. For these betas the
 induced energy score is a strictly proper scoring rule, and the discrete
 divergence here evaluates its expectation exactly so that propriety and
 estimator unbiasedness can be verified by brute force.
+
+The loss kernel and its two sampled estimators (the data term and the pair
+term) live here only; the objective, the graph op, the metrics and the toy
+grid fit all call them.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import _loss_weights
-from .errors import ContractError, DimensionError, EstimatorError
+from .errors import ContractError, DimensionError, EstimatorError, ParameterError
 
 PROB_SUM_TOL = 1e-12
+
+
+def _loss_weights(weights, beta, dim):
+    """Validate a (weights, beta) pair and return the weight vector."""
+    beta = float(beta)
+    if not 0.0 < beta < 2.0:
+        raise ParameterError(f"beta must lie strictly inside (0, 2), got {beta}")
+    if weights is None:
+        return np.ones(dim), beta
+    w = np.asarray(weights, dtype=np.float64).reshape(-1)
+    if w.shape != (dim,):
+        raise DimensionError(f"expected {dim} loss weights, got {w.shape[0]}")
+    if np.any(w < 0.0):
+        raise ParameterError("loss weights must be non-negative")
+    if not np.any(w > 0.0):
+        raise ParameterError("loss weights must not all be zero")
+    return w, beta
 
 
 @dataclass(frozen=True)
@@ -47,15 +67,37 @@ LOSS_DIM1 = LossSpec(beta=1.0, weights=(10.0, 0.1))
 LOSS_DIM2 = LossSpec(beta=1.0, weights=(0.1, 10.0))
 
 
+def sq_norm(d, w):
+    """Weighted squared norm sum_i w_i d_i^2 over the trailing axis of `d`."""
+    return (d * d) @ w
+
+
+def beta_norm(d, w, beta):
+    """The loss kernel: (sum_i w_i d_i^2)^(beta/2) over the trailing axis of
+    the difference array `d`, for a weight vector `w` already validated."""
+    return sq_norm(d, w) ** (beta / 2.0)
+
+
+def data_term(y, g, w, beta):
+    """Mean over K of Delta(y, g_k): y is (..., y_dim), g is (..., K, y_dim)."""
+    return beta_norm(y[..., None, :] - g, w, beta).mean(axis=-1)
+
+
+def pair_term(g, w, beta):
+    """Sum over k != k' of Delta(g_k, g_k') / (K (K-1)) for g of shape
+    (..., K, y_dim); needs K >= 2. The zero diagonal is summed with the rest."""
+    k = g.shape[-2]
+    pairs = beta_norm(g[..., :, None, :] - g[..., None, :, :], w, beta)
+    return pairs.sum(axis=(-2, -1)) / (k * (k - 1))
+
+
 def delta(spec, y, y2):
     """Loss between two vectors under `spec`."""
     a = np.asarray(y, dtype=np.float64).reshape(-1)
     b = np.asarray(y2, dtype=np.float64).reshape(-1)
     if a.shape != b.shape:
         raise DimensionError(f"delta needs equal lengths, got {a.shape[0]} and {b.shape[0]}")
-    w = spec.weight_vector(a.shape[0])
-    d = a - b
-    return float(np.dot(w * d, d) ** (spec.beta / 2.0))
+    return float(beta_norm(a - b, spec.weight_vector(a.shape[0]), spec.beta))
 
 
 def delta_rows(spec, a, b):
@@ -64,9 +106,7 @@ def delta_rows(spec, a, b):
     b = np.asarray(b, dtype=np.float64)
     if a.ndim != 2 or a.shape != b.shape:
         raise DimensionError(f"delta_rows needs equal-shape matrices, got {a.shape} and {b.shape}")
-    w = spec.weight_vector(a.shape[1])
-    d = a - b
-    return ((d * d) @ w) ** (spec.beta / 2.0)
+    return beta_norm(a - b, spec.weight_vector(a.shape[1]), spec.beta)
 
 
 def pairwise_delta(spec, outputs):
@@ -74,10 +114,7 @@ def pairwise_delta(spec, outputs):
     o = np.asarray(outputs, dtype=np.float64)
     if o.ndim != 2:
         raise DimensionError(f"pairwise_delta needs a matrix, got shape {o.shape}")
-    w = spec.weight_vector(o.shape[1])
-    d = o[:, None, :] - o[None, :, :]
-    s = (d * d) @ w
-    return s ** (spec.beta / 2.0)
+    return beta_norm(o[:, None, :] - o[None, :, :], spec.weight_vector(o.shape[1]), spec.beta)
 
 
 def energy_score_sample(candidates, y_true, spec=LossSpec()):
@@ -101,15 +138,13 @@ def energy_score_sample(candidates, y_true, spec=LossSpec()):
     outs = np.asarray(getattr(candidates, "outputs", candidates), dtype=np.float64)
     if outs.ndim != 2:
         raise DimensionError(f"candidates must be a (K, y_dim) matrix, got shape {outs.shape}")
-    k = outs.shape[0]
-    if k < 2:
+    if outs.shape[0] < 2:
         raise EstimatorError("energy score needs at least two candidates")
     y = np.asarray(y_true, dtype=np.float64).reshape(-1)
     if y.shape[0] != outs.shape[1]:
         raise DimensionError(f"y_true length {y.shape[0]} vs candidate dim {outs.shape[1]}")
-    data_term = float(delta_rows(spec, outs, np.broadcast_to(y, outs.shape)).mean())
-    diversity = float(pairwise_delta(spec, outs).sum())
-    return data_term - diversity / (2.0 * k * (k - 1))
+    w = spec.weight_vector(y.shape[0])
+    return float(data_term(y, outs, w, spec.beta)) - 0.5 * float(pair_term(outs, w, spec.beta))
 
 
 class DiscreteDistribution:
@@ -154,10 +189,8 @@ def div_exact(a, b, spec=LossSpec()):
     """Exact expected loss E Delta(A, B) between two finite distributions."""
     if a.dim != b.dim:
         raise DimensionError(f"distribution dims differ: {a.dim} vs {b.dim}")
-    w = spec.weight_vector(a.dim)
     d = a.support[:, None, :] - b.support[None, :, :]
-    s = (d * d) @ w
-    vals = s ** (spec.beta / 2.0)
+    vals = beta_norm(d, spec.weight_vector(a.dim), spec.beta)
     return float(a.probabilities @ vals @ b.probabilities)
 
 

@@ -12,13 +12,14 @@ iteration order alone.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError, ParseError, SchemaError
 from .rng import substream
-from .scoring import LOSS_DIM1, LOSS_DIM2
+from .scoring import LOSS_DIM1, LOSS_DIM2, data_term, pair_term
 
 TOY_GAMMA = 0.5
 
@@ -167,9 +168,9 @@ def load_csv(path, x_dim, y_dim):
     """Read numeric comma-separated (x, y) rows.
 
     Lines starting with '#' and blank lines are skipped. Every data row
-    must carry exactly x_dim + y_dim numeric fields; malformed numbers
-    raise ParseError and wrong arity raises SchemaError, both naming the
-    line. An empty file yields empty arrays.
+    must carry exactly x_dim + y_dim finite numeric fields; malformed or
+    non-finite numbers raise ParseError and wrong arity raises SchemaError,
+    both naming the line. An empty file yields empty arrays.
     """
     width = int(x_dim) + int(y_dim)
     xs, ys = [], []
@@ -185,6 +186,8 @@ def load_csv(path, x_dim, y_dim):
                 row = [float(f) for f in fields]
             except ValueError as exc:
                 raise ParseError(f"{path}: line {ln}: {exc}") from exc
+            if not all(map(math.isfinite, row)):
+                raise ParseError(f"{path}: line {ln}: non-finite value in {text!r}")
             xs.append(row[:x_dim])
             ys.append(row[x_dim:])
     if not xs:
@@ -205,22 +208,17 @@ def save_csv(path, x, y, comments=()):
         fh.write("\n".join(lines) + ("\n" if lines else ""))
 
 
-def _point_values(y, params, loss, gamma, eps):
-    """Per-data-point sampled dissimilarity against one Gaussian.
+def _point_values(y, q, w, beta, gamma, qq=None):
+    """Per-data-point sampled dissimilarity of model samples q, shape (n, m, 2).
 
-    eps are fixed standard-normal draws of shape (n, m, 2); the model
-    samples are mean + stddev * eps (common random numbers).
+    `qq` is the per-point diversity term when the caller already has it;
+    otherwise it is computed from q.
     """
-    w = loss.weight_vector(2)
-    beta = loss.beta
-    q = params.mean()[None, None, :] + params.stddev()[None, None, :] * eps
-    d = y[:, None, :] - q
-    pq = (((d * d) @ w) ** (beta / 2.0)).mean(axis=1)
+    pq = data_term(y, q, w, beta)
     if gamma == 0.0:
         return pq
-    m = eps.shape[1]
-    dd = q[:, :, None, :] - q[:, None, :, :]
-    qq = (((dd * dd) @ w) ** (beta / 2.0)).sum(axis=(1, 2)) / (m * (m - 1))
+    if qq is None:
+        qq = pair_term(q, w, beta)
     return pq - gamma * qq
 
 
@@ -250,25 +248,23 @@ def fit_gaussian_grid(train, grid, loss, gamma=TOY_GAMMA, m=24, rng=None):
     if rng is None:
         raise ContractError("an rng is required")
     w = loss.weight_vector(2)
-    beta = loss.beta
     eps = rng.standard_normal((y.shape[0], m, 2))
     # The diversity term depends only on the sigmas; precompute it per pair.
     qq_table = {}
     if gamma > 0.0:
         for s1, s2 in itertools.product(grid.sigma1_values, grid.sigma2_values):
-            dd = (eps[:, :, None, :] - eps[:, None, :, :]) * np.asarray([s1, s2])
-            qq = (((dd * dd) @ w) ** (beta / 2.0)).sum(axis=(1, 2)) / (m * (m - 1))
-            qq_table[(s1, s2)] = float(qq.mean())
+            qq_table[(s1, s2)] = pair_term(np.asarray([s1, s2]) * eps, w, loss.beta)
+    # Samples built per axis from contiguous columns: the same floats as
+    # mu + sigma * eps, without a broadcast over a trailing axis of length 2.
+    e1, e2 = np.moveaxis(eps, -1, 0).copy()
     best_val = None
     best = None
     for mu1, mu2, s1, s2 in itertools.product(
         grid.mu1_values, grid.mu2_values, grid.sigma1_values, grid.sigma2_values
     ):
-        q = np.asarray([mu1, mu2]) + np.asarray([s1, s2]) * eps
-        d = y[:, None, :] - q
-        val = float((((d * d) @ w) ** (beta / 2.0)).mean())
-        if gamma > 0.0:
-            val -= gamma * qq_table[(s1, s2)]
+        q = np.stack([mu1 + s1 * e1, mu2 + s2 * e2], axis=-1)
+        vals = _point_values(y, q, w, loss.beta, gamma, qq_table.get((s1, s2)))
+        val = float(vals.mean())
         if best_val is None or val < best_val:
             best_val = val
             best = DiagGaussianParams(mu1, mu2, s1, s2)
@@ -288,7 +284,8 @@ def eval_gaussian(params, test, loss, gamma=TOY_GAMMA, m=24, rng=None):
     if rng is None:
         raise ContractError("an rng is required")
     eps = rng.standard_normal((y.shape[0], m, 2))
-    vals = _point_values(y, params, loss, gamma, eps)
+    q = params.mean()[None, None, :] + params.stddev()[None, None, :] * eps
+    vals = _point_values(y, q, loss.weight_vector(2), loss.beta, gamma)
     mean = float(vals.mean())
     sem = float(vals.std(ddof=1) / np.sqrt(vals.size)) if vals.size > 1 else 0.0
     return mean, sem

@@ -1,9 +1,12 @@
+import importlib
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
-from disconet import ConfigError, save_csv
-from disconet.cli import SCHEMA_VERSION, config_hash, load_config, main
+from disconet import ConfigError, NumericError, save_csv
+from disconet.cli import SCHEMA_VERSION, _write_json, config_hash, load_config, main
 from disconet.rng import substream
 from disconet.synth import gen_conditional_bimodal
 
@@ -88,6 +91,29 @@ def test_load_config_rejections(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ConfigError, match="not valid JSON"):
         load_config(str(path), ())
+
+
+@pytest.mark.parametrize("command, section, key, value", [
+    ("train", "train", "l2", float("nan")),
+    ("train", "train", "lr", float("inf")),
+    ("train", "train", "momentum", 10 ** 400),
+    ("eval", "eval", "base_sigma", float("nan")),
+    ("eval", "eval", "distances", [float("nan")]),
+], ids=["l2-nan", "lr-inf", "momentum-huge-int", "base_sigma-nan", "distances-nan"])
+def test_non_finite_config_numbers_exit_2(tmp_path, capsys, command, section, key, value):
+    # json.dumps writes the NaN and Infinity literals that json.loads accepts
+    if command == "train":
+        doc = train_doc()
+    else:
+        doc = {"data": dict(SMALL_DATA), "eval": {"num_candidates": 3}}
+    doc[section][key] = value
+    cfg = write_config(tmp_path / "c.json", doc)
+    argv = [command, "--config", cfg, "--out", str(tmp_path / "o")]
+    if command == "eval":
+        argv += ["--checkpoint", str(tmp_path / "never-read.txt")]
+    assert main(argv) == 2
+    assert f"{section}.{key}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_config_hash_canonical(tmp_path):
@@ -177,6 +203,21 @@ def test_train_data_override(tmp_path):
     assert main(["train", "--config", cfg, "--out", str(out)]) == 2
 
 
+def test_train_rejects_non_finite_data_row(tmp_path, capsys):
+    x, y = gen_conditional_bimodal(16, substream(11, "cli-test-data"))
+    data = tmp_path / "data.csv"
+    save_csv(data, x, y)
+    lines = data.read_text().splitlines()
+    lines[4] = "0.5,nan"
+    data.write_text("\n".join(lines) + "\n")
+    doc = train_doc()
+    doc["train"]["val_count"] = 4
+    cfg = write_config(tmp_path / "train.json", doc)
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--data", str(data)]) == 3
+    assert "line 5" in capsys.readouterr().err
+
+
 def _trained_checkpoint(tmp_path):
     cfg = write_config(tmp_path / "train.json", train_doc())
     out = tmp_path / "trained"
@@ -240,6 +281,27 @@ def test_eval_rejects_bad_csv(tmp_path):
                  "--checkpoint", str(ckpt), "--data", str(bad)]) == 3
 
 
+def test_eval_rejects_non_finite_checkpoint(tmp_path, capsys):
+    ckpt = _trained_checkpoint(tmp_path)
+    lines = ckpt.read_text().splitlines()
+    lines[2] = "nan"
+    ckpt.write_text("\n".join(lines) + "\n")
+    doc = {"data": dict(SMALL_DATA), "eval": {"num_candidates": 3, "distances": [1.0]}}
+    cfg = write_config(tmp_path / "eval.json", doc)
+    out = tmp_path / "ev"
+    assert main(["eval", "--config", cfg, "--out", str(out), "--checkpoint", str(ckpt)]) == 3
+    assert "line 3" in capsys.readouterr().err
+    written = [f.read_text() for f in out.iterdir()] if out.exists() else []
+    assert not any("NaN" in text for text in written)
+
+
+def test_write_json_rejects_non_finite(tmp_path):
+    path = tmp_path / "doc.json"
+    with pytest.raises(NumericError):
+        _write_json(path, {"value": float("nan")})
+    assert not path.exists()
+
+
 def test_gradcheck_pass_and_corrupt(tmp_path, capsys):
     # default num_examples: this fixture sits clear of the beta = 1 kinks,
     # where a finite-difference step across coinciding candidates would
@@ -277,3 +339,21 @@ def test_sweep_artifacts(tmp_path):
     lines = (out / "sweep.csv").read_text().splitlines()
     # comment, header, one row per (seed, l2) combination
     assert len(lines) == 2 + 2
+
+
+def test_bench_trace_targets_resolve():
+    """Every package function the benchmark's tracer wraps still exists:
+    ``bench/run.py --trace 1`` looks each name up and fails on a missing one."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = []
+    for metric, targets in spans.TIMED.items():
+        for module, attr_path in targets:
+            obj = importlib.import_module(f"disconet.{module}")
+            for part in attr_path.split("."):
+                obj = getattr(obj, part, None)
+            if not callable(obj):
+                missing.append(f"{metric}: disconet.{module}.{attr_path}")
+    assert not missing

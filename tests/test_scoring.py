@@ -8,6 +8,7 @@ from disconet import (
     DimensionError,
     DiscreteDistribution,
     EstimatorError,
+    Graph,
     LOSS_DIM1,
     LOSS_DIM2,
     LossSpec,
@@ -18,6 +19,7 @@ from disconet import (
     energy_score_sample,
 )
 from disconet.scoring import delta_rows, pairwise_delta
+from disconet.synth import _point_values
 
 
 def test_loss_spec_validation():
@@ -168,3 +170,120 @@ def test_strict_propriety(rng):
             DiscreteDistribution(support, pa), DiscreteDistribution(support, pb), spec
         )
         assert div > 1e-10
+
+
+# Loop oracle for every loss entry point. The entry points share one
+# vectorized kernel; the oracle writes sum_i w_i d_i**2 out term by term.
+# The tolerance is fixed from float64 (eps 2.2e-16) with a wide margin for
+# the few dozen roundings of sums over at most a few hundred terms of order
+# one; it is not tuned to the observed error.
+ORACLE_TOL = {"rtol": 1e-12, "atol": 1e-12}
+
+
+def _loop_delta(w, beta, a, b):
+    s = 0.0
+    for i in range(len(w)):
+        s += w[i] * (a[i] - b[i]) ** 2
+    return s ** (beta / 2.0)
+
+
+def _loop_delta_grad(w, beta, a, b):
+    """Gradient of _loop_delta in its first argument."""
+    s = 0.0
+    for i in range(len(w)):
+        s += w[i] * (a[i] - b[i]) ** 2
+    return [beta * s ** (beta / 2.0 - 1.0) * w[i] * (a[i] - b[i]) for i in range(len(w))]
+
+
+def _loop_energy(w, beta, y, outs, gamma):
+    k = len(outs)
+    data = sum(_loop_delta(w, beta, y, g) for g in outs) / k
+    pairs = sum(
+        _loop_delta(w, beta, outs[i], outs[j]) for i in range(k) for j in range(k) if i != j
+    )
+    return data - gamma * pairs / (k * (k - 1))
+
+
+def _oracle_delta(rng, dim, spec, w):
+    a, b = rng.normal(size=(2, dim))
+    return delta(spec, a, b), _loop_delta(w, spec.beta, a, b)
+
+
+def _oracle_delta_rows(rng, dim, spec, w):
+    a, b = rng.normal(size=(2, 5, dim))
+    return delta_rows(spec, a, b), [_loop_delta(w, spec.beta, ai, bi) for ai, bi in zip(a, b)]
+
+
+def _oracle_pairwise_delta(rng, dim, spec, w):
+    o = rng.normal(size=(4, dim))
+    return pairwise_delta(spec, o), [[_loop_delta(w, spec.beta, oi, oj) for oj in o] for oi in o]
+
+
+def _oracle_div_exact(rng, dim, spec, w):
+    p = DiscreteDistribution(rng.normal(size=(3, dim)), [0.5, 0.3, 0.2])
+    q = DiscreteDistribution(rng.normal(size=(2, dim)), [0.25, 0.75])
+    want = sum(
+        pi * qj * _loop_delta(w, spec.beta, yi, gj)
+        for yi, pi in zip(p.support, p.probabilities)
+        for gj, qj in zip(q.support, q.probabilities)
+    )
+    return div_exact(p, q, spec), want
+
+
+def _oracle_weighted_pow_norm(rng, dim, spec, w):
+    a, b = rng.normal(size=(2, dim))
+    g = Graph()
+    na, nb = g.constant(a), g.constant(b)
+    root = g.weighted_pow_norm(na, nb, weights=spec.weights, beta=spec.beta)
+    g.backward(root)
+    got = [g.value(root).item(), *g.grad(na).array, *g.grad(nb).array]
+    grad = _loop_delta_grad(w, spec.beta, a, b)
+    return got, [_loop_delta(w, spec.beta, a, b), *grad, *(-v for v in grad)]
+
+
+def _oracle_row_pow_norms(rng, dim, spec, w):
+    a, b = rng.normal(size=(2, 5, dim))
+    g = Graph()
+    na, nb = g.constant(a), g.constant(b)
+    rows = g.row_pow_norms(na, nb, weights=spec.weights, beta=spec.beta)
+    g.backward(g.reduce_sum(rows))
+    got = np.concatenate([g.value(rows).array, g.grad(na).array.ravel(), g.grad(nb).array.ravel()])
+    grad = np.array([_loop_delta_grad(w, spec.beta, ai, bi) for ai, bi in zip(a, b)])
+    vals = [_loop_delta(w, spec.beta, ai, bi) for ai, bi in zip(a, b)]
+    return got, np.concatenate([vals, grad.ravel(), -grad.ravel()])
+
+
+def _oracle_energy_score(rng, dim, spec, w):
+    y, outs = rng.normal(size=dim), rng.normal(size=(4, dim))
+    return energy_score_sample(outs, y, spec), _loop_energy(w, spec.beta, y, outs, 0.5)
+
+
+def _oracle_toy_point_values(rng, dim, spec, w):
+    y, q = rng.normal(size=(3, dim)), rng.normal(size=(3, 4, dim))
+    gamma = 0.5
+    got = _point_values(y, q, np.asarray(w), spec.beta, gamma)
+    return got, [_loop_energy(w, spec.beta, yn, qn, gamma) for yn, qn in zip(y, q)]
+
+
+ORACLE_CASES = {
+    "delta": _oracle_delta,
+    "delta_rows": _oracle_delta_rows,
+    "pairwise_delta": _oracle_pairwise_delta,
+    "div_exact": _oracle_div_exact,
+    "Graph.weighted_pow_norm": _oracle_weighted_pow_norm,
+    "Graph.row_pow_norms": _oracle_row_pow_norms,
+    "energy_score_sample": _oracle_energy_score,
+    "toy_point_values": _oracle_toy_point_values,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ORACLE_CASES))
+def test_loss_entry_points_match_loop_oracle(entry):
+    rng = np.random.default_rng(20160606)
+    for _ in range(25):
+        dim = int(rng.integers(1, 5))
+        weights = None if rng.random() < 0.25 else tuple(rng.uniform(0.1, 3.0, size=dim))
+        spec = LossSpec(beta=float(rng.uniform(0.2, 1.8)), weights=weights)
+        w = [1.0] * dim if weights is None else list(weights)
+        got, want = ORACLE_CASES[entry](rng, dim, spec, w)
+        npt.assert_allclose(got, want, **ORACLE_TOL)
