@@ -4,8 +4,10 @@ A generator network turns an input and a uniform noise draw into one
 sample from the model's conditional output distribution. Training
 minimizes a sampled dissimilarity between the data and the model: a
 data-fit term minus gamma times a sample-diversity term, which at
-gamma = 1/2 is the energy scoring rule. Everything runs on a small
-reverse-mode autodiff core over dense float64 arrays; no framework.
+gamma = 1/2 is the energy scoring rule. Training takes the objective and
+its gradient in one hand-written numpy pass per minibatch; a small
+reverse-mode autodiff graph over dense float64 arrays serves as the
+independent gradient reference. No framework.
 """
 
 from .autodiff import SINGULARITY_EPS, Graph, Tensor, grad_check
@@ -49,6 +51,7 @@ from .objective import (
     disco_objective_node,
     div_pq_hat,
     div_qq_hat,
+    objective_terms,
 )
 from .rng import derive_seed, substream
 from .scoring import (
@@ -123,6 +126,7 @@ __all__ = [
     "disco_objective_node",
     "div_pq_hat",
     "div_qq_hat",
+    "objective_terms",
     "derive_seed",
     "substream",
     "LOSS_DIM1",

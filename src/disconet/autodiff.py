@@ -1,11 +1,13 @@
 """Minimal reverse-mode automatic differentiation over dense float64 arrays.
 
-Only what a noise-conditioned dense generator and its sampled training
-objective need: values of rank two or less, a small fixed set of primitive
-operations, and finite-difference checking. Graphs are append-only, so the
-node list is already a topological order and the backward pass is a single
-reverse sweep. Identical graph construction yields bitwise-identical
-values and gradients.
+The graph is the independent reference for the training gradient, which
+``objective.objective_terms`` computes by hand. It holds only what a
+noise-conditioned dense generator and its sampled training objective need:
+values of rank two or less, a small fixed set of primitive operations, and
+finite-difference checking. Graphs are append-only, so the node list is
+already a topological order and the backward pass is a single reverse
+sweep. Identical graph construction yields bitwise-identical values and
+gradients.
 """
 
 import numpy as np

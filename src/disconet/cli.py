@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Graph, grad_check
+from .autodiff import grad_check
 from .errors import (
     ConfigError,
     DisconetError,
@@ -35,13 +35,12 @@ from .metrics import JointLayout, base_candidates, metrics_report
 from .network import (
     NetConfig,
     NetworkParams,
-    bind_params,
-    grad_flat,
     init_params,
     predict_rows,
     sample_candidates,
+    sample_outputs,
 )
-from .objective import ObjectiveConfig, disco_objective_node
+from .objective import ObjectiveConfig, objective_terms
 from .rng import derive_seed, substream
 from .scoring import LossSpec
 from .synth import GridSpec, gen_conditional_bimodal, load_csv, toy_cross_table
@@ -180,7 +179,7 @@ def load_config(path, required_sections, seed_override=None):
         raise ConfigError(f"{path}: top level must be an object")
     if "schema_version" not in doc:
         raise ConfigError(f"{path}: missing schema_version")
-    if doc["schema_version"] != SCHEMA_VERSION:
+    if not (_check_int(doc["schema_version"]) and doc["schema_version"] == SCHEMA_VERSION):
         raise ConfigError(
             f"{path}: schema_version {doc['schema_version']!r} != {SCHEMA_VERSION}"
         )
@@ -356,12 +355,8 @@ def cmd_toy(config, out_dir):
 
 
 def _val_probloss(params, x_val, y_val, num_candidates, seed):
-    rng = substream(seed, "summary-eval")
-    sets = [
-        sample_candidates(params, x_val[i], num_candidates, rng, index=i)
-        for i in range(x_val.shape[0])
-    ]
-    return probloss_metric(sets, y_val)
+    outs = sample_outputs(params, x_val, num_candidates, substream(seed, "summary-eval"))
+    return probloss_metric(outs, y_val)
 
 
 def cmd_train(config, out_dir, data_override=None):
@@ -378,8 +373,12 @@ def cmd_train(config, out_dir, data_override=None):
     _write_csv(
         out / "history.csv",
         [f"config_sha256={digest}"],
-        ["epoch", "train_objective", "val_objective"],
-        [[e.epoch, _fmt(e.train_objective), _fmt(e.val_objective)] for e in history.epochs],
+        ["epoch", "train_objective", "val_objective", "train_pq", "train_qq"],
+        [
+            [e.epoch, _fmt(e.train_objective), _fmt(e.val_objective), _fmt(e.train_pq),
+             _fmt(e.train_qq)]
+            for e in history.epochs
+        ],
     )
     final_val = history.final().val_objective
     summary = {
@@ -454,7 +453,7 @@ def _zero_noise_preds(params, x):
 
 
 def cmd_gradcheck(config, corrupt=False):
-    """Check analytic objective gradients against central differences."""
+    """Check the training gradient (``objective_terms``) against central differences."""
     net = _net_config(config["net"])
     gc = config["gradcheck"]
     n, k = gc["num_examples"], gc["num_candidates"]
@@ -474,12 +473,7 @@ def cmd_gradcheck(config, corrupt=False):
 
             def f(flat):
                 p = NetworkParams.from_flat(net, flat)
-                g = Graph()
-                bound = bind_params(g, p)
-                root = disco_objective_node(g, bound, (x, y), noises, objective)
-                value = g.value(root).item()
-                g.backward(root)
-                grad = grad_flat(g, bound)
+                _, _, value, grad = objective_terms(p, x, y, noises, objective)
                 if corrupt:
                     grad = grad + 1e-3
                 return value, grad

@@ -314,18 +314,32 @@ def predict_rows(params, x, z=None):
     return h @ w + b.reshape(1, -1)
 
 
+def sample_outputs(params, x, num_candidates, rng):
+    """K sampled outputs for every row of `x`, as an (N, K, y_dim) array.
+
+    The noise is one (N, K, z_dim) uniform draw from `rng`, the same stream
+    values that N one-row draws in row order would take; the generator then
+    runs once over all N * K rows. With noise disabled no randomness is
+    consumed and all candidates are the deterministic prediction.
+    """
+    if num_candidates < 1:
+        raise ContractError("num_candidates must be >= 1")
+    cfg = params.config
+    x = np.asarray(x, dtype=np.float64)
+    n, k = x.shape[0], num_candidates
+    if cfg.noise_enabled:
+        z = rng.uniform(-1.0, 1.0, size=(n, k, cfg.z_dim))
+        outs = predict_rows(params, np.repeat(x, k, axis=0), z.reshape(n * k, cfg.z_dim))
+    else:
+        outs = np.repeat(predict_rows(params, x), k, axis=0)
+    return outs.reshape(n, k, cfg.y_dim)
+
+
 def sample_candidates(params, x, num_candidates, rng, index=0):
     """Draw `num_candidates` noise vectors and run the generator on each.
 
     With noise disabled no randomness is consumed and all candidates are
     the single deterministic prediction.
     """
-    if num_candidates < 1:
-        raise ContractError("num_candidates must be >= 1")
     x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    if params.config.noise_enabled:
-        z = rng.uniform(-1.0, 1.0, size=(num_candidates, params.config.z_dim))
-        outs = predict_rows(params, np.repeat(x, num_candidates, axis=0), z)
-        return CandidateSet(index, outs)
-    out = predict_rows(params, x)
-    return CandidateSet(index, np.repeat(out, num_candidates, axis=0))
+    return CandidateSet(index, sample_outputs(params, x, num_candidates, rng)[0])

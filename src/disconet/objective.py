@@ -11,17 +11,22 @@ in the candidate draws. gamma = 1/2 makes the per-example objective the
 sampled energy score, hence (the negative of) a strictly proper scoring
 rule; gamma = 0 drops the diversity term and trains a plain regressor.
 
-The graph builder reproduces the same arithmetic with the noise draws held
-fixed, so its gradient is exactly the gradient of the sampled objective.
+``objective_terms`` computes the objective of one minibatch together with
+its gradient, with the noise draws held fixed: one forward pass, the loss
+gradient in closed form, and a hand-written backward pass. The graph
+builder ``disco_objective_node`` states the same arithmetic through the
+reverse-mode graph; it is kept as the independent reference that tests
+compare the fused gradient against.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import SINGULARITY_EPS
 from .errors import ContractError, DimensionError, EstimatorError, ParameterError
 from .network import NetworkParams, bind_params, forward_rows
-from .scoring import LossSpec, data_term, pair_term
+from .scoring import LossSpec, data_term, pair_term, sq_norm
 
 
 @dataclass(frozen=True)
@@ -62,8 +67,9 @@ def _batch_arrays(batch):
     return x, y
 
 
-def _check_sets(candidate_sets, n=None):
-    """Return the (K, y_dim) shape that every candidate set must share."""
+def _stack_sets(candidate_sets, n=None):
+    """Stack the candidate sets into one (N, K, y_dim) array; they must share
+    one (K, y_dim) shape."""
     if not candidate_sets:
         raise ContractError("no candidate sets")
     if n is not None and len(candidate_sets) != n:
@@ -71,23 +77,23 @@ def _check_sets(candidate_sets, n=None):
     shapes = {cs.outputs.shape for cs in candidate_sets}
     if len(shapes) != 1:
         raise ContractError(f"candidate sets must share one (K, y_dim) shape, got {sorted(shapes)}")
-    return shapes.pop()
+    return np.stack([cs.outputs for cs in candidate_sets])
 
 
 def div_pq_hat(batch, candidate_sets, loss=LossSpec()):
     """Mean loss between ground truths and their sampled candidates.
 
     Unbiased estimate of E Delta(Y, G) for Y from the data and G from the
-    model, one candidate set per example. Summation order is fixed:
-    example index, then candidate index.
+    model, one candidate set per example: the mean over examples of the
+    per-example mean over candidates.
     """
     _, y = _batch_arrays(batch)
-    _, y_dim = _check_sets(candidate_sets, n=y.shape[0])
+    outs = _stack_sets(candidate_sets, n=y.shape[0])
+    y_dim = outs.shape[2]
     if y.shape[1] != y_dim:
         raise DimensionError(f"ground truths have dim {y.shape[1]}, candidates {y_dim}")
     w = loss.weight_vector(y_dim)
-    per_example = [float(data_term(yn, cs.outputs, w, loss.beta)) for yn, cs in zip(y, candidate_sets)]
-    return float(np.mean(per_example))
+    return float(np.mean(data_term(y, outs, w, loss.beta)))
 
 
 def div_qq_hat(candidate_sets, loss=LossSpec()):
@@ -96,12 +102,12 @@ def div_qq_hat(candidate_sets, loss=LossSpec()):
     Unbiased estimate of E Delta(G, G') for two independent model samples
     at the same input; needs K >= 2.
     """
-    k, y_dim = _check_sets(candidate_sets)
+    outs = _stack_sets(candidate_sets)
+    _, k, y_dim = outs.shape
     if k < 2:
         raise EstimatorError("pair diversity needs at least two candidates")
     w = loss.weight_vector(y_dim)
-    per_example = [float(pair_term(cs.outputs, w, loss.beta)) for cs in candidate_sets]
-    return float(np.mean(per_example))
+    return float(np.mean(pair_term(outs, w, loss.beta)))
 
 
 def disco_objective(batch, candidate_sets, config):
@@ -110,6 +116,112 @@ def disco_objective(batch, candidate_sets, config):
     if config.gamma == 0.0:
         return pq
     return pq - config.gamma * div_qq_hat(candidate_sets, config.loss)
+
+
+def _norm_slope(s, upstream, beta):
+    """upstream * beta * s^(beta/2 - 1), the gradient coefficient of
+    s^(beta/2) with respect to the difference it was computed from (times
+    w * d). It is zero where s < SINGULARITY_EPS: a valid subgradient at
+    coincident points, and a measure-zero event under continuous noise."""
+    coeff = np.zeros_like(s)
+    live = s >= SINGULARITY_EPS
+    coeff[live] = upstream * beta * s[live] ** (beta / 2.0 - 1.0)
+    return coeff
+
+
+def objective_terms(params, x, y, z, cfg):
+    """The sampled objective of one minibatch, its two terms and its gradient.
+
+    Parameters
+    ----------
+    params : NetworkParams
+    x, y : arrays of shape (n, x_dim) and (n, y_dim)
+    z : array of shape (n, K, z_dim), or None
+        Pre-drawn noise, held fixed. Required when the network has its noise
+        channel enabled; ignored otherwise.
+    cfg : ObjectiveConfig
+
+    Returns
+    -------
+    (pq, qq, value, grad)
+        DIVhat(P,Q); DIVhat(Q,Q), or nan when K = 1; the objective
+        ``pq - gamma * qq`` (``pq`` when gamma = 0); and the gradient of the
+        objective in ``NetworkParams.to_flat`` order.
+
+    One forward pass keeps every layer's input and pre-activation. The data
+    term is taken on the (n K, y_dim) differences to y, the pair term on one
+    (n, K, K, y_dim) broadcast of candidate differences. Because the pair
+    coefficient c_ab is symmetric in a and b, candidate a's pair gradient is
+    2 * sum_b c_ab w (g_a - g_b). A hand-written backward pass carries the
+    candidate gradient through the layers; ReLU has derivative 0 at 0.
+
+    Rows are example-major and every sum runs in the order the graph form
+    ``disco_objective_node`` sums it, so the two agree to roundoff and, on
+    the desk and full-scale nets measured, bitwise. Nothing is checked for
+    finiteness here; the caller checks the value and the gradient.
+    """
+    net = params.config
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.ndim != 2 or y.ndim != 2 or x.shape[0] != y.shape[0] or x.shape[0] == 0:
+        raise ContractError(f"x {x.shape} and y {y.shape} must be non-empty matrices with equal rows")
+    if x.shape[1] != net.x_dim or y.shape[1] != net.y_dim:
+        raise DimensionError(
+            f"batch dims {x.shape[1]}/{y.shape[1]} do not match net {net.x_dim}/{net.y_dim}"
+        )
+    n, k, m = x.shape[0], cfg.num_candidates, net.y_dim
+    if net.noise_enabled:
+        if z is None:
+            raise ContractError("noise-enabled network needs pre-drawn noises")
+        z = np.asarray(z, dtype=np.float64)
+        if z.shape != (n, k, net.z_dim):
+            raise DimensionError(f"noises must be ({n}, {k}, {net.z_dim}), got {z.shape}")
+
+    n_enc = len(net.encoder_widths)
+    last = len(params.layers) - 1
+    inputs, pres = [], []
+    h = np.repeat(x, k, axis=0)
+    for li, (w, b) in enumerate(params.layers):
+        if li == n_enc and net.noise_enabled:
+            h = np.concatenate([h, z.reshape(n * k, net.z_dim)], axis=1)
+        inputs.append(h)
+        pres.append(h @ w + b.reshape(1, -1))
+        h = np.maximum(pres[-1], 0.0) if li < last else pres[-1]
+
+    wl, beta = cfg.loss.weight_vector(m), cfg.loss.beta
+    d = h - np.repeat(y, k, axis=0)
+    s = sq_norm(d, wl)
+    scale = 1.0 / (n * k)
+    pq = float(np.sum(s ** (beta / 2.0))) * scale
+    grad_out = _norm_slope(s, scale, beta)[:, None] * (wl * d)
+    qq = float("nan")
+    value = pq
+    if k >= 2:
+        g = h.reshape(n, k, m)
+        # diff[i, b, a] = g_a - g_b: the sum over axis 1 runs over b in order
+        diff = g[:, None, :, :] - g[:, :, None, :]
+        s_pair = sq_norm(diff.reshape(-1, m), wl).reshape(n, k, k)
+        pair_scale = 1.0 / (n * k * (k - 1))
+        # the distinct pairs as one flat run, summed the way the graph form sums them
+        distinct = s_pair[:, ~np.eye(k, dtype=bool)].ravel()
+        qq = float(np.sum(distinct ** (beta / 2.0))) * pair_scale
+        if cfg.gamma > 0.0:
+            value = pq - cfg.gamma * qq
+            c = _norm_slope(s_pair, pair_scale * -cfg.gamma, beta)
+            pair_grad = (c[..., None] * (wl * diff)).sum(axis=1)
+            grad_out = 2.0 * pair_grad.reshape(n * k, m) + grad_out
+
+    grads = [None] * len(params.layers)
+    delta = grad_out
+    for li in range(last, -1, -1):
+        if li < last:
+            delta = delta * (pres[li] > 0.0)
+        grads[li] = (inputs[li].T @ delta).ravel(), delta.sum(axis=0)
+        if li > 0:
+            delta = delta @ params.layers[li][0].T
+            if li == n_enc and net.noise_enabled:
+                delta = delta[:, : -net.z_dim]
+    return pq, qq, value, np.concatenate([part for pair in grads for part in pair])
 
 
 def candidate_pair_indices(num_candidates, num_examples):

@@ -1,23 +1,22 @@
 """Minibatch SGD with momentum and L2 over the sampled training objective.
 
 Every epoch reshuffles the training set, draws fresh noise per example and
-candidate, builds the objective graph per minibatch, and takes one
-momentum step per batch. The last incomplete minibatch is used, weighted
-by its own size in the epoch aggregate. All randomness comes from named
-substreams of the config seed, so a rerun with the same config is
-bitwise identical.
+candidate, computes the objective and its gradient per minibatch with
+``objective_terms``, and takes one momentum step per batch. The last
+incomplete minibatch is used, weighted by its own size in the epoch
+aggregate. All randomness comes from named substreams of the config seed,
+so a rerun with the same config is bitwise identical.
 """
 
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Graph
 from .errors import ContractError, DimensionError, NumericError, ParameterError
-from .network import NetworkParams, bind_params, grad_flat, init_params, predict_rows
-from .objective import ObjectiveConfig, _batch_arrays, disco_objective, disco_objective_node
-from .network import CandidateSet
+from .network import CandidateSet, NetworkParams, init_params, sample_outputs
+from .objective import ObjectiveConfig, _batch_arrays, disco_objective, objective_terms
 from .rng import derive_seed, substream
 
 
@@ -52,10 +51,17 @@ class TrainConfig:
 
 @dataclass
 class EpochStats:
+    """One epoch's size-weighted means over its minibatches: the objective
+    and its data-fit term DIVhat(P,Q) and diversity term DIVhat(Q,Q) (nan
+    when K = 1), so that train_objective = train_pq - gamma * train_qq. A
+    sampler collapsing onto a point shows as train_qq going to 0."""
+
     epoch: int
     train_objective: float
     val_objective: float
     seconds: float
+    train_pq: float
+    train_qq: float
 
 
 @dataclass
@@ -104,16 +110,8 @@ def sgd_momentum_step(params, grads, velocity, lr, momentum, l2=0.0, weight_mask
 def validation_objective(params, data, objective, rng):
     """The sampled objective on a held-out set with fresh noise draws."""
     x, y = _batch_arrays(data)
-    k = objective.num_candidates
-    cfg = params.config
-    if cfg.noise_enabled:
-        z = rng.uniform(-1.0, 1.0, size=(x.shape[0], k, cfg.z_dim))
-        outs = predict_rows(params, np.repeat(x, k, axis=0), z.reshape(-1, cfg.z_dim))
-    else:
-        outs = np.repeat(predict_rows(params, x), k, axis=0)
-    sets = [
-        CandidateSet(i, outs[i * k : (i + 1) * k]) for i in range(x.shape[0])
-    ]
+    outs = sample_outputs(params, x, objective.num_candidates, rng)
+    sets = [CandidateSet(i, o) for i, o in enumerate(outs)]
     return disco_objective((x, y), sets, objective)
 
 
@@ -123,7 +121,7 @@ def train(net_config, train_config, data, checkpoint_dir=None):
     Substreams of the config seed: "split" for the validation split,
     "init" for parameter init, "shuffle" for epoch permutations, "noise"
     for training noise, and "val-noise" for validation noise. A non-finite
-    objective aborts with the epoch and batch in the error.
+    objective value or gradient aborts with the epoch and batch in the error.
     """
     x, y = _batch_arrays(data)
     if x.shape[1] != net_config.x_dim or y.shape[1] != net_config.y_dim:
@@ -151,33 +149,29 @@ def train(net_config, train_config, data, checkpoint_dir=None):
     for epoch in range(1, cfg.epochs + 1):
         t0 = time.perf_counter()
         perm = shuffle_rng.permutation(n)
-        weighted = 0.0
+        sums = np.zeros(3)  # size-weighted value, pq, qq
         for bi, start in enumerate(range(0, n, cfg.batch_size), start=1):
             idx = perm[start : start + cfg.batch_size]
             xb, yb = x_train[idx], y_train[idx]
             noises = None
             if net_config.noise_enabled:
                 noises = noise_rng.uniform(-1.0, 1.0, size=(len(idx), k, net_config.z_dim))
-            try:
-                g = Graph()
-                bound = bind_params(g, params)
-                root = disco_objective_node(g, bound, (xb, yb), noises, cfg.objective)
-                value = g.value(root).item()
-                g.backward(root)
-                grads = grad_flat(g, bound)
-            except NumericError as exc:
-                raise NumericError(f"epoch {epoch}, batch {bi}: {exc}") from exc
+            pq, qq, value, grads = objective_terms(params, xb, yb, noises, cfg.objective)
+            if not (math.isfinite(value) and np.all(np.isfinite(grads))):
+                raise NumericError(f"epoch {epoch}, batch {bi}: non-finite objective or gradient")
             flat, velocity = sgd_momentum_step(
                 flat, grads, velocity, cfg.lr, cfg.momentum, cfg.l2, mask
             )
             params = NetworkParams.from_flat(net_config, flat)
-            weighted += value * len(idx)
-        train_obj = weighted / n
+            sums += np.array([value, pq, qq]) * len(idx)
+        train_obj, train_pq, train_qq = (float(v) for v in sums / n)
         if x_val is not None:
             val_obj = validation_objective(params, (x_val, y_val), cfg.objective, val_rng)
         else:
             val_obj = float("nan")
-        history.append(EpochStats(epoch, train_obj, val_obj, time.perf_counter() - t0))
+        history.append(
+            EpochStats(epoch, train_obj, val_obj, time.perf_counter() - t0, train_pq, train_qq)
+        )
         if checkpoint_dir is not None and cfg.checkpoint_every:
             if epoch % cfg.checkpoint_every == 0:
                 params.save(f"{checkpoint_dir}/checkpoint_epoch_{epoch}.txt")

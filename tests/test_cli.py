@@ -1,12 +1,13 @@
 import importlib
 import importlib.util
 import json
+import random
 from pathlib import Path
 
 import pytest
 
 from disconet import ConfigError, NumericError, save_csv
-from disconet.cli import SCHEMA_VERSION, _write_json, config_hash, load_config, main
+from disconet.cli import _SCHEMA, SCHEMA_VERSION, _write_json, config_hash, load_config, main
 from disconet.rng import substream
 from disconet.synth import gen_conditional_bimodal
 
@@ -76,6 +77,12 @@ def test_load_config_rejections(tmp_path):
     with pytest.raises(ConfigError, match="schema_version"):
         load_config(path, ())
 
+    # true and 1.0 compare equal to 1 in Python but are not the integer version
+    for version in (True, 1.0):
+        path = write_config(tmp_path / "c6b.json", {"schema_version": version, **base})
+        with pytest.raises(ConfigError, match="schema_version"):
+            load_config(path, ())
+
     path = write_config(tmp_path / "c7.json", {"objective": SMALL_OBJECTIVE})
     with pytest.raises(ConfigError, match="missing required section"):
         load_config(path, ("net",))
@@ -114,6 +121,104 @@ def test_non_finite_config_numbers_exit_2(tmp_path, capsys, command, section, ke
     assert main(argv) == 2
     assert f"{section}.{key}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+_WRONG_TYPES = ["text", True, None, [], {}, [1, "a"], 1.5, 3, -2]
+# written as bare JSON tokens; json.loads reads 1e400 as an infinite float
+_NON_FINITE = ["NaN", "Infinity", "-Infinity", "1e400"]
+_TRAIN_SECTIONS = ("net", "objective", "train", "data")
+
+
+def _mutate_config(doc, kind, rng):
+    """One seeded mutation of a valid train config, as JSON text, and a label."""
+    doc = json.loads(json.dumps({"schema_version": SCHEMA_VERSION, **doc}))
+    section = rng.choice(_TRAIN_SECTIONS)
+    if kind == "flip-type":
+        keys = sorted(_SCHEMA[section])
+        target = rng.choice(["schema_version", section] + [f"{section}.{k}" for k in keys])
+        if target == "schema_version":
+            value = rng.choice([True, 1.0, "1", None, [1]])
+            doc[target] = value
+        elif target == section:
+            value = rng.choice(["text", True, None, [], 3])
+            doc[section] = value
+        else:
+            key = target.split(".")[1]
+            check = _SCHEMA[section][key][0]
+            value = rng.choice([v for v in _WRONG_TYPES if not check(v)])
+            doc[section][key] = value
+        return json.dumps(doc), f"{target} = {value!r}"
+    if kind == "non-finite":
+        numeric = [k for k, (check, _, _) in _SCHEMA[section].items()
+                   if any(check(v) for v in (1, 1.0, [1], [1.0]))]
+        key = rng.choice(numeric)
+        token = rng.choice(_NON_FINITE)
+        doc[section][key] = [1, "@@"] if _SCHEMA[section][key][0]([1]) else "@@"
+        return json.dumps(doc).replace('"@@"', token), f"{section}.{key} <- {token}"
+    # drop a required key or section
+    path = rng.choice([("schema_version",), ("net", "x_dim"), ("net", "y_dim")]
+                      + [(s,) for s in _TRAIN_SECTIONS])
+    if len(path) == 1:
+        del doc[path[0]]
+    else:
+        del doc[path[0]][path[1]]
+    return json.dumps(doc), f"drop {'.'.join(path)}"
+
+
+def _mutate_csv(lines, kind, rng):
+    """One seeded mutation of a valid data file, as text, and a label."""
+    lines = list(lines)
+    ln = rng.randrange(len(lines))
+    fields = lines[ln].split(",")
+    col = rng.randrange(len(fields))
+    if kind == "csv-non-finite":
+        fields[col] = rng.choice(["nan", "inf", "-inf", "1e400", "NaN", "", "0x1p3", "1.0.0"])
+    elif kind == "csv-drop-field":
+        del fields[col]
+    else:
+        fields.insert(col, "0.5")
+    lines[ln] = ",".join(fields)
+    return "\n".join(lines) + "\n", f"line {ln + 1}: {lines[ln]!r}"
+
+
+@pytest.mark.parametrize("kind", [
+    "flip-type", "non-finite", "drop-key", "csv-non-finite", "csv-drop-field", "csv-extra-field",
+])
+def test_seeded_input_mutations_exit_2_or_3(tmp_path, capsys, kind):
+    """Seeded mutations of a valid train config and its data file: flipped
+    types, NaN/Infinity/1e400 numbers, dropped keys, sections and fields.
+    Every mutant is rejected with exit code 2 (config) or 3 (data) before
+    training starts, and the message is one error line, never a traceback."""
+    x, y = gen_conditional_bimodal(24, substream(11, "cli-test-data"))
+    good_csv = tmp_path / "good.csv"
+    save_csv(good_csv, x, y)
+    doc = train_doc()
+    doc["train"].update(epochs=1, val_count=4)
+    doc["data"] = {"generator": None, "path": None}
+    good_cfg = write_config(tmp_path / "good.json", doc)
+    assert main(["train", "--config", good_cfg, "--out", str(tmp_path / "ok"),
+                 "--data", str(good_csv)]) == 0
+    capsys.readouterr()
+    for seed in range(24):
+        rng = random.Random(f"{kind}-{seed}")
+        cfg, data = good_cfg, good_csv
+        if kind.startswith("csv"):
+            text, label = _mutate_csv(good_csv.read_text().splitlines(), kind, rng)
+            data = tmp_path / f"m{seed}.csv"
+            data.write_text(text)
+            expected = (3,)
+        else:
+            text, label = _mutate_config(doc, kind, rng)
+            cfg = tmp_path / f"m{seed}.json"
+            cfg.write_text(text)
+            expected = (2,)
+        code = main(["train", "--config", str(cfg), "--out", str(tmp_path / f"o{seed}"),
+                     "--data", str(data)])
+        err = capsys.readouterr().err
+        assert code in expected, (seed, label, code, err)
+        assert err.startswith("error: ") and err.count("\n") == 1, (seed, label, err)
+        assert "Traceback" not in err
+        assert not (tmp_path / f"o{seed}").exists(), (seed, label)
 
 
 def test_config_hash_canonical(tmp_path):
@@ -175,7 +280,7 @@ def test_train_artifacts_and_rerun_identical(tmp_path):
     assert summary["epochs"] == 2
     assert summary["param_count"] == (1 + 1) * 4 + (6 + 1) * 4 + (4 + 1) * 1
     header = (out1 / "history.csv").read_text().splitlines()
-    assert "epoch,train_objective,val_objective" in header[1]
+    assert header[1] == "epoch,train_objective,val_objective,train_pq,train_qq"
 
 
 def test_train_seed_flag_changes_model(tmp_path):

@@ -21,7 +21,9 @@ from disconet import (
     div_qq_hat,
     energy_score_sample,
     grad_check,
+    grad_flat,
     init_params,
+    objective_terms,
     predict_rows,
 )
 from disconet.objective import _batch_arrays, candidate_pair_indices
@@ -216,3 +218,76 @@ def test_noise_disabled_objective_ignores_noises():
     g2 = Graph()
     r2 = disco_objective_node(g2, params, (x, y), np.zeros((2, 1, 3)), cfg)
     assert g1.value(r1).item() == g2.value(r2).item()
+
+
+def _graph_value_grad(params, x, y, z, cfg):
+    g = Graph()
+    bound = bind_params(g, params)
+    root = disco_objective_node(g, bound, (x, y), z, cfg)
+    g.backward(root)
+    return g.value(root).item(), grad_flat(g, bound)
+
+
+ORACLE_CASES = [
+    (dict(gamma=gamma, beta=beta), {})
+    for gamma in (0.0, 0.25, 0.5)
+    for beta in (0.5, 1.0, 1.5)
+] + [
+    (dict(gamma=0.5, weights=(0.3, 2.5)), {}),
+    (dict(gamma=0.5), dict(encoder_widths=())),
+    (dict(gamma=0.5), dict(noise_enabled=False)),
+    (dict(gamma=0.5, n=1), {}),
+    (dict(gamma=0.0, k=1), {}),
+]
+ORACLE_IDS = [f"gamma{c['gamma']}-beta{c['beta']}" for c, _ in ORACLE_CASES[:9]] + [
+    "weights", "no-encoder", "noise-disabled", "batch-1", "k1-gamma0",
+]
+
+
+@pytest.mark.parametrize("case, net_kw", ORACLE_CASES, ids=ORACLE_IDS)
+def test_objective_terms_match_graph_oracle(case, net_kw):
+    """The fused objective, its two terms and its gradient agree with the
+    graph form and the sampled estimators. The tolerance, rtol = atol =
+    1e-12, was fixed from float64 before comparing; both sides sum in the
+    same order, so they mostly agree bitwise."""
+    n, k = case.get("n", 5), case.get("k", 4)
+    net = NetConfig(x_dim=2, y_dim=2, z_dim=3, encoder_widths=(4,), decoder_widths=(5, 4))
+    net = NetConfig(**{**net.to_dict(), **net_kw})
+    loss = LossSpec(beta=case.get("beta", 1.0), weights=case.get("weights"))
+    cfg = ObjectiveConfig(gamma=case["gamma"], num_candidates=k, loss=loss)
+    rng = np.random.default_rng(17)
+    params = init_params(net, seed=17)
+    x = rng.normal(size=(n, net.x_dim))
+    y = rng.normal(size=(n, net.y_dim))
+    z = rng.uniform(-1.0, 1.0, size=(n, k, net.z_dim))
+
+    pq, qq, value, grad = objective_terms(params, x, y, z, cfg)
+    value_ref, grad_ref = _graph_value_grad(params, x, y, z, cfg)
+    pq_ref, _ = _graph_value_grad(params, x, y, z, ObjectiveConfig(0.0, k, loss))
+    tol = dict(rtol=1e-12, atol=1e-12)
+    npt.assert_allclose(value, value_ref, **tol)
+    npt.assert_allclose(pq, pq_ref, **tol)
+    npt.assert_allclose(grad, grad_ref, **tol)
+    assert np.any(grad != 0.0)
+    if k == 1:
+        assert np.isnan(qq)
+        return
+    # predict_rows ignores z when noise is disabled
+    outs = predict_rows(params, np.repeat(x, k, axis=0), z.reshape(n * k, -1))
+    sets = [CandidateSet(i, o) for i, o in enumerate(outs.reshape(n, k, -1))]
+    npt.assert_allclose(qq, div_qq_hat(sets, loss), **tol)
+    if not net.noise_enabled:
+        assert qq == 0.0  # coincident candidates: every pair sits at the singularity
+
+
+def test_objective_terms_contract_errors():
+    params, x, y, z = _fixture(seed=13)
+    cfg = ObjectiveConfig(gamma=0.5, num_candidates=3)
+    with pytest.raises(ContractError):
+        objective_terms(params, x, y, None, cfg)
+    with pytest.raises(DimensionError):
+        objective_terms(params, x, y, z[:, :2, :], cfg)
+    with pytest.raises(DimensionError):
+        objective_terms(params, x[:, :1], y, z, cfg)
+    with pytest.raises(ContractError):
+        objective_terms(params, x[:0], y[:0], z[:0], cfg)

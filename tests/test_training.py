@@ -143,6 +143,20 @@ def test_train_objective_decreases():
     assert last < first
 
 
+@pytest.mark.parametrize("gamma", [0.0, 0.5])
+def test_epoch_terms_recombine_to_objective(gamma):
+    """train_pq and train_qq are size-weighted epoch means like
+    train_objective, so they recombine to it on every epoch. The last
+    minibatch is short (56 training rows, batch 16), so the weights matter.
+    DIVhat(Q,Q) is reported at gamma = 0 as well."""
+    data = _small_data()
+    cfg = _small_cfg(objective=ObjectiveConfig(gamma=gamma, num_candidates=4), epochs=4)
+    _, hist = train(NET, cfg, data)
+    for e in hist.epochs:
+        assert e.train_pq - gamma * e.train_qq == pytest.approx(e.train_objective, rel=1e-12, abs=1e-12)
+        assert e.train_qq > 0.0
+
+
 def test_train_no_validation_gives_nan_val():
     data = _small_data()
     _, hist = train(NET, _small_cfg(val_count=0), data)
