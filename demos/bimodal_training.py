@@ -49,9 +49,9 @@ for x0 in (-0.8, 0.0, 0.8):
     both = 1.0 + x0 * x0
     print(f"  x={x0:+.1f} (branches at ±{both:.2f}):")
     for name, params in (("gamma=0.5", with_pressure), ("gamma=0  ", without)):
-        cs = sample_candidates(params, np.array([x0]), 8, substream(7, "demo-draws"))
-        vals = ", ".join(f"{v:+.2f}" for v in sorted(cs.outputs[:, 0]))
-        spread = cs.outputs[:, 0].max() - cs.outputs[:, 0].min()
+        draws = sample_candidates(params, np.array([x0]), 8, substream(7, "demo-draws"))[:, 0]
+        vals = ", ".join(f"{v:+.2f}" for v in sorted(draws))
+        spread = draws.max() - draws.min()
         print(f"    {name}: [{vals}]  spread {spread:.2f}")
 
 print(

@@ -16,7 +16,7 @@ from disconet import (
     gen_conditional_bimodal,
     metrics_report,
     meu_predict,
-    sample_candidates,
+    sample_outputs,
     substream,
     train,
     train_val_split,
@@ -33,17 +33,16 @@ data = gen_conditional_bimodal(1024, substream(0, "demo-eval-data"))
 params, _ = train(net, cfg, data)
 _, (x_val, y_val) = train_val_split(data, 256, seed=0)
 
-# K candidates per validation input
-rng = substream(0, "demo-eval-draws")
-sets = [sample_candidates(params, x_val[i], 16, rng, index=i) for i in range(len(x_val))]
+# K candidates per validation input, as one (N, K, y_dim) array
+outs = sample_outputs(params, x_val, 16, substream(0, "demo-eval-draws"))
 
 # MEU picks the candidate closest to the rest of the set under the task
 # loss, so the pick lands where the sampled mass concentrates
-idx, pick = meu_predict(sets[0])
+idx, pick = meu_predict(outs[0])
 print(f"input {x_val[0, 0]:+.2f}: MEU picked candidate {idx} at {pick[0]:+.2f}")
 
 layout = JointLayout.scalar(1)
-report = metrics_report(sets, y_val, layout, distances=(0.1, 0.25, 0.5, 1.0))
+report = metrics_report(outs, y_val, layout, distances=(0.1, 0.25, 0.5, 1.0))
 
 print(f"\nProbLoss {report.probloss[0]:.4f} ± {report.probloss[1]:.4f}")
 print(f"MeJEE    {report.mejee[0]:.4f} ± {report.mejee[1]:.4f}")

@@ -10,7 +10,6 @@ expectation is a finite sum.
 import numpy as np
 
 from disconet import (
-    CandidateSet,
     DiscreteDistribution,
     LossSpec,
     divergence_discrete,
@@ -53,7 +52,7 @@ for name, q in candidates.items():
     total = 0.0
     for t in range(trials):
         draws = support[np.searchsorted(cum, rng.random(k))]
-        total += energy_score_sample(CandidateSet(0, draws), ys[t], spec)
+        total += energy_score_sample(draws, ys[t], spec)
     print(f"  {name:>16}: {total / trials:.4f}")
 
 print("\nthe truth wins both tables; no dishonest model can score better in expectation")

@@ -35,7 +35,6 @@ from .metrics import (
     probloss,
 )
 from .network import (
-    CandidateSet,
     NetConfig,
     NetworkParams,
     bind_params,
@@ -44,6 +43,7 @@ from .network import (
     init_params,
     predict_rows,
     sample_candidates,
+    sample_outputs,
 )
 from .objective import (
     ObjectiveConfig,
@@ -112,7 +112,6 @@ __all__ = [
     "meu_predict",
     "pearson_matrix",
     "probloss",
-    "CandidateSet",
     "NetConfig",
     "NetworkParams",
     "bind_params",
@@ -121,6 +120,7 @@ __all__ = [
     "init_params",
     "predict_rows",
     "sample_candidates",
+    "sample_outputs",
     "ObjectiveConfig",
     "disco_objective",
     "disco_objective_node",

@@ -416,19 +416,22 @@ def cmd_eval(config, out_dir, checkpoint, data_override=None):
     if x.shape[0] == 0:
         raise SchemaError("evaluation dataset is empty")
     k = ev["num_candidates"]
+    if k < 1:
+        raise ConfigError(f"eval.num_candidates must be >= 1, got {k}")
     layout = JointLayout.grouped(net.y_dim, ev["group_size"])
     if float(ev["base_sigma"]) > 0.0:
         point = _zero_noise_preds(params, x)
-        jitter_rng = substream(seed, "base-jitter")
-        sets = [
-            base_candidates(point[i], k, float(ev["base_sigma"]), jitter_rng, index=i)
-            for i in range(x.shape[0])
-        ]
+        outs = base_candidates(point, k, float(ev["base_sigma"]), substream(seed, "base-jitter"))
     else:
+        # frame by frame into one array: a single pass over all N * K rows
+        # would hold activations that size and, through BLAS blocking,
+        # change the last bits of the outputs
         rng = substream(seed, "eval-noise")
-        sets = [sample_candidates(params, x[i], k, rng, index=i) for i in range(x.shape[0])]
+        outs = np.empty((x.shape[0], k, net.y_dim))
+        for i in range(x.shape[0]):
+            outs[i] = sample_candidates(params, x[i], k, rng)
     pointwise = _zero_noise_preds(params, x) if ev["zero_noise"] else None
-    report = metrics_report(sets, y, layout, ev["distances"], pointwise_preds=pointwise)
+    report = metrics_report(outs, y, layout, ev["distances"], pointwise_preds=pointwise)
     digest = config_hash(config)
     doc = report.to_json_dict()
     doc["config_sha256"] = digest

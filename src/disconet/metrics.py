@@ -1,7 +1,9 @@
 """Pointwise prediction from candidate sets and evaluation metrics.
 
-The pointwise prediction is the candidate with maximum expected utility:
-the one minimizing its summed task loss to all candidates of the same set.
+Candidates come as one (N, K, y_dim) array, the K samples of each of N
+inputs, as ``network.sample_outputs`` returns them. The pointwise
+prediction is the candidate with maximum expected utility: the one
+minimizing its summed task loss to all candidates of the same input.
 Pointwise metrics follow the hand-pose convention: output coordinates are
 grouped into joints, errors are Euclidean per joint, and a frame is one
 evaluated example. The probabilistic metric is the per-frame sampled
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DimensionError, EstimatorError, ParameterError
-from .network import CandidateSet
+from .network import candidate_array
 from .scoring import LossSpec, energy_score_sample, pairwise_delta
 
 
@@ -47,6 +49,8 @@ class JointLayout:
 
     @classmethod
     def grouped(cls, y_dim, group_size, names=None):
+        if group_size < 1:
+            raise ContractError("group_size must be >= 1")
         if y_dim % group_size != 0:
             raise DimensionError(f"y_dim {y_dim} not divisible by group size {group_size}")
         j = y_dim // group_size
@@ -71,11 +75,12 @@ def joint_errors(pred, gt, layout):
 def meu_predict(candidates, task_loss=LossSpec()):
     """Candidate with maximum expected utility under the task loss.
 
-    Returns ``(index, output)`` for the candidate minimizing the sum of
-    its task losses to every candidate in the set; ties keep the lowest
-    index. With one candidate that candidate is returned.
+    `candidates` is one input's (K, y_dim) matrix. Returns ``(index,
+    output)`` for the candidate minimizing the sum of its task losses to
+    every candidate in the set; ties keep the lowest index. With one
+    candidate that candidate is returned.
     """
-    outs = np.asarray(getattr(candidates, "outputs", candidates), dtype=np.float64)
+    outs = np.asarray(candidates, dtype=np.float64)
     if outs.ndim != 2 or outs.shape[0] < 1:
         raise ContractError(f"candidates must be a non-empty (K, y_dim) matrix, got {outs.shape}")
     totals = pairwise_delta(task_loss, outs).sum(axis=1)
@@ -123,24 +128,27 @@ def ff(preds, gts, layout, distance):
     return float((worst <= distance).mean())
 
 
-def probloss(candidate_sets, gts):
-    """Mean per-frame energy score (beta = 1, unit weights) with its sem."""
+def probloss(outs, gts):
+    """Mean per-frame energy score (beta = 1, unit weights) of (N, K, y_dim)
+    candidates against (N, y_dim) ground truths, with its sem."""
+    outs = candidate_array(outs)
     gts = np.asarray(gts, dtype=np.float64)
-    if len(candidate_sets) != gts.shape[0]:
-        raise ContractError(f"{gts.shape[0]} ground truths but {len(candidate_sets)} sets")
+    if outs.shape[0] != gts.shape[0]:
+        raise ContractError(f"{gts.shape[0]} ground truths but {outs.shape[0]} candidate sets")
     spec = LossSpec(beta=1.0)
-    vals = [energy_score_sample(cs, y, spec) for cs, y in zip(candidate_sets, gts)]
+    vals = [energy_score_sample(o, y, spec) for o, y in zip(outs, gts)]
     return _mean_sem(vals)
 
 
-def pearson_matrix(candidate_sets, layout):
+def pearson_matrix(outs, layout):
     """Per-joint deviation correlations across candidates, averaged over inputs.
 
-    For each input the per-candidate deviation from the candidate mean is
-    reduced per joint (Euclidean magnitude for multi-coordinate joints,
-    signed value for singleton joints) and correlated across the K
-    candidates. Zero-variance joints are flagged undefined for that input
-    and excluded from the average rather than propagating NaN.
+    `outs` holds the (N, K, y_dim) candidates. For each input the
+    per-candidate deviation from the candidate mean is reduced per joint
+    (Euclidean magnitude for multi-coordinate joints, signed value for
+    singleton joints) and correlated across the K candidates. Zero-variance
+    joints are flagged undefined for that input and excluded from the
+    average rather than propagating NaN.
 
     Returns
     -------
@@ -148,19 +156,17 @@ def pearson_matrix(candidate_sets, layout):
         Both (J, J). ``values`` holds averaged correlations, exactly 1 on
         the defined diagonal, and NaN filler where ``defined`` is False.
     """
-    if not candidate_sets:
-        raise ContractError("no candidate sets")
+    outs = candidate_array(outs)
+    _, k, y_dim = outs.shape
+    if y_dim != layout.y_dim:
+        raise DimensionError(f"outputs have dim {y_dim}, layout expects {layout.y_dim}")
+    if k < 2:
+        raise EstimatorError("correlations need at least two candidates")
     j = layout.num_joints
     sums = np.zeros((j, j))
     counts = np.zeros((j, j), dtype=np.int64)
-    for cs in candidate_sets:
-        outs = cs.outputs
-        if outs.shape[1] != layout.y_dim:
-            raise DimensionError(f"outputs have dim {outs.shape[1]}, layout expects {layout.y_dim}")
-        k = outs.shape[0]
-        if k < 2:
-            raise EstimatorError("correlations need at least two candidates")
-        dev = (outs - outs.mean(axis=0, keepdims=True)).reshape(k, j, layout.group_size)
+    for o in outs:
+        dev = (o - o.mean(axis=0, keepdims=True)).reshape(k, j, layout.group_size)
         if layout.group_size > 1:
             e = np.sqrt((dev * dev).sum(axis=2))
         else:
@@ -183,15 +189,19 @@ def pearson_matrix(candidate_sets, layout):
     return values, defined
 
 
-def base_candidates(pointwise, num_candidates, sigma, rng, index=0):
-    """Candidate set for a point predictor: the prediction plus Gaussian jitter."""
+def base_candidates(points, num_candidates, sigma, rng):
+    """Candidates for a point predictor: each of the (N, y_dim) predictions
+    plus Gaussian jitter, as an (N, K, y_dim) array from one
+    ``standard_normal((N, K, y_dim))`` draw."""
     if sigma <= 0.0:
         raise ParameterError("sigma must be positive")
     if num_candidates < 1:
         raise ContractError("num_candidates must be >= 1")
-    p = np.asarray(pointwise, dtype=np.float64).reshape(-1)
-    outs = p[None, :] + sigma * rng.standard_normal((num_candidates, p.shape[0]))
-    return CandidateSet(index, outs)
+    p = np.asarray(points, dtype=np.float64)
+    if p.ndim != 2:
+        raise DimensionError(f"points must be an (N, y_dim) matrix, got shape {p.shape}")
+    n, y_dim = p.shape
+    return p[:, None, :] + sigma * rng.standard_normal((n, num_candidates, y_dim))
 
 
 @dataclass
@@ -253,26 +263,28 @@ def _pair_dict(pair):
     return {"value": float(pair[0]), "sem": float(pair[1])}
 
 
-def metrics_report(candidate_sets, gts, layout, distances, task_loss=LossSpec(), pointwise_preds=None):
+def metrics_report(outs, gts, layout, distances, task_loss=LossSpec(), pointwise_preds=None):
     """Assemble the full evaluation report for one dataset.
 
-    Pointwise predictions default to maximum-expected-utility selection
-    per candidate set; pass `pointwise_preds` to evaluate externally
-    chosen predictions (e.g. the zero-noise forward pass) instead. With a
-    single candidate per input the probabilistic entries are None.
+    `outs` holds the (N, K, y_dim) candidates. Pointwise predictions
+    default to maximum-expected-utility selection per input; pass
+    `pointwise_preds` to evaluate externally chosen predictions (e.g. the
+    zero-noise forward pass) instead. With a single candidate per input
+    the probabilistic entries are None.
     """
+    outs = candidate_array(outs)
     gts = np.asarray(gts, dtype=np.float64)
-    k = _common_k(candidate_sets)
+    k = outs.shape[1]
     if pointwise_preds is None:
-        preds = np.asarray([meu_predict(cs, task_loss)[1] for cs in candidate_sets])
+        preds = np.asarray([meu_predict(o, task_loss)[1] for o in outs])
     else:
         preds = np.asarray(pointwise_preds, dtype=np.float64)
     report = MetricsReport(
-        probloss=probloss(candidate_sets, gts) if k >= 2 else None,
+        probloss=probloss(outs, gts) if k >= 2 else None,
         mejee=mejee(preds, gts, layout),
         majee=majee(preds, gts, layout),
         ff={float(d): ff(preds, gts, layout, float(d)) for d in distances},
-        pearson=pearson_matrix(candidate_sets, layout) if k >= 2 else None,
+        pearson=pearson_matrix(outs, layout) if k >= 2 else None,
         counts={
             "frames": gts.shape[0],
             "candidates": k,
@@ -280,12 +292,3 @@ def metrics_report(candidate_sets, gts, layout, distances, task_loss=LossSpec(),
         },
     )
     return report
-
-
-def _common_k(candidate_sets):
-    if not candidate_sets:
-        raise ContractError("no candidate sets")
-    ks = {cs.num_candidates for cs in candidate_sets}
-    if len(ks) != 1:
-        raise ContractError(f"candidate sets must share one K, got {sorted(ks)}")
-    return ks.pop()

@@ -209,29 +209,6 @@ def init_params(config, seed):
 
 
 @dataclass
-class CandidateSet:
-    """K sampled outputs for one input."""
-
-    index: int
-    outputs: np.ndarray
-
-    def __post_init__(self):
-        outs = np.array(self.outputs, dtype=np.float64)
-        if outs.ndim != 2 or outs.shape[0] < 1:
-            raise ContractError(f"outputs must be a non-empty (K, y_dim) array, got {outs.shape}")
-        outs.setflags(write=False)
-        object.__setattr__(self, "outputs", outs)
-
-    @property
-    def num_candidates(self):
-        return self.outputs.shape[0]
-
-    @property
-    def y_dim(self):
-        return self.outputs.shape[1]
-
-
-@dataclass
 class BoundParams:
     """Network parameters inserted into a graph as constant nodes."""
 
@@ -335,11 +312,19 @@ def sample_outputs(params, x, num_candidates, rng):
     return outs.reshape(n, k, cfg.y_dim)
 
 
-def sample_candidates(params, x, num_candidates, rng, index=0):
-    """Draw `num_candidates` noise vectors and run the generator on each.
-
-    With noise disabled no randomness is consumed and all candidates are
-    the single deterministic prediction.
+def sample_candidates(params, x, num_candidates, rng):
+    """The (K, y_dim) candidates for one input `x`: ``sample_outputs`` on a
+    single row. With noise disabled no randomness is consumed and all
+    candidates are the single deterministic prediction.
     """
     x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    return CandidateSet(index, sample_outputs(params, x, num_candidates, rng)[0])
+    return sample_outputs(params, x, num_candidates, rng)[0]
+
+
+def candidate_array(outs):
+    """Candidates as the (N, K, y_dim) float64 array ``sample_outputs``
+    returns, with N and K at least 1; ContractError for any other shape."""
+    outs = np.asarray(outs, dtype=np.float64)
+    if outs.ndim != 3 or outs.shape[0] < 1 or outs.shape[1] < 1:
+        raise ContractError(f"candidates must be a non-empty (N, K, y_dim) array, got {outs.shape}")
+    return outs

@@ -25,7 +25,7 @@ import numpy as np
 
 from .autodiff import SINGULARITY_EPS
 from .errors import ContractError, DimensionError, EstimatorError, ParameterError
-from .network import NetworkParams, bind_params, forward_rows
+from .network import NetworkParams, bind_params, candidate_array, forward_rows
 from .scoring import LossSpec, data_term, pair_term, sq_norm
 
 
@@ -47,48 +47,29 @@ class ObjectiveConfig:
 
 
 def _batch_arrays(batch):
-    """Normalize a batch to (X, Y) float64 matrices.
-
-    Accepts an (X, Y) pair of arrays or a sequence of (x, y) pairs.
-    """
-    if isinstance(batch, tuple) and len(batch) == 2 and not np.isscalar(batch[0]):
-        x, y = batch
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        if x.ndim == 2 and y.ndim == 2 and x.shape[0] == y.shape[0]:
-            if x.shape[0] == 0:
-                raise ContractError("empty batch")
-            return x, y
-    pairs = list(batch)
-    if not pairs:
+    """An (X, Y) pair as float64 matrices with equal, non-zero row counts."""
+    if not (isinstance(batch, tuple) and len(batch) == 2):
+        raise ContractError("batch must be an (X, Y) pair of matrices")
+    x, y = (np.asarray(a, dtype=np.float64) for a in batch)
+    if x.ndim != 2 or y.ndim != 2 or x.shape[0] != y.shape[0]:
+        raise ContractError(f"batch needs equal-row X and Y matrices, got {x.shape}, {y.shape}")
+    if x.shape[0] == 0:
         raise ContractError("empty batch")
-    x = np.asarray([np.asarray(p[0], dtype=np.float64).reshape(-1) for p in pairs])
-    y = np.asarray([np.asarray(p[1], dtype=np.float64).reshape(-1) for p in pairs])
     return x, y
 
 
-def _stack_sets(candidate_sets, n=None):
-    """Stack the candidate sets into one (N, K, y_dim) array; they must share
-    one (K, y_dim) shape."""
-    if not candidate_sets:
-        raise ContractError("no candidate sets")
-    if n is not None and len(candidate_sets) != n:
-        raise ContractError(f"{n} examples but {len(candidate_sets)} candidate sets")
-    shapes = {cs.outputs.shape for cs in candidate_sets}
-    if len(shapes) != 1:
-        raise ContractError(f"candidate sets must share one (K, y_dim) shape, got {sorted(shapes)}")
-    return np.stack([cs.outputs for cs in candidate_sets])
-
-
-def div_pq_hat(batch, candidate_sets, loss=LossSpec()):
+def div_pq_hat(y, outs, loss=LossSpec()):
     """Mean loss between ground truths and their sampled candidates.
 
     Unbiased estimate of E Delta(Y, G) for Y from the data and G from the
-    model, one candidate set per example: the mean over examples of the
-    per-example mean over candidates.
+    model: `y` is (N, y_dim), `outs` the (N, K, y_dim) candidates, and the
+    estimate is the mean over examples of the per-example mean over
+    candidates.
     """
-    _, y = _batch_arrays(batch)
-    outs = _stack_sets(candidate_sets, n=y.shape[0])
+    outs = candidate_array(outs)
+    y = np.asarray(y, dtype=np.float64)
+    if y.ndim != 2 or y.shape[0] != outs.shape[0]:
+        raise ContractError(f"ground truths {y.shape} for {outs.shape[0]} candidate sets")
     y_dim = outs.shape[2]
     if y.shape[1] != y_dim:
         raise DimensionError(f"ground truths have dim {y.shape[1]}, candidates {y_dim}")
@@ -96,13 +77,13 @@ def div_pq_hat(batch, candidate_sets, loss=LossSpec()):
     return float(np.mean(data_term(y, outs, w, loss.beta)))
 
 
-def div_qq_hat(candidate_sets, loss=LossSpec()):
+def div_qq_hat(outs, loss=LossSpec()):
     """Mean loss over ordered pairs of distinct candidates per input.
 
     Unbiased estimate of E Delta(G, G') for two independent model samples
-    at the same input; needs K >= 2.
+    at the same input, over (N, K, y_dim) candidates; needs K >= 2.
     """
-    outs = _stack_sets(candidate_sets)
+    outs = candidate_array(outs)
     _, k, y_dim = outs.shape
     if k < 2:
         raise EstimatorError("pair diversity needs at least two candidates")
@@ -110,12 +91,13 @@ def div_qq_hat(candidate_sets, loss=LossSpec()):
     return float(np.mean(pair_term(outs, w, loss.beta)))
 
 
-def disco_objective(batch, candidate_sets, config):
-    """The sampled objective DIVhat(P,Q) - gamma * DIVhat(Q,Q)."""
-    pq = div_pq_hat(batch, candidate_sets, config.loss)
+def disco_objective(y, outs, config):
+    """The sampled objective DIVhat(P,Q) - gamma * DIVhat(Q,Q) of (N, y_dim)
+    ground truths and their (N, K, y_dim) candidates."""
+    pq = div_pq_hat(y, outs, config.loss)
     if config.gamma == 0.0:
         return pq
-    return pq - config.gamma * div_qq_hat(candidate_sets, config.loss)
+    return pq - config.gamma * div_qq_hat(outs, config.loss)
 
 
 def _norm_slope(s, upstream, beta):
@@ -249,7 +231,7 @@ def disco_objective_node(g, params, batch, noises, config):
     params : NetworkParams or BoundParams
         Pass a BoundParams (from ``bind_params``) to keep access to the
         parameter nodes for gradient collection.
-    batch : (X, Y) arrays or sequence of (x, y) pairs
+    batch : (X, Y) arrays
     noises : array-like, shape (N, K, z_dim), or None
         Pre-drawn noise, held fixed during differentiation. Required when
         the network has its noise channel enabled; ignored otherwise.

@@ -122,7 +122,7 @@ def energy_score_sample(candidates, y_true, spec=LossSpec()):
 
     Parameters
     ----------
-    candidates : CandidateSet or array-like, shape (K, y_dim)
+    candidates : array-like, shape (K, y_dim)
         K >= 2 sampled outputs for a single input.
     y_true : array-like, shape (y_dim,)
         Observed output.
@@ -135,7 +135,7 @@ def energy_score_sample(candidates, y_true, spec=LossSpec()):
         ``mean_k Delta(y, g_k) - sum_{k != k'} Delta(g_k, g_k') / (2 K (K-1))``.
         Lower is better; the second term rewards candidate diversity.
     """
-    outs = np.asarray(getattr(candidates, "outputs", candidates), dtype=np.float64)
+    outs = np.asarray(candidates, dtype=np.float64)
     if outs.ndim != 2:
         raise DimensionError(f"candidates must be a (K, y_dim) matrix, got shape {outs.shape}")
     if outs.shape[0] < 2:

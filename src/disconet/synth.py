@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, ParseError, SchemaError
+from .errors import ContractError, ParameterError, ParseError, SchemaError
 from .rng import substream
 from .scoring import LOSS_DIM1, LOSS_DIM2, data_term, pair_term
 
@@ -245,6 +245,8 @@ def fit_gaussian_grid(train, grid, loss, gamma=TOY_GAMMA, m=24, rng=None):
         raise ContractError(f"train must be a non-empty (n, 2) array, got {y.shape}")
     if m < 2:
         raise ContractError("m must be >= 2")
+    if not 0.0 <= gamma <= 1.0:
+        raise ParameterError(f"gamma must lie in [0, 1], got {gamma}")
     if rng is None:
         raise ContractError("an rng is required")
     w = loss.weight_vector(2)
@@ -281,6 +283,8 @@ def eval_gaussian(params, test, loss, gamma=TOY_GAMMA, m=24, rng=None):
         raise ContractError(f"test must be a non-empty (n, 2) array, got {y.shape}")
     if m < 2:
         raise ContractError("m must be >= 2")
+    if not 0.0 <= gamma <= 1.0:
+        raise ParameterError(f"gamma must lie in [0, 1], got {gamma}")
     if rng is None:
         raise ContractError("an rng is required")
     eps = rng.standard_normal((y.shape[0], m, 2))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, DimensionError, NumericError, ParameterError
-from .network import CandidateSet, NetworkParams, init_params, sample_outputs
+from .network import NetworkParams, init_params, sample_outputs
 from .objective import ObjectiveConfig, _batch_arrays, disco_objective, objective_terms
 from .rng import derive_seed, substream
 
@@ -111,8 +111,7 @@ def validation_objective(params, data, objective, rng):
     """The sampled objective on a held-out set with fresh noise draws."""
     x, y = _batch_arrays(data)
     outs = sample_outputs(params, x, objective.num_candidates, rng)
-    sets = [CandidateSet(i, o) for i, o in enumerate(outs)]
-    return disco_objective((x, y), sets, objective)
+    return disco_objective(y, outs, objective)
 
 
 def train(net_config, train_config, data, checkpoint_dir=None):

@@ -56,12 +56,13 @@ def train_bimodal(seed, gamma, noise_enabled, epochs=ABLATION_EPOCHS):
     return params, val, history
 
 
-def sampled_candidate_sets(params, x, seed, num_candidates=ABLATION_K):
+def sampled_candidates(params, x, seed, num_candidates=ABLATION_K):
+    """(N, K, y_dim) candidates drawn frame by frame from the "abl-eval" stream."""
     rng = substream(seed, "abl-eval")
-    return [
-        sample_candidates(params, x[i], num_candidates, rng, index=i)
-        for i in range(x.shape[0])
-    ]
+    outs = np.empty((x.shape[0], num_candidates, params.config.y_dim))
+    for i in range(x.shape[0]):
+        outs[i] = sample_candidates(params, x[i], num_candidates, rng)
+    return outs
 
 
 @pytest.fixture(scope="session")

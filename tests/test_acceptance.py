@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from disconet import (
-    CandidateSet,
     DiscreteDistribution,
     JointLayout,
     LossSpec,
@@ -38,7 +37,7 @@ from disconet import (
 )
 from disconet.cli import main as cli_main
 from disconet.metrics import base_candidates, probloss
-from tests.conftest import sampled_candidate_sets
+from tests.conftest import sampled_candidates
 
 
 def _report(num, name, ok, detail):
@@ -92,7 +91,7 @@ def test_criterion_2_estimator_unbiasedness():
     vals = np.empty(trials)
     for t in range(trials):
         idx = np.searchsorted(cum, rng.random(k))  # lookup generator
-        vals[t] = div_qq_hat([CandidateSet(0, support[idx])], spec)
+        vals[t] = div_qq_hat(support[idx][None], spec)
     se = vals.std(ddof=1) / np.sqrt(trials)
     gap = abs(vals.mean() - exact)
     dt = time.perf_counter() - t0
@@ -139,10 +138,10 @@ def test_criterion_4_energy_score_identity():
         k = int(rng.integers(2, 7))
         dim = int(rng.integers(1, 4))
         y = rng.normal(size=(n, dim))
-        sets = [CandidateSet(i, rng.normal(size=(k, dim))) for i in range(n)]
+        outs = rng.normal(size=(n, k, dim))
         cfg = ObjectiveConfig(gamma=0.5, num_candidates=k)
-        obj = disco_objective((np.zeros((n, 1)), y), sets, cfg)
-        scores = float(np.mean([energy_score_sample(cs, yn) for cs, yn in zip(sets, y)]))
+        obj = disco_objective(y, outs, cfg)
+        scores = float(np.mean([energy_score_sample(o, yn) for o, yn in zip(outs, y)]))
         worst = max(worst, abs(obj - scores))
     dt = time.perf_counter() - t0
     _report(4, "energy-score identity", worst <= 1e-12 and dt < 5.0,
@@ -179,8 +178,8 @@ def test_criterion_6_ablation_ordering(bimodal_ablation):
     for i, seed in enumerate(seeds):
         for name in ("g05", "g0_noise"):
             params, (x_val, y_val), _ = runs[name][i]
-            sets = sampled_candidate_sets(params, x_val, seed)
-            scores[name].append(probloss(sets, y_val)[0])
+            outs = sampled_candidates(params, x_val, seed)
+            scores[name].append(probloss(outs, y_val)[0])
         params, (x_val, y_val), _ = runs["base"][i]
         from disconet import predict_rows
 
@@ -188,11 +187,8 @@ def test_criterion_6_ablation_ordering(bimodal_ablation):
         y_scale = float(y_val.std())
         jitter_rng = substream(seed, "acc6-jitter")
         for frac in BASE_SIGMA_FRACTIONS:
-            sets = [
-                base_candidates(point[j], 16, frac * y_scale, jitter_rng, index=j)
-                for j in range(x_val.shape[0])
-            ]
-            base_by_sigma[frac].append(probloss(sets, y_val)[0])
+            outs = base_candidates(point, 16, frac * y_scale, jitter_rng)
+            base_by_sigma[frac].append(probloss(outs, y_val)[0])
     med_g05 = float(np.median(scores["g05"]))
     med_g0 = float(np.median(scores["g0_noise"]))
     med_base = min(float(np.median(v)) for v in base_by_sigma.values())
@@ -258,8 +254,8 @@ def test_criterion_8_metric_invariants():
             ma = majee(preds[fr : fr + 1], gts[fr : fr + 1], lay)[0]
             order_ok &= me <= ma + 1e-15
     # one live joint, one frozen joint
-    cs = CandidateSet(0, np.column_stack([np.arange(4.0), np.full(4, 2.0)]))
-    values, defined = pearson_matrix([cs], JointLayout.scalar(2))
+    outs = np.column_stack([np.arange(4.0), np.full(4, 2.0)])[None]
+    values, defined = pearson_matrix(outs, JointLayout.scalar(2))
     diag_ok = values[0, 0] == 1.0 and defined[0, 0]
     undef_ok = not defined[1, 1] and not defined[0, 1] and np.isnan(values[1, 1])
     dt = time.perf_counter() - t0

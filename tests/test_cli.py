@@ -1,12 +1,24 @@
 import importlib
 import importlib.util
 import json
+import math
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from disconet import ConfigError, NumericError, save_csv
+from disconet import (
+    ConfigError,
+    LossSpec,
+    NetConfig,
+    NetworkParams,
+    NumericError,
+    energy_score_sample,
+    init_params,
+    predict_rows,
+    save_csv,
+)
 from disconet.cli import _SCHEMA, SCHEMA_VERSION, _write_json, config_hash, load_config, main
 from disconet.rng import substream
 from disconet.synth import gen_conditional_bimodal
@@ -266,6 +278,18 @@ def test_toy_degenerate_grid(tmp_path):
     assert "train_loss,task_dim1,task_dim1_sem,task_dim2,task_dim2_sem" in text
 
 
+@pytest.mark.parametrize("gamma", [2.0, -0.5])
+def test_toy_gamma_out_of_range_exit_2(tmp_path, capsys, gamma):
+    doc = {"toy": {"seeds": [0], "n_train": 20, "n_test": 20, "m": 4, "gamma": gamma,
+                   "mu_values": [0.0, 0.5], "sigma_values": [0.5, 1.0]}}
+    cfg = write_config(tmp_path / "toy.json", doc)
+    code = main(["toy", "--config", cfg, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: gamma must lie in [0, 1]") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
 def test_train_artifacts_and_rerun_identical(tmp_path):
     cfg = write_config(tmp_path / "train.json", train_doc())
     out1 = tmp_path / "run1"
@@ -373,6 +397,69 @@ def test_eval_zero_noise_and_base(tmp_path):
     # a missing checkpoint is an I/O failure, not a config failure
     assert main(["eval", "--config", cfg, "--out", str(out_base),
                  "--checkpoint", str(tmp_path / "nope.txt")]) == 3
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("group_size", 0, "group_size must be >= 1"),
+    ("group_size", -1, "group_size must be >= 1"),
+    ("num_candidates", 0, "eval.num_candidates must be >= 1"),
+    ("num_candidates", -1, "eval.num_candidates must be >= 1"),
+])
+def test_eval_sizes_below_one_exit_2(tmp_path, capsys, key, value, message):
+    ckpt = tmp_path / "ckpt.txt"
+    init_params(NetConfig(x_dim=1, y_dim=2, z_dim=2), seed=0).save(ckpt)
+    x, y = gen_conditional_bimodal(8, substream(11, "cli-test-data"))
+    data = tmp_path / "frames.csv"
+    save_csv(data, x, np.hstack([y, y]))
+    doc = {"data": {"generator": None}, "eval": {"num_candidates": 3, key: value}}
+    cfg = write_config(tmp_path / "eval.json", doc)
+    code = main(["eval", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--checkpoint", str(ckpt), "--data", str(data)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("base_sigma", [0.0, 0.3], ids=["sampled", "base_sigma"])
+def test_eval_probloss_replays_draw_order(tmp_path, base_sigma):
+    """ProbLoss in metrics.json is the mean and sem of per-frame energy
+    scores, with each frame's candidates drawn in frame order: K noise rows
+    from "eval-noise", or K jitter rows from "base-jitter" around the
+    zero-noise prediction."""
+    net = NetConfig(x_dim=1, y_dim=2, z_dim=3, encoder_widths=(4,), decoder_widths=(4,))
+    ckpt = tmp_path / "ckpt.txt"
+    init_params(net, seed=5).save(ckpt)
+    params = NetworkParams.load(ckpt)
+    x, y1 = gen_conditional_bimodal(12, substream(11, "cli-test-data"))
+    y = np.hstack([y1, -y1])
+    data = tmp_path / "frames.csv"
+    save_csv(data, x, y)
+    k, seed = 4, 3
+    doc = {"data": {"generator": None},
+           "eval": {"num_candidates": k, "base_sigma": base_sigma, "seed": seed}}
+    cfg = write_config(tmp_path / "eval.json", doc)
+    out = tmp_path / "ev"
+    assert main(["eval", "--config", cfg, "--out", str(out), "--checkpoint", str(ckpt),
+                 "--data", str(data)]) == 0
+
+    if base_sigma > 0.0:
+        rng = substream(seed, "base-jitter")
+        point = predict_rows(params, x, np.zeros((x.shape[0], net.z_dim)))
+    else:
+        rng = substream(seed, "eval-noise")
+    scores = []
+    for i in range(x.shape[0]):
+        if base_sigma > 0.0:
+            outs = point[i] + base_sigma * rng.standard_normal((k, net.y_dim))
+        else:
+            z = rng.uniform(-1.0, 1.0, size=(k, net.z_dim))
+            outs = predict_rows(params, np.tile(x[i], (k, 1)), z)
+        scores.append(energy_score_sample(outs, y[i], LossSpec(beta=1.0)))
+    scores = np.asarray(scores)
+    got = json.loads((out / "metrics.json").read_text())["probloss"]
+    assert got["value"] == float(scores.mean())
+    assert got["sem"] == float(scores.std(ddof=1) / math.sqrt(scores.size))
 
 
 def test_eval_rejects_bad_csv(tmp_path):

@@ -5,7 +5,6 @@ import numpy.testing as npt
 import pytest
 
 from disconet import (
-    CandidateSet,
     ContractError,
     DimensionError,
     EstimatorError,
@@ -39,6 +38,9 @@ def test_layout_constructors():
         JointLayout((), 1)
     with pytest.raises(ContractError):
         JointLayout(("a",), 0)
+    for size in (0, -1):
+        with pytest.raises(ContractError, match="group_size must be >= 1"):
+            JointLayout.grouped(6, size)
 
 
 def test_joint_errors_grouped():
@@ -126,28 +128,28 @@ def test_mejee_never_exceeds_majee(rng):
 
 def test_probloss_hand_value():
     # single frame, candidates {1, 3} against 0: energy score 1
-    val, sem = probloss([CandidateSet(0, [[1.0], [3.0]])], [[0.0]])
+    val, sem = probloss([[[1.0], [3.0]]], [[0.0]])
     assert val == 1.0
     assert sem == 0.0
     with pytest.raises(ContractError):
-        probloss([CandidateSet(0, [[1.0], [3.0]])], [[0.0], [1.0]])
+        probloss([[[1.0], [3.0]]], [[0.0], [1.0]])
 
 
 def test_pearson_exact_lines():
     # second joint moves at exactly twice the first: correlation 1
-    cs = CandidateSet(0, [[-1.0, -2.0], [0.0, 0.0], [1.0, 2.0]])
-    values, defined = pearson_matrix([cs], JointLayout.scalar(2))
+    outs = [[[-1.0, -2.0], [0.0, 0.0], [1.0, 2.0]]]
+    values, defined = pearson_matrix(outs, JointLayout.scalar(2))
     assert defined.all()
     npt.assert_array_equal(values, [[1.0, 1.0], [1.0, 1.0]])
     # opposite direction: correlation -1, diagonal still 1
-    cs = CandidateSet(0, [[-1.0, 2.0], [0.0, 0.0], [1.0, -2.0]])
-    values, defined = pearson_matrix([cs], JointLayout.scalar(2))
+    outs = [[[-1.0, 2.0], [0.0, 0.0], [1.0, -2.0]]]
+    values, defined = pearson_matrix(outs, JointLayout.scalar(2))
     npt.assert_array_equal(values, [[1.0, -1.0], [-1.0, 1.0]])
 
 
 def test_pearson_zero_variance_marked_undefined():
-    cs = CandidateSet(0, [[0.0, 5.0], [1.0, 5.0], [2.0, 5.0]])
-    values, defined = pearson_matrix([cs], JointLayout.scalar(2))
+    outs = [[[0.0, 5.0], [1.0, 5.0], [2.0, 5.0]]]
+    values, defined = pearson_matrix(outs, JointLayout.scalar(2))
     assert defined[0, 0]
     assert values[0, 0] == 1.0
     assert not defined[0, 1]
@@ -157,8 +159,8 @@ def test_pearson_zero_variance_marked_undefined():
 
 
 def test_pearson_averages_only_defined_inputs():
-    live = CandidateSet(0, [[-1.0, -2.0], [0.0, 0.0], [1.0, 2.0]])
-    flat = CandidateSet(1, [[0.0, 5.0], [1.0, 5.0], [2.0, 5.0]])
+    live = [[-1.0, -2.0], [0.0, 0.0], [1.0, 2.0]]
+    flat = [[0.0, 5.0], [1.0, 5.0], [2.0, 5.0]]
     values, defined = pearson_matrix([live, flat], JointLayout.scalar(2))
     # the flat input contributes nothing to the (0, 1) cell
     assert defined[0, 1]
@@ -167,37 +169,43 @@ def test_pearson_averages_only_defined_inputs():
 
 def test_pearson_needs_two_candidates():
     with pytest.raises(EstimatorError):
-        pearson_matrix([CandidateSet(0, [[1.0, 2.0]])], JointLayout.scalar(2))
+        pearson_matrix([[[1.0, 2.0]]], JointLayout.scalar(2))
     with pytest.raises(ContractError):
-        pearson_matrix([], JointLayout.scalar(2))
+        pearson_matrix(np.zeros((0, 2, 2)), JointLayout.scalar(2))
+    with pytest.raises(DimensionError):
+        pearson_matrix(np.zeros((1, 2, 3)), JointLayout.scalar(2))
 
 
 def test_base_candidates(rng):
-    pin = np.array([2.0, -1.0])
-    cs = base_candidates(pin, 5, 0.1, np.random.default_rng(3))
-    assert cs.outputs.shape == (5, 2)
-    cs2 = base_candidates(pin, 5, 0.1, np.random.default_rng(3))
-    npt.assert_array_equal(cs.outputs, cs2.outputs)
+    pin = np.array([[2.0, -1.0], [0.5, 3.0], [-4.0, 0.0]])
+    outs = base_candidates(pin, 5, 0.1, np.random.default_rng(3))
+    assert outs.shape == (3, 5, 2)
+    # the one (N, K, y_dim) draw takes the values of N successive (K, y_dim) draws
+    frame_rng = np.random.default_rng(3)
+    for i in range(3):
+        npt.assert_array_equal(outs[i], pin[i] + 0.1 * frame_rng.standard_normal((5, 2)))
     # jitter stays at scale sigma
-    assert np.abs(cs.outputs - pin).max() < 0.1 * 6
+    assert np.abs(outs - pin[:, None, :]).max() < 0.1 * 6
     with pytest.raises(ParameterError):
         base_candidates(pin, 5, 0.0, rng)
     with pytest.raises(ContractError):
         base_candidates(pin, 0, 0.1, rng)
+    with pytest.raises(DimensionError):
+        base_candidates(pin[0], 5, 0.1, rng)
 
 
 def _report_fixture():
-    sets = [
-        CandidateSet(0, [[1.0, 0.0], [3.0, 0.0]]),
-        CandidateSet(1, [[0.0, 2.0], [0.0, 4.0]]),
-    ]
+    outs = np.array([
+        [[1.0, 0.0], [3.0, 0.0]],
+        [[0.0, 2.0], [0.0, 4.0]],
+    ])
     gts = np.zeros((2, 2))
-    return sets, gts
+    return outs, gts
 
 
 def test_metrics_report_assembles():
-    sets, gts = _report_fixture()
-    rep = metrics_report(sets, gts, JointLayout.scalar(2), distances=(0.5, 2.0))
+    outs, gts = _report_fixture()
+    rep = metrics_report(outs, gts, JointLayout.scalar(2), distances=(0.5, 2.0))
     assert rep.probloss is not None
     assert rep.pearson is not None
     assert rep.counts == {"frames": 2, "candidates": 2, "joints": 2}
@@ -208,11 +216,14 @@ def test_metrics_report_assembles():
     rows = rep.to_csv_rows()
     names = [r[0] for r in rows]
     assert "probloss" in names and "mejee" in names and "ff_0.5" in names
+    # one input's (K, y_dim) matrix is not an (N, K, y_dim) candidate array
+    with pytest.raises(ContractError):
+        metrics_report(outs[0], gts, JointLayout.scalar(2), distances=(0.5,))
 
 
 def test_metrics_report_single_candidate():
-    sets = [CandidateSet(0, [[1.0, 0.0]]), CandidateSet(1, [[0.0, 2.0]])]
-    rep = metrics_report(sets, np.zeros((2, 2)), JointLayout.scalar(2), distances=(1.0,))
+    outs = [[[1.0, 0.0]], [[0.0, 2.0]]]
+    rep = metrics_report(outs, np.zeros((2, 2)), JointLayout.scalar(2), distances=(1.0,))
     assert rep.probloss is None
     assert rep.pearson is None
     assert rep.to_json_dict()["probloss"] is None
@@ -221,9 +232,9 @@ def test_metrics_report_single_candidate():
 
 
 def test_metrics_report_pointwise_override():
-    sets, gts = _report_fixture()
+    outs, gts = _report_fixture()
     rep = metrics_report(
-        sets, gts, JointLayout.scalar(2), distances=(1.0,), pointwise_preds=gts
+        outs, gts, JointLayout.scalar(2), distances=(1.0,), pointwise_preds=gts
     )
     # perfect externally supplied predictions zero out the pointwise metrics
     assert rep.mejee[0] == 0.0
@@ -231,9 +242,3 @@ def test_metrics_report_pointwise_override():
     assert rep.ff[1.0] == 1.0
     # while the candidate-based probabilistic entry is untouched
     assert rep.probloss[0] > 0.0
-
-
-def test_metrics_report_mismatched_k():
-    sets = [CandidateSet(0, [[1.0]]), CandidateSet(1, [[1.0], [2.0]])]
-    with pytest.raises(ContractError):
-        metrics_report(sets, np.zeros((2, 1)), JointLayout.scalar(1), distances=(1.0,))

@@ -175,20 +175,19 @@ def test_noise_disabled_candidates_constant():
     p = init_params(cfg, seed=9)
     rng = np.random.default_rng(2)
     state_before = rng.bit_generator.state
-    cs = sample_candidates(p, np.array([0.5, -0.5]), 6, rng)
+    outs = sample_candidates(p, np.array([0.5, -0.5]), 6, rng)
     # all candidates identical, and the generator is not consumed
-    assert cs.outputs.shape == (6, 2)
-    assert np.ptp(cs.outputs, axis=0).max() == 0.0
+    assert outs.shape == (6, 2)
+    assert np.ptp(outs, axis=0).max() == 0.0
     assert rng.bit_generator.state == state_before
-    npt.assert_array_equal(cs.outputs[0], predict_rows(p, np.array([[0.5, -0.5]]))[0])
+    npt.assert_array_equal(outs[0], predict_rows(p, np.array([[0.5, -0.5]]))[0])
 
 
 def test_sample_candidates_shapes_and_noises():
     p = init_params(CFG, seed=9)
-    cs = sample_candidates(p, np.array([0.5, -0.5]), 4, np.random.default_rng(2), index=3)
-    assert cs.index == 3
-    assert cs.outputs.shape == (4, 2)
+    outs = sample_candidates(p, np.array([0.5, -0.5]), 4, np.random.default_rng(2))
+    assert outs.shape == (4, 2)
     # outputs reproduce from the noise replayed from the same seeded stream:
     # one (K, z_dim) block of uniform draws on [-1, 1]
     z = np.random.default_rng(2).uniform(-1.0, 1.0, size=(4, 3))
-    npt.assert_array_equal(cs.outputs, predict_rows(p, np.tile([0.5, -0.5], (4, 1)), z))
+    npt.assert_array_equal(outs, predict_rows(p, np.tile([0.5, -0.5], (4, 1)), z))

@@ -3,7 +3,6 @@ import numpy.testing as npt
 import pytest
 
 from disconet import (
-    CandidateSet,
     ContractError,
     DimensionError,
     DiscreteDistribution,
@@ -48,48 +47,55 @@ def test_batch_arrays_both_forms():
     xa, ya = _batch_arrays((x, y))
     npt.assert_array_equal(xa, x)
     npt.assert_array_equal(ya, y)
-    xb, yb = _batch_arrays([(x[0], y[0]), (x[1], y[1])])
+    # nested lists convert like arrays
+    xb, yb = _batch_arrays((x.tolist(), y.tolist()))
     npt.assert_array_equal(xb, x)
     npt.assert_array_equal(yb, y)
     with pytest.raises(ContractError):
-        _batch_arrays([])
-    with pytest.raises(ContractError):
         _batch_arrays((np.zeros((0, 2)), np.zeros((0, 1))))
+    with pytest.raises(ContractError):
+        _batch_arrays((x, y[:1]))
+    with pytest.raises(ContractError):
+        _batch_arrays((x[0], y[0]))
+    # a list of (x, y) pairs is not a batch
+    with pytest.raises(ContractError):
+        _batch_arrays([(x[0], y[0]), (x[1], y[1])])
 
 
 def test_div_pq_hand_value():
     # Manually calculated: example 1 mean(|1-0|, |3-0|) = 2,
     # example 2 mean(|4-5|, |8-5|) = 2, overall 2.
-    batch = (np.zeros((2, 1)), np.array([[0.0], [5.0]]))
-    sets = [CandidateSet(0, [[1.0], [3.0]]), CandidateSet(1, [[4.0], [8.0]])]
-    assert div_pq_hat(batch, sets) == 2.0
+    outs = [[[1.0], [3.0]], [[4.0], [8.0]]]
+    assert div_pq_hat([[0.0], [5.0]], outs) == 2.0
 
 
 def test_div_qq_hand_value():
     # Manually calculated: candidates {0, 1, 2}, ordered distinct pairs
     # sum to 2*(1+2+1) = 8, divided by K(K-1) = 6.
-    sets = [CandidateSet(0, [[0.0], [1.0], [2.0]])]
-    assert div_qq_hat(sets) == pytest.approx(4.0 / 3.0, abs=1e-15)
+    assert div_qq_hat([[[0.0], [1.0], [2.0]]]) == pytest.approx(4.0 / 3.0, abs=1e-15)
     with pytest.raises(EstimatorError):
-        div_qq_hat([CandidateSet(0, [[1.0]])])
+        div_qq_hat([[[1.0]]])
 
 
 def test_mismatched_sets_rejected():
-    batch = (np.zeros((2, 1)), np.zeros((2, 1)))
+    y = np.zeros((2, 1))
+    # one candidate set for two ground truths
     with pytest.raises(ContractError):
-        div_pq_hat(batch, [CandidateSet(0, [[1.0], [2.0]])])
+        div_pq_hat(y, [[[1.0], [2.0]]])
+    # one input's (K, y_dim) matrix where (N, K, y_dim) is due
     with pytest.raises(ContractError):
-        div_pq_hat(
-            batch,
-            [CandidateSet(0, [[1.0], [2.0]]), CandidateSet(1, [[1.0]])],
-        )
+        div_pq_hat(y, [[1.0], [2.0]])
+    with pytest.raises(ContractError):
+        div_qq_hat(np.zeros((0, 2, 1)))
+    with pytest.raises(DimensionError):
+        div_pq_hat(y, np.zeros((2, 2, 3)))
 
 
 def test_gamma_zero_objective_is_data_term_only():
-    batch = (np.zeros((1, 1)), np.array([[0.0]]))
-    sets = [CandidateSet(0, [[1.0], [3.0]])]
+    y = np.array([[0.0]])
+    outs = [[[1.0], [3.0]]]
     cfg = ObjectiveConfig(gamma=0.0, num_candidates=2)
-    assert disco_objective(batch, sets, cfg) == div_pq_hat(batch, sets)
+    assert disco_objective(y, outs, cfg) == div_pq_hat(y, outs)
 
 
 def test_gamma_half_matches_energy_score_bitwise(rng):
@@ -103,13 +109,10 @@ def test_gamma_half_matches_energy_score_bitwise(rng):
         loss = LossSpec(beta=beta, weights=w)
         y = rng.normal(size=(1, dim))
         cands = rng.normal(size=(k, dim))
-        cs = CandidateSet(0, cands)
         obj = disco_objective(
-            (np.zeros((1, 1)), y),
-            [cs],
-            ObjectiveConfig(gamma=0.5, num_candidates=k, loss=loss),
+            y, cands[None], ObjectiveConfig(gamma=0.5, num_candidates=k, loss=loss)
         )
-        assert obj == energy_score_sample(cs, y[0], loss)
+        assert obj == energy_score_sample(cands, y[0], loss)
 
 
 def test_estimators_unbiased_under_candidate_draws(rng):
@@ -124,7 +127,7 @@ def test_estimators_unbiased_under_candidate_draws(rng):
     vals = np.empty(trials)
     for t in range(trials):
         cands = support[rng.choice(3, size=k, p=probs)]
-        vals[t] = div_qq_hat([CandidateSet(0, cands)])
+        vals[t] = div_qq_hat(cands[None])
     se = vals.std(ddof=1) / np.sqrt(trials)
     assert abs(vals.mean() - exact) < 3 * se
 
@@ -152,23 +155,22 @@ def _fixture(seed, n=3, k=3):
     return params, x, y, z
 
 
-def _sets_from_noises(params, x, z):
+def _outputs_from_noises(params, x, z):
     n, k, _ = z.shape
-    sets = []
+    outs = np.empty((n, k, params.config.y_dim))
     for i in range(n):
-        outs = predict_rows(params, np.tile(x[i], (k, 1)), z[i])
-        sets.append(CandidateSet(i, outs))
-    return sets
+        outs[i] = predict_rows(params, np.tile(x[i], (k, 1)), z[i])
+    return outs
 
 
 def test_graph_objective_matches_plain_evaluation():
     params, x, y, z = _fixture(seed=13)
-    sets = _sets_from_noises(params, x, z)
+    outs = _outputs_from_noises(params, x, z)
     for gamma in (0.0, 0.25, 0.5, 1.0):
         cfg = ObjectiveConfig(gamma=gamma, num_candidates=3)
         g = Graph()
         root = disco_objective_node(g, params, (x, y), z, cfg)
-        plain = disco_objective((x, y), sets, cfg)
+        plain = disco_objective(y, outs, cfg)
         npt.assert_allclose(g.value(root).item(), plain, rtol=1e-12)
 
 
@@ -274,8 +276,7 @@ def test_objective_terms_match_graph_oracle(case, net_kw):
         return
     # predict_rows ignores z when noise is disabled
     outs = predict_rows(params, np.repeat(x, k, axis=0), z.reshape(n * k, -1))
-    sets = [CandidateSet(i, o) for i, o in enumerate(outs.reshape(n, k, -1))]
-    npt.assert_allclose(qq, div_qq_hat(sets, loss), **tol)
+    npt.assert_allclose(qq, div_qq_hat(outs.reshape(n, k, -1), loss), **tol)
     if not net.noise_enabled:
         assert qq == 0.0  # coincident candidates: every pair sits at the singularity
 

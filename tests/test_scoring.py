@@ -3,7 +3,6 @@ import numpy.testing as npt
 import pytest
 
 from disconet import (
-    CandidateSet,
     ContractError,
     DimensionError,
     DiscreteDistribution,
@@ -84,13 +83,11 @@ def test_delta_rows_and_pairwise():
 
 def test_energy_score_hand_values():
     # candidates {1, 3} against 0: data term 2, pair term 2/2 = 1
-    cs = CandidateSet(0, [[1.0], [3.0]])
-    assert energy_score_sample(cs, [0.0]) == 1.0
+    assert energy_score_sample([[1.0], [3.0]], [0.0]) == 1.0
     # identical candidates carry no diversity discount
-    cs = CandidateSet(0, [[0.0], [0.0]])
-    assert energy_score_sample(cs, [5.0]) == 5.0
+    assert energy_score_sample([[0.0], [0.0]], [5.0]) == 5.0
     with pytest.raises(EstimatorError):
-        energy_score_sample(CandidateSet(0, [[1.0]]), [0.0])
+        energy_score_sample([[1.0]], [0.0])
 
 
 def test_energy_score_mc_matches_discrete_divergence(rng):
@@ -110,7 +107,7 @@ def test_energy_score_mc_matches_discrete_divergence(rng):
     for t in range(trials):
         y = support_p[rng.choice(2, p=probs_p)]
         cands = support_q[rng.choice(3, size=k, p=probs_q)]
-        vals[t] = energy_score_sample(CandidateSet(0, cands), y, spec)
+        vals[t] = energy_score_sample(cands, y, spec)
     se = vals.std(ddof=1) / np.sqrt(trials)
     assert abs(vals.mean() - exact) < 3 * se
 

@@ -3,7 +3,6 @@ import numpy.testing as npt
 import pytest
 
 from disconet import (
-    CandidateSet,
     ContractError,
     NetConfig,
     NumericError,
@@ -208,7 +207,7 @@ def test_validation_objective_matches_manual():
 def test_candidate_diversity_grows_with_gamma(bimodal_ablation):
     """Trained at higher diversity weight, the sampled candidates spread
     more: the pair-distance estimate rises from (near) zero monotonically."""
-    from tests.conftest import sampled_candidate_sets
+    from tests.conftest import sampled_candidates
 
     runs = bimodal_ablation["runs"]
     seeds = bimodal_ablation["seeds"]
@@ -217,6 +216,5 @@ def test_candidate_diversity_grows_with_gamma(bimodal_ablation):
         spreads = {}
         for name in ("g0_noise", "g025", "g05"):
             params = runs[name][i][0]
-            sets = sampled_candidate_sets(params, x_eval, seed)
-            spreads[name] = div_qq_hat(sets)
+            spreads[name] = div_qq_hat(sampled_candidates(params, x_eval, seed))
         assert spreads["g0_noise"] < spreads["g025"] < spreads["g05"], (seed, spreads)
