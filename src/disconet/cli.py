@@ -68,10 +68,6 @@ def _check_bool(v):
     return isinstance(v, bool)
 
 
-def _check_str(v):
-    return isinstance(v, str)
-
-
 def _check_opt_str(v):
     return v is None or isinstance(v, str)
 
@@ -92,8 +88,7 @@ def _check_opt_list_float(v):
     return v is None or _check_list_float(v)
 
 
-_DEFAULT_MUS = [round(float(v), 10) for v in np.linspace(-2.0, 2.0, 9)]
-_DEFAULT_SIGMAS = [round(float(v), 10) for v in np.linspace(0.3, 3.0, 10)]
+_GRID = GridSpec.default()
 
 # section -> key -> (checker, human-readable type, default or _REQUIRED)
 _SCHEMA = {
@@ -141,8 +136,8 @@ _SCHEMA = {
         "n_test": (_check_int, "int", 400),
         "m": (_check_int, "int", 24),
         "gamma": (_check_float, "number", 0.5),
-        "mu_values": (_check_list_float, "list of numbers", _DEFAULT_MUS),
-        "sigma_values": (_check_list_float, "list of numbers", _DEFAULT_SIGMAS),
+        "mu_values": (_check_list_float, "list of numbers", list(_GRID.mu1_values)),
+        "sigma_values": (_check_list_float, "list of numbers", list(_GRID.sigma1_values)),
     },
     "gradcheck": {
         "gammas": (_check_list_float, "list of numbers", [0.0, 0.25, 0.5]),
@@ -157,6 +152,11 @@ _SCHEMA = {
         "seeds": (_check_list_int, "list of int", [0, 1, 2]),
         "l2_values": (_check_list_float, "list of numbers", [0.0001, 0.001, 0.01]),
     },
+}
+
+# section -> the key that ``--seed`` overrides; a list of seeds becomes [seed]
+_SEED_KEYS = {
+    "train": "seed", "eval": "seed", "gradcheck": "seed", "toy": "seeds", "sweep": "seeds",
 }
 
 
@@ -213,16 +213,9 @@ def load_config(path, required_sections, seed_override=None):
                     raise ConfigError(f"{path}: missing required key {section}.{key}")
                 body[key] = default
     if seed_override is not None:
-        if "train" in config:
-            config["train"]["seed"] = seed_override
-        if "eval" in config:
-            config["eval"]["seed"] = seed_override
-        if "gradcheck" in config:
-            config["gradcheck"]["seed"] = seed_override
-        if "toy" in config:
-            config["toy"]["seeds"] = [seed_override]
-        if "sweep" in config:
-            config["sweep"]["seeds"] = [seed_override]
+        for section, key in _SEED_KEYS.items():
+            if section in config:
+                config[section][key] = [seed_override] if key == "seeds" else seed_override
     return config
 
 
@@ -252,40 +245,26 @@ def _fmt(x):
     return repr(float(x))
 
 
-def _net_config(section):
-    return NetConfig(
-        x_dim=section["x_dim"],
-        y_dim=section["y_dim"],
-        z_dim=section["z_dim"],
-        encoder_widths=tuple(section["encoder_widths"]),
-        decoder_widths=tuple(section["decoder_widths"]),
-        noise_enabled=section["noise_enabled"],
-    )
+def _train_and_score(config, data_override, checkpoint_dir=None):
+    """Train one model; returns ``(params, history, val)``.
 
-
-def _objective_config(section):
-    weights = section["weights"]
-    loss = LossSpec(beta=float(section["beta"]), weights=tuple(weights) if weights else None)
-    return ObjectiveConfig(
-        gamma=float(section["gamma"]),
-        num_candidates=section["num_candidates"],
-        loss=loss,
-    )
-
-
-def _train_config(config):
-    tc = config["train"]
-    return TrainConfig(
-        objective=_objective_config(config["objective"]),
-        lr=float(tc["lr"]),
-        momentum=float(tc["momentum"]),
-        l2=float(tc["l2"]),
-        batch_size=tc["batch_size"],
-        epochs=tc["epochs"],
-        seed=tc["seed"],
-        val_count=tc["val_count"],
-        checkpoint_every=tc["checkpoint_every"],
-    )
+    ``val`` is the ``(value, sem)`` ProbLoss of the validation split, drawn
+    from the "summary-eval" substream, or ``(None, None)`` when
+    train.val_count is 0.
+    """
+    net = NetConfig.from_dict(config["net"])
+    ob, tc = config["objective"], config["train"]
+    loss = LossSpec(beta=float(ob["beta"]), weights=tuple(ob["weights"]) if ob["weights"] else None)
+    objective = ObjectiveConfig(float(ob["gamma"]), ob["num_candidates"], loss)
+    train_config = TrainConfig(objective=objective, **tc)
+    data = _load_xy(config, data_override, tc["seed"], net.x_dim, net.y_dim)
+    params, history = train(net, train_config, data, checkpoint_dir=checkpoint_dir)
+    if not tc["val_count"]:
+        return params, history, (None, None)
+    (_, _), (x_val, y_val) = train_val_split(data, tc["val_count"], tc["seed"])
+    rng = substream(tc["seed"], "summary-eval")
+    outs = sample_outputs(params, x_val, ob["num_candidates"], rng)
+    return params, history, probloss_metric(outs, y_val)
 
 
 def _load_xy(config, data_override, seed, x_dim, y_dim):
@@ -307,7 +286,7 @@ def _load_xy(config, data_override, seed, x_dim, y_dim):
     raise ConfigError(f"unknown data.generator {generator!r}")
 
 
-def cmd_toy(config, out_dir):
+def cmd_toy(config, args):
     """Fit the 2-D mixture under both weighted losses and cross-evaluate."""
     toy = config["toy"]
     grid = GridSpec(
@@ -336,7 +315,7 @@ def cmd_toy(config, out_dir):
             value, sem = result["aggregate"][train_name][task_name]
             row += [_fmt(value), _fmt(sem)]
         rows.append(row)
-    out = Path(out_dir)
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "cross_table.csv", [f"config_sha256={digest}"], header, rows)
     _write_json(
@@ -354,20 +333,11 @@ def cmd_toy(config, out_dir):
     return 0 if result["diagonal_dominance"] else 1
 
 
-def _val_probloss(params, x_val, y_val, num_candidates, seed):
-    outs = sample_outputs(params, x_val, num_candidates, substream(seed, "summary-eval"))
-    return probloss_metric(outs, y_val)
-
-
-def cmd_train(config, out_dir, data_override=None):
+def cmd_train(config, args):
     """Train one model and write checkpoint, history, and summary."""
-    net = _net_config(config["net"])
-    train_config = _train_config(config)
-    tc = config["train"]
-    data = _load_xy(config, data_override, tc["seed"], net.x_dim, net.y_dim)
-    out = Path(out_dir)
+    params, history, val = _train_and_score(config, args.data, checkpoint_dir=args.out)
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    params, history = train(net, train_config, data, checkpoint_dir=str(out))
     digest = config_hash(config)
     params.save(out / "checkpoint.txt")
     _write_csv(
@@ -387,15 +357,9 @@ def cmd_train(config, out_dir, data_override=None):
         "final_train_objective": history.final().train_objective,
         "final_val_objective": None if math.isnan(final_val) else final_val,
         "param_count": params.size,
-        "val_probloss": None,
-        "val_probloss_sem": None,
+        "val_probloss": val[0],
+        "val_probloss_sem": val[1],
     }
-    if train_config.val_count:
-        (_, _), (x_val, y_val) = train_val_split(data, train_config.val_count, tc["seed"])
-        k = train_config.objective.num_candidates
-        value, sem = _val_probloss(params, x_val, y_val, k, tc["seed"])
-        summary["val_probloss"] = value
-        summary["val_probloss_sem"] = sem
     _write_json(out / "summary.json", summary)
     seconds = sum(e.seconds for e in history.epochs)
     print(
@@ -406,18 +370,21 @@ def cmd_train(config, out_dir, data_override=None):
     return 0
 
 
-def cmd_eval(config, out_dir, checkpoint, data_override=None):
+def cmd_eval(config, args):
     """Evaluate a checkpoint: sampled candidates, pointwise metrics, report."""
-    params = NetworkParams.load(checkpoint)
-    net = params.config
     ev = config["eval"]
-    seed = ev["seed"]
-    x, y = _load_xy(config, data_override, seed, net.x_dim, net.y_dim)
-    if x.shape[0] == 0:
-        raise SchemaError("evaluation dataset is empty")
-    k = ev["num_candidates"]
+    seed, k = ev["seed"], ev["num_candidates"]
     if k < 1:
         raise ConfigError(f"eval.num_candidates must be >= 1, got {k}")
+    if ev["base_sigma"] < 0:
+        raise ConfigError(f"eval.base_sigma must be >= 0 (0 is off), got {ev['base_sigma']}")
+    if any(d < 0 for d in ev["distances"]):
+        raise ConfigError(f"eval.distances must all be >= 0, got {ev['distances']}")
+    params = NetworkParams.load(args.checkpoint)
+    net = params.config
+    x, y = _load_xy(config, args.data, seed, net.x_dim, net.y_dim)
+    if x.shape[0] == 0:
+        raise SchemaError("evaluation dataset is empty")
     layout = JointLayout.grouped(net.y_dim, ev["group_size"])
     if float(ev["base_sigma"]) > 0.0:
         point = _zero_noise_preds(params, x)
@@ -435,7 +402,7 @@ def cmd_eval(config, out_dir, checkpoint, data_override=None):
     digest = config_hash(config)
     doc = report.to_json_dict()
     doc["config_sha256"] = digest
-    out = Path(out_dir)
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "metrics.json", doc)
     _write_csv(
@@ -455,10 +422,12 @@ def _zero_noise_preds(params, x):
     return predict_rows(params, x)
 
 
-def cmd_gradcheck(config, corrupt=False):
+def cmd_gradcheck(config, args):
     """Check the training gradient (``objective_terms``) against central differences."""
-    net = _net_config(config["net"])
+    net = NetConfig.from_dict(config["net"])
     gc = config["gradcheck"]
+    if not gc["tolerance"] > 0:
+        raise ConfigError(f"gradcheck.tolerance must be > 0, got {gc['tolerance']}")
     n, k = gc["num_examples"], gc["num_candidates"]
     rng = substream(gc["seed"], "gradcheck-data")
     x = rng.uniform(-1.0, 1.0, size=(n, net.x_dim))
@@ -477,7 +446,7 @@ def cmd_gradcheck(config, corrupt=False):
             def f(flat):
                 p = NetworkParams.from_flat(net, flat)
                 _, _, value, grad = objective_terms(p, x, y, noises, objective)
-                if corrupt:
+                if args.corrupt_analytic:
                     grad = grad + 1e-3
                 return value, grad
 
@@ -490,7 +459,7 @@ def cmd_gradcheck(config, corrupt=False):
     return 0 if ok else 1
 
 
-def cmd_sweep(config, out_dir, data_override=None):
+def cmd_sweep(config, args):
     """Train over seeds x L2 values; report all runs and the best by val probloss."""
     if config["train"]["val_count"] < 1:
         raise ConfigError("sweep needs train.val_count >= 1 to select by validation probloss")
@@ -499,25 +468,15 @@ def cmd_sweep(config, out_dir, data_override=None):
     best = None
     for seed in config["sweep"]["seeds"]:
         for l2 in config["sweep"]["l2_values"]:
-            run = {s: dict(body) for s, body in config.items() if isinstance(body, dict)}
-            run["schema_version"] = SCHEMA_VERSION
-            run["train"]["seed"] = seed
-            run["train"]["l2"] = l2
-            net = _net_config(run["net"])
-            train_config = _train_config(run)
-            data = _load_xy(run, data_override, seed, net.x_dim, net.y_dim)
-            params, history = train(net, train_config, data)
-            (_, _), (x_val, y_val) = train_val_split(data, train_config.val_count, seed)
-            value, sem = _val_probloss(
-                params, x_val, y_val, train_config.objective.num_candidates, seed
-            )
+            run = dict(config, train=dict(config["train"], seed=seed, l2=l2))
+            params, history, (value, sem) = _train_and_score(run, args.data)
             rows.append(
                 [seed, _fmt(l2), _fmt(history.final().val_objective), _fmt(value), _fmt(sem)]
             )
             print(f"sweep: seed={seed} l2={l2:g} val_probloss={value:.6f}")
             if best is None or value < best[0]:
                 best = (value, sem, seed, l2, params)
-    out = Path(out_dir)
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(
         out / "sweep.csv",
@@ -541,13 +500,43 @@ def cmd_sweep(config, out_dir, data_override=None):
     return 0
 
 
-_SECTIONS = {
-    "toy": ("toy",),
-    "train": ("net", "objective", "train", "data"),
-    "eval": ("data", "eval"),
-    "gradcheck": ("net",),
-    "sweep": ("net", "objective", "train", "data", "sweep"),
+_TRAIN_SECTIONS = ("net", "objective", "train", "data")
+
+# subcommand -> (help, required config sections, flags in --help order);
+# main dispatches to the module-level function cmd_<subcommand>
+_COMMANDS = {
+    "toy": ("fit the 2-D mixture under both losses and cross-evaluate", ("toy",),
+            ("--config", "--out", "--seed")),
+    "train": ("train one model from a config", _TRAIN_SECTIONS,
+              ("--config", "--out", "--seed", "--data")),
+    "eval": ("evaluate a checkpoint on a dataset", ("data", "eval"),
+             ("--config", "--out", "--seed", "--data", "--checkpoint")),
+    "gradcheck": ("compare analytic gradients against central differences", ("net",),
+                  ("--config", "--seed", "--corrupt-analytic")),
+    "sweep": ("train over seeds x L2 values and pick the best", _TRAIN_SECTIONS + ("sweep",),
+              ("--config", "--out", "--seed", "--data")),
 }
+
+_FLAGS = {
+    "--config": {"required": True, "help": "path to the JSON config"},
+    "--out": {"required": True, "help": "output directory"},
+    "--seed": {"type": int, "default": None, "help": "override the config seed(s)"},
+    "--data": {"default": None, "help": "CSV dataset overriding the config"},
+    "--checkpoint": {"required": True, "help": "checkpoint to evaluate"},
+    "--corrupt-analytic": {
+        "action": "store_true",
+        "help": "testing hook: perturb the analytic gradient so the check must fail",
+    },
+}
+
+# error class -> exit code; the first match wins, so every DisconetError not
+# named before the last entry, ConfigError and the library's range checks
+# among them, is a config error
+_EXIT_CODES = (
+    ((ParseError, SchemaError, OSError), 3),
+    (NumericError, 4),
+    (DisconetError, 2),
+)
 
 
 def build_parser():
@@ -560,57 +549,22 @@ def build_parser():
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "toy": "fit the 2-D mixture under both losses and cross-evaluate",
-        "train": "train one model from a config",
-        "eval": "evaluate a checkpoint on a dataset",
-        "gradcheck": "compare analytic gradients against central differences",
-        "sweep": "train over seeds x L2 values and pick the best",
-    }
-    for name, help_text in specs.items():
+    for name, (help_text, _, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", required=True, help="path to the JSON config")
-        if name != "gradcheck":
-            p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed(s)")
-        if name in ("train", "eval", "sweep"):
-            p.add_argument("--data", default=None, help="CSV dataset overriding the config")
-        if name == "eval":
-            p.add_argument("--checkpoint", required=True, help="checkpoint to evaluate")
-        if name == "gradcheck":
-            p.add_argument(
-                "--corrupt-analytic",
-                action="store_true",
-                help="testing hook: perturb the analytic gradient so the check must fail",
-            )
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        config = load_config(args.config, _SECTIONS[args.command], seed_override=args.seed)
-        if args.command == "toy":
-            return cmd_toy(config, args.out)
-        if args.command == "train":
-            return cmd_train(config, args.out, data_override=args.data)
-        if args.command == "eval":
-            return cmd_eval(config, args.out, args.checkpoint, data_override=args.data)
-        if args.command == "gradcheck":
-            return cmd_gradcheck(config, corrupt=args.corrupt_analytic)
-        return cmd_sweep(config, args.out, data_override=args.data)
-    except ConfigError as exc:
+        config = load_config(args.config, _COMMANDS[args.command][1], seed_override=args.seed)
+        # looked up by name at call time, so a rebound cmd_<name> is the one called
+        return globals()[f"cmd_{args.command}"](config, args)
+    except (DisconetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ParseError, SchemaError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except DisconetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
 
 
 def entry():

@@ -62,16 +62,6 @@ class JointLayout:
         return layout
 
 
-def joint_errors(pred, gt, layout):
-    """Per-joint Euclidean errors of one prediction; shape (num_joints,)."""
-    p = np.asarray(pred, dtype=np.float64).reshape(-1)
-    t = np.asarray(gt, dtype=np.float64).reshape(-1)
-    if p.shape[0] != layout.y_dim or t.shape[0] != layout.y_dim:
-        raise DimensionError(f"expected length {layout.y_dim}, got {p.shape[0]}/{t.shape[0]}")
-    d = (p - t).reshape(layout.num_joints, layout.group_size)
-    return np.sqrt((d * d).sum(axis=1))
-
-
 def meu_predict(candidates, task_loss=LossSpec()):
     """Candidate with maximum expected utility under the task loss.
 

@@ -11,6 +11,7 @@ so a rerun with the same config is bitwise identical.
 import math
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -121,6 +122,8 @@ def train(net_config, train_config, data, checkpoint_dir=None):
     "init" for parameter init, "shuffle" for epoch permutations, "noise"
     for training noise, and "val-noise" for validation noise. A non-finite
     objective value or gradient aborts with the epoch and batch in the error.
+    With ``checkpoint_every``, every that many epochs the parameters go to
+    ``checkpoint_dir``, which is created at the first such save.
     """
     x, y = _batch_arrays(data)
     if x.shape[1] != net_config.x_dim or y.shape[1] != net_config.y_dim:
@@ -173,5 +176,6 @@ def train(net_config, train_config, data, checkpoint_dir=None):
         )
         if checkpoint_dir is not None and cfg.checkpoint_every:
             if epoch % cfg.checkpoint_every == 0:
-                params.save(f"{checkpoint_dir}/checkpoint_epoch_{epoch}.txt")
+                Path(checkpoint_dir).mkdir(parents=True, exist_ok=True)
+                params.save(Path(checkpoint_dir) / f"checkpoint_epoch_{epoch}.txt")
     return params, TrainHistory(history)

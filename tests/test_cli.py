@@ -139,11 +139,32 @@ _WRONG_TYPES = ["text", True, None, [], {}, [1, "a"], 1.5, 3, -2]
 # written as bare JSON tokens; json.loads reads 1e400 as an infinite float
 _NON_FINITE = ["NaN", "Infinity", "-Infinity", "1e400"]
 _TRAIN_SECTIONS = ("net", "objective", "train", "data")
+_MUTATION_ROWS = 24
+# (section, key, value): a key that train reads, set just outside the range its
+# library check states; mutant seed i takes entry i modulo the length, so the
+# 24 seeds cover every entry
+_OUT_OF_RANGE = [
+    ("net", "x_dim", 0), ("net", "y_dim", 0), ("net", "z_dim", 0),
+    ("net", "encoder_widths", [0]), ("net", "decoder_widths", [4, 0]),
+    ("objective", "gamma", -0.5), ("objective", "gamma", 1.5),
+    ("objective", "num_candidates", 0), ("objective", "num_candidates", 1),
+    ("objective", "beta", 0.0), ("objective", "beta", 2.0),
+    ("objective", "weights", [1.0, 1.0]), ("objective", "weights", [-1.0]),
+    ("objective", "weights", [0.0]),
+    ("train", "lr", 0), ("train", "momentum", -0.1), ("train", "momentum", 1.0),
+    ("train", "l2", -0.001), ("train", "batch_size", 0), ("train", "epochs", 0),
+    ("train", "seed", -1), ("train", "val_count", -1), ("train", "val_count", _MUTATION_ROWS),
+    ("train", "checkpoint_every", -1),
+]
 
 
-def _mutate_config(doc, kind, rng):
+def _mutate_config(doc, kind, rng, seed):
     """One seeded mutation of a valid train config, as JSON text, and a label."""
     doc = json.loads(json.dumps({"schema_version": SCHEMA_VERSION, **doc}))
+    if kind == "out-of-range":
+        section, key, value = _OUT_OF_RANGE[seed % len(_OUT_OF_RANGE)]
+        doc[section][key] = value
+        return json.dumps(doc), f"{section}.{key} = {value!r}"
     section = rng.choice(_TRAIN_SECTIONS)
     if kind == "flip-type":
         keys = sorted(_SCHEMA[section])
@@ -194,14 +215,16 @@ def _mutate_csv(lines, kind, rng):
 
 
 @pytest.mark.parametrize("kind", [
-    "flip-type", "non-finite", "drop-key", "csv-non-finite", "csv-drop-field", "csv-extra-field",
+    "flip-type", "non-finite", "drop-key", "out-of-range",
+    "csv-non-finite", "csv-drop-field", "csv-extra-field",
 ])
 def test_seeded_input_mutations_exit_2_or_3(tmp_path, capsys, kind):
     """Seeded mutations of a valid train config and its data file: flipped
-    types, NaN/Infinity/1e400 numbers, dropped keys, sections and fields.
-    Every mutant is rejected with exit code 2 (config) or 3 (data) before
-    training starts, and the message is one error line, never a traceback."""
-    x, y = gen_conditional_bimodal(24, substream(11, "cli-test-data"))
+    types, NaN/Infinity/1e400 numbers, out-of-range values, dropped keys,
+    sections and fields. Every mutant is rejected with exit code 2 (config)
+    or 3 (data), the message is one error line, never a traceback, and no
+    output directory is left behind."""
+    x, y = gen_conditional_bimodal(_MUTATION_ROWS, substream(11, "cli-test-data"))
     good_csv = tmp_path / "good.csv"
     save_csv(good_csv, x, y)
     doc = train_doc()
@@ -220,7 +243,7 @@ def test_seeded_input_mutations_exit_2_or_3(tmp_path, capsys, kind):
             data.write_text(text)
             expected = (3,)
         else:
-            text, label = _mutate_config(doc, kind, rng)
+            text, label = _mutate_config(doc, kind, rng, seed)
             cfg = tmp_path / f"m{seed}.json"
             cfg.write_text(text)
             expected = (2,)
@@ -231,6 +254,46 @@ def test_seeded_input_mutations_exit_2_or_3(tmp_path, capsys, kind):
         assert err.startswith("error: ") and err.count("\n") == 1, (seed, label, err)
         assert "Traceback" not in err
         assert not (tmp_path / f"o{seed}").exists(), (seed, label)
+
+
+@pytest.mark.parametrize("section, key, value, message", [
+    ("objective", "weights", [1.0, 1.0], "expected 1 loss weights"),
+    ("train", "val_count", 48, "val_count must lie strictly between 0 and 48"),
+])
+def test_train_error_during_training_leaves_no_out_dir(tmp_path, capsys, section, key, value,
+                                                       message):
+    doc = train_doc()
+    doc[section][key] = value
+    doc["train"]["checkpoint_every"] = 1
+    cfg = write_config(tmp_path / "train.json", doc)
+    code = main(["train", "--config", cfg, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_main_looks_up_hooks_by_name(tmp_path, monkeypatch):
+    """main calls the module-level load_config and cmd_<name> it finds at
+    call time, so a caller that rebinds them on the module (as the
+    benchmark does to time set-up and work) sees both calls."""
+    import disconet.cli as cli
+
+    calls = []
+
+    def recording(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "load_config", recording("load_config", cli.load_config))
+    monkeypatch.setattr(cli, "cmd_toy", recording("cmd_toy", cli.cmd_toy))
+    doc = {"toy": {"seeds": [0], "n_train": 20, "n_test": 20, "m": 4,
+                   "mu_values": [0.0, 0.5], "sigma_values": [0.5, 1.0]}}
+    cfg = write_config(tmp_path / "toy.json", doc)
+    assert main(["toy", "--config", cfg, "--out", str(tmp_path / "o")]) in (0, 1)
+    assert calls == ["load_config", "cmd_toy"]
 
 
 def test_config_hash_canonical(tmp_path):
@@ -421,6 +484,23 @@ def test_eval_sizes_below_one_exit_2(tmp_path, capsys, key, value, message):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("base_sigma", -0.5),
+    ("distances", [-1.0]),
+    ("distances", [0.5, -0.001]),
+])
+def test_eval_negative_ranges_exit_2(tmp_path, capsys, key, value):
+    """Checked before the checkpoint is read: the one given does not exist."""
+    doc = {"data": dict(SMALL_DATA), "eval": {"num_candidates": 3, key: value}}
+    cfg = write_config(tmp_path / "eval.json", doc)
+    code = main(["eval", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--checkpoint", str(tmp_path / "never-read.txt")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: eval.{key} must") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("base_sigma", [0.0, 0.3], ids=["sampled", "base_sigma"])
 def test_eval_probloss_replays_draw_order(tmp_path, base_sigma):
     """ProbLoss in metrics.json is the mean and sem of per-frame energy
@@ -508,6 +588,16 @@ def test_gradcheck_pass_and_corrupt(tmp_path, capsys):
     assert main(["gradcheck", "--config", cfg, "--corrupt-analytic"]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out
+
+
+@pytest.mark.parametrize("tolerance", [0, -1])
+def test_gradcheck_tolerance_not_positive_exit_2(tmp_path, capsys, tolerance):
+    doc = {"net": dict(SMALL_NET), "gradcheck": {"tolerance": tolerance}}
+    cfg = write_config(tmp_path / "gc.json", doc)
+    assert main(["gradcheck", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: gradcheck.tolerance must be > 0, got {tolerance}\n"
+    assert captured.out == ""
 
 
 def test_sweep_requires_validation(tmp_path):

@@ -20,7 +20,6 @@ from disconet import (
     pearson_matrix,
     probloss,
 )
-from disconet.metrics import joint_errors
 
 
 def test_layout_constructors():
@@ -46,10 +45,12 @@ def test_layout_constructors():
 def test_joint_errors_grouped():
     lay = JointLayout.grouped(4, 2)
     # Manually calculated: joint 1 displaced (3, 4) -> 5, joint 2 exact.
-    errs = joint_errors([3.0, 4.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0], lay)
-    npt.assert_array_equal(errs, [5.0, 0.0])
-    with pytest.raises(DimensionError):
-        joint_errors([1.0], [0.0, 0.0, 0.0, 0.0], lay)
+    preds, gts = [[3.0, 4.0, 0.0, 0.0]], [[0.0, 0.0, 0.0, 0.0]]
+    assert mejee(preds, gts, lay) == (2.5, 0.0)
+    assert majee(preds, gts, lay) == (5.0, 0.0)
+    for metric in (mejee, majee):
+        with pytest.raises(DimensionError):
+            metric([[1.0]], gts, lay)
 
 
 def test_meu_hand_values():

@@ -167,12 +167,13 @@ def test_train_writes_checkpoints(tmp_path):
     from disconet import NetworkParams
 
     data = _small_data()
+    ckpt_dir = tmp_path / "not-yet" / "made"  # created at the first save
     params, _ = train(
-        NET, _small_cfg(epochs=4, checkpoint_every=2), data, checkpoint_dir=str(tmp_path)
+        NET, _small_cfg(epochs=4, checkpoint_every=2), data, checkpoint_dir=str(ckpt_dir)
     )
-    files = sorted(p.name for p in tmp_path.iterdir())
+    files = sorted(p.name for p in ckpt_dir.iterdir())
     assert files == ["checkpoint_epoch_2.txt", "checkpoint_epoch_4.txt"]
-    final = NetworkParams.load(tmp_path / "checkpoint_epoch_4.txt")
+    final = NetworkParams.load(ckpt_dir / "checkpoint_epoch_4.txt")
     npt.assert_array_equal(final.to_flat(), params.to_flat())
 
 
