@@ -72,6 +72,15 @@ def sq_norm(d, w):
     return (d * d) @ w
 
 
+def axis_sq(d, w_i, out=None):
+    """(d * d) * w_i: the term of one axis of a weighted squared norm, for
+    the differences `d` along that axis. `out`, when given, is an array of
+    d's shape that receives the term."""
+    out = np.multiply(d, d, out=out)
+    out *= w_i
+    return out
+
+
 def beta_norm(d, w, beta):
     """The loss kernel: (sum_i w_i d_i^2)^(beta/2) over the trailing axis of
     the difference array `d`, for a weight vector `w` already validated."""

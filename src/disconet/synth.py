@@ -11,15 +11,14 @@ so the argmin is stable at small sample counts and ties are broken by grid
 iteration order alone.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, ParameterError, ParseError, SchemaError
+from .errors import ContractError, NumericError, ParameterError, ParseError, SchemaError
 from .rng import substream
-from .scoring import LOSS_DIM1, LOSS_DIM2, data_term, pair_term
+from .scoring import LOSS_DIM1, LOSS_DIM2, axis_sq, data_term, pair_term
 
 TOY_GAMMA = 0.5
 
@@ -118,6 +117,8 @@ class GridSpec:
             vals = tuple(float(v) for v in getattr(self, name))
             if not vals:
                 raise ContractError(f"{name} must not be empty")
+            if not all(map(math.isfinite, vals)):
+                raise ContractError(f"{name} must be finite, got {vals}")
             object.__setattr__(self, name, vals)
         if any(s <= 0.0 for s in self.sigma1_values + self.sigma2_values):
             raise ContractError("sigma grid values must be positive")
@@ -208,18 +209,49 @@ def save_csv(path, x, y, comments=()):
         fh.write("\n".join(lines) + ("\n" if lines else ""))
 
 
-def _point_values(y, q, w, beta, gamma, qq=None):
-    """Per-data-point sampled dissimilarity of model samples q, shape (n, m, 2).
+def _grid_table(y, grid, w, beta, gamma, eps):
+    """Sampled dissimilarity of every grid point against the data `y` (n, 2),
+    with model samples mu + sigma * eps for the shared draws `eps` (n, m, 2).
 
-    `qq` is the per-point diversity term when the caller already has it;
-    otherwise it is computed from q.
+    Returns a C-ordered (mu1, mu2, sigma1, sigma2) array. The squared norm
+    of a difference is an axis-1 term, set by (mu1, sigma1), plus an axis-2
+    term, set by (mu2, sigma2): the axis-1 terms of all mu1 values are built
+    once per sigma1 and each grid point only adds the two. The diversity
+    term depends on the sigmas alone and is built once per sigma pair.
+    Values match data_term and pair_term to within a few ulp: the two axis
+    terms are added by one `+` where sq_norm's matmul sums them its own way.
     """
-    pq = data_term(y, q, w, beta)
-    if gamma == 0.0:
-        return pq
-    if qq is None:
-        qq = pair_term(q, w, beta)
-    return pq - gamma * qq
+    n, m = eps.shape[:2]
+    mu1 = np.asarray(grid.mu1_values)[:, None, None]
+    y1, y2 = y[:, :1], y[:, 1:]
+    e1, e2 = np.moveaxis(eps, -1, 0).copy()
+    table = np.empty((len(grid.mu1_values), len(grid.mu2_values),
+                      len(grid.sigma1_values), len(grid.sigma2_values)))
+    half = beta / 2.0
+    sq1 = np.empty((n, m, m))
+    sq = np.empty((n, m, m))
+    point = np.empty((mu1.shape[0], n, m))
+    term2 = np.empty((n, m))
+    for i, s1 in enumerate(grid.sigma1_values):
+        g1 = s1 * e1
+        term1 = axis_sq(y1 - (mu1 + g1), w[0])
+        if gamma > 0.0:
+            axis_sq(np.subtract(g1[:, :, None], g1[:, None, :], out=sq1), w[0], out=sq1)
+        for j, s2 in enumerate(grid.sigma2_values):
+            g2 = s2 * e2
+            if gamma > 0.0:
+                axis_sq(np.subtract(g2[:, :, None], g2[:, None, :], out=sq), w[1], out=sq)
+                sq += sq1
+                sq **= half
+                diversity = gamma * (sq.sum(axis=(-2, -1)) / (m * (m - 1)))
+            for k, mu2 in enumerate(grid.mu2_values):
+                np.add(term1, axis_sq(y2 - (mu2 + g2), w[1], out=term2), out=point)
+                point **= half
+                vals = point.mean(axis=-1)
+                if gamma > 0.0:
+                    vals -= diversity
+                table[:, k, i, j] = vals.mean(axis=-1)
+    return table
 
 
 def fit_gaussian_grid(train, grid, loss, gamma=TOY_GAMMA, m=24, rng=None):
@@ -237,8 +269,10 @@ def fit_gaussian_grid(train, grid, loss, gamma=TOY_GAMMA, m=24, rng=None):
     rng : numpy Generator
         Source of the standard-normal draws shared by all grid points.
 
-    Ties keep the earliest grid point in iteration order: nested loops
-    over (mu1, mu2, sigma1, sigma2) with the last axis fastest.
+    Ties keep the earliest grid point in iteration order: the first
+    minimum of the C-ordered (mu1, mu2, sigma1, sigma2) table, the last
+    axis fastest. A grid point whose objective is not finite (a sigma so
+    large that the samples overflow) raises NumericError naming it.
     """
     y = np.asarray(train, dtype=np.float64)
     if y.ndim != 2 or y.shape[1] != 2 or y.shape[0] < 1:
@@ -249,34 +283,29 @@ def fit_gaussian_grid(train, grid, loss, gamma=TOY_GAMMA, m=24, rng=None):
         raise ParameterError(f"gamma must lie in [0, 1], got {gamma}")
     if rng is None:
         raise ContractError("an rng is required")
-    w = loss.weight_vector(2)
     eps = rng.standard_normal((y.shape[0], m, 2))
-    # The diversity term depends only on the sigmas; precompute it per pair.
-    qq_table = {}
-    if gamma > 0.0:
-        for s1, s2 in itertools.product(grid.sigma1_values, grid.sigma2_values):
-            qq_table[(s1, s2)] = pair_term(np.asarray([s1, s2]) * eps, w, loss.beta)
-    # Samples built per axis from contiguous columns: the same floats as
-    # mu + sigma * eps, without a broadcast over a trailing axis of length 2.
-    e1, e2 = np.moveaxis(eps, -1, 0).copy()
-    best_val = None
-    best = None
-    for mu1, mu2, s1, s2 in itertools.product(
-        grid.mu1_values, grid.mu2_values, grid.sigma1_values, grid.sigma2_values
-    ):
-        q = np.stack([mu1 + s1 * e1, mu2 + s2 * e2], axis=-1)
-        vals = _point_values(y, q, w, loss.beta, gamma, qq_table.get((s1, s2)))
-        val = float(vals.mean())
-        if best_val is None or val < best_val:
-            best_val = val
-            best = DiagGaussianParams(mu1, mu2, s1, s2)
-    return best
+    w = loss.weight_vector(2)
+    # overflow is reported below as a NumericError, not as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = _grid_table(y, grid, w, loss.beta, gamma, eps)
+    bad = np.flatnonzero(~np.isfinite(table))
+    flat = bad[0] if bad.size else np.argmin(table)
+    axes = (grid.mu1_values, grid.mu2_values, grid.sigma1_values, grid.sigma2_values)
+    index = np.unravel_index(flat, table.shape)
+    point = DiagGaussianParams(*(vals[i] for vals, i in zip(axes, index)))
+    if bad.size:
+        raise NumericError(
+            f"toy grid point {point.to_dict()} gives a non-finite objective "
+            f"({table.flat[flat]}) under loss weights {w.tolist()}"
+        )
+    return point
 
 
 def eval_gaussian(params, test, loss, gamma=TOY_GAMMA, m=24, rng=None):
     """Sampled dissimilarity of a fitted Gaussian on held-out points.
 
-    Returns ``(mean, sem)`` over the test points.
+    Returns ``(mean, sem)`` over the test points. A non-finite value (a
+    sigma so large that the samples overflow) raises NumericError.
     """
     y = np.asarray(test, dtype=np.float64)
     if y.ndim != 2 or y.shape[1] != 2 or y.shape[0] < 1:
@@ -288,8 +317,18 @@ def eval_gaussian(params, test, loss, gamma=TOY_GAMMA, m=24, rng=None):
     if rng is None:
         raise ContractError("an rng is required")
     eps = rng.standard_normal((y.shape[0], m, 2))
-    q = params.mean()[None, None, :] + params.stddev()[None, None, :] * eps
-    vals = _point_values(y, q, loss.weight_vector(2), loss.beta, gamma)
+    w = loss.weight_vector(2)
+    # overflow is reported below as a NumericError, not as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = params.mean()[None, None, :] + params.stddev()[None, None, :] * eps
+        vals = data_term(y, q, w, loss.beta)
+        if gamma > 0.0:
+            vals = vals - gamma * pair_term(q, w, loss.beta)
+    if not np.all(np.isfinite(vals)):
+        raise NumericError(
+            f"fitted Gaussian {params.to_dict()} gives a non-finite test objective "
+            f"under loss weights {w.tolist()}"
+        )
     mean = float(vals.mean())
     sem = float(vals.std(ddof=1) / np.sqrt(vals.size)) if vals.size > 1 else 0.0
     return mean, sem

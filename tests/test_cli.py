@@ -353,6 +353,28 @@ def test_toy_gamma_out_of_range_exit_2(tmp_path, capsys, gamma):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("toy, message", [
+    # the first grid point's samples overflow in the fit
+    ({"seeds": [0], "n_train": 20, "m": 4, "mu_values": [0.0, 0.5], "sigma_values": [1e308, 0.5]},
+     "error: toy grid point {'mu1': 0.0, 'mu2': 0.0, 'sigma1': 1e+308, "),
+    # the one training draw stays finite and the fit succeeds; the test draws overflow
+    ({"seeds": [115], "n_train": 1, "m": 2, "mu_values": [0.0], "sigma_values": [1e154]},
+     "error: fitted Gaussian {'mu1': 0.0, 'mu2': 0.0, 'sigma1': 1e+154, "),
+], ids=["fit", "eval"])
+def test_toy_overflow_exit_4_writes_nothing(tmp_path, capsys, toy, message):
+    """Samples that overflow exit 4 naming the Gaussian, and nothing is
+    written into --out."""
+    doc = {"toy": {"n_test": 50, **toy}}
+    cfg = write_config(tmp_path / "toy.json", doc)
+    out = tmp_path / "o"
+    code = main(["toy", "--config", cfg, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.startswith(message)
+    assert "non-finite" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_train_artifacts_and_rerun_identical(tmp_path):
     cfg = write_config(tmp_path / "train.json", train_doc())
     out1 = tmp_path / "run1"

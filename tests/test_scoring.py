@@ -18,7 +18,7 @@ from disconet import (
     energy_score_sample,
 )
 from disconet.scoring import delta_rows, pairwise_delta
-from disconet.synth import _point_values
+from disconet.synth import DiagGaussianParams, eval_gaussian
 
 
 def test_loss_spec_validation():
@@ -256,10 +256,16 @@ def _oracle_energy_score(rng, dim, spec, w):
 
 
 def _oracle_toy_point_values(rng, dim, spec, w):
-    y, q = rng.normal(size=(3, dim)), rng.normal(size=(3, 4, dim))
-    gamma = 0.5
-    got = _point_values(y, q, np.asarray(w), spec.beta, gamma)
-    return got, [_loop_energy(w, spec.beta, yn, qn, gamma) for yn, qn in zip(y, q)]
+    # the toy model is 2-D, so this case draws its own two weights
+    w = rng.uniform(0.1, 3.0, size=2)
+    loss = LossSpec(beta=spec.beta, weights=tuple(w))
+    y = rng.normal(size=(3, 2))
+    params = DiagGaussianParams(*rng.normal(size=2), *rng.uniform(0.2, 2.0, size=2))
+    seed = int(rng.integers(2**31))
+    got = eval_gaussian(params, y, loss, gamma=0.5, m=4, rng=np.random.default_rng(seed))
+    q = params.mean() + params.stddev() * np.random.default_rng(seed).standard_normal((3, 4, 2))
+    vals = [_loop_energy(w, spec.beta, yn, qn, 0.5) for yn, qn in zip(y, q)]
+    return got, [np.mean(vals), np.std(vals, ddof=1) / np.sqrt(len(vals))]
 
 
 ORACLE_CASES = {

@@ -9,7 +9,9 @@ from disconet import (
     GmmSpec,
     GridSpec,
     LOSS_DIM1,
+    LOSS_DIM2,
     LossSpec,
+    NumericError,
     ParseError,
     SchemaError,
     TOY_MIXTURE,
@@ -21,7 +23,8 @@ from disconet import (
     toy_cross_table,
 )
 from disconet.rng import substream
-from disconet.synth import eval_gaussian
+from disconet.scoring import data_term, pair_term
+from disconet.synth import _grid_table, eval_gaussian
 
 
 def test_component_and_spec_validation():
@@ -169,6 +172,69 @@ def test_grid_spec_validation():
     with pytest.raises(ContractError):
         GridSpec((0.0,), (0.0,), (0.0,), (0.3,))
     assert GridSpec.default().size() == 9 * 9 * 10 * 10
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("axis", range(4))
+def test_grid_spec_rejects_non_finite(axis, bad):
+    axes = [(0.0, 1.0), (0.0, 1.0), (0.3, 1.0), (0.3, 1.0)]
+    axes[axis] = (axes[axis][0], bad)
+    with pytest.raises(ContractError, match="must be finite"):
+        GridSpec(*axes)
+
+
+def _reference_grid_fit(y, grid, w, beta, gamma, eps):
+    """The per-point loop the vectorized table replaces: every grid point
+    builds its samples and calls data_term and pair_term. Returns the table
+    and the first strict minimum in iteration order."""
+    axes = (grid.mu1_values, grid.mu2_values, grid.sigma1_values, grid.sigma2_values)
+    table = np.empty(tuple(len(a) for a in axes))
+    best = None
+    for idx in np.ndindex(table.shape):
+        mu1, mu2, s1, s2 = (a[i] for a, i in zip(axes, idx))
+        q = np.stack([mu1 + s1 * eps[..., 0], mu2 + s2 * eps[..., 1]], axis=-1)
+        vals = data_term(y, q, w, beta)
+        if gamma > 0.0:
+            vals = vals - gamma * pair_term(np.asarray([s1, s2]) * eps, w, beta)
+        table[idx] = vals.mean()
+        if best is None or table[idx] < table[best]:
+            best = idx
+    return table, DiagGaussianParams(*(a[i] for a, i in zip(axes, best)))
+
+
+# Axes of different lengths, out of order, so a transposed or mis-raveled
+# table changes the shape or the chosen point.
+SHUFFLED_GRID = GridSpec(
+    mu1_values=(1.4, -1.4, 0.0),
+    mu2_values=(0.0, 1.4, -0.7, -1.4),
+    sigma1_values=(0.9, 0.3, 1.5, 0.6, 2.1),
+    sigma2_values=(1.5, 0.3, 0.9),
+)
+
+
+@pytest.mark.parametrize("loss", [LOSS_DIM1, LOSS_DIM2], ids=["dim1", "dim2"])
+@pytest.mark.parametrize("gamma", [0.0, 0.5])
+def test_fit_gaussian_grid_matches_point_loop(gamma, loss):
+    w = loss.weight_vector(2)
+    for seed in (0, 1, 2):
+        y = gen_gmm2d(TOY_MIXTURE, 60, substream(seed, "toy-data"))
+        eps = substream(seed, "toy-fit").standard_normal((60, 8, 2))
+        want_table, want_fit = _reference_grid_fit(y, SHUFFLED_GRID, w, loss.beta, gamma, eps)
+        table = _grid_table(y, SHUFFLED_GRID, w, loss.beta, gamma, eps)
+        assert table.shape == want_table.shape
+        npt.assert_allclose(table, want_table, rtol=1e-13, atol=0.0)
+        fit = fit_gaussian_grid(y, SHUFFLED_GRID, loss, gamma, m=8,
+                                rng=substream(seed, "toy-fit"))
+        assert fit == want_fit
+
+
+def test_fit_gaussian_grid_rejects_overflowing_point():
+    """A sigma so large that the samples overflow makes that point's
+    objective NaN; the fit names the point instead of choosing it."""
+    grid = GridSpec((0.0, 1.0), (0.0,), (1e308, 0.5), (0.5,))
+    train = gen_gmm2d(TOY_MIXTURE, 20, substream(0, "toy-data"))
+    with pytest.raises(NumericError, match=r"'mu1': 0.0, 'mu2': 0.0, 'sigma1': 1e\+308"):
+        fit_gaussian_grid(train, grid, LOSS_DIM1, m=4, rng=substream(0, "f"))
 
 
 SMALL_GRID = GridSpec(
