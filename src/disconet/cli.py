@@ -250,7 +250,8 @@ def _train_and_score(config, data_override, checkpoint_dir=None):
 
     ``val`` is the ``(value, sem)`` ProbLoss of the validation split, drawn
     from the "summary-eval" substream, or ``(None, None)`` when
-    train.val_count is 0.
+    train.val_count is 0 or a single candidate per input leaves the energy
+    score undefined.
     """
     net = NetConfig.from_dict(config["net"])
     ob, tc = config["objective"], config["train"]
@@ -259,7 +260,7 @@ def _train_and_score(config, data_override, checkpoint_dir=None):
     train_config = TrainConfig(objective=objective, **tc)
     data = _load_xy(config, data_override, tc["seed"], net.x_dim, net.y_dim)
     params, history = train(net, train_config, data, checkpoint_dir=checkpoint_dir)
-    if not tc["val_count"]:
+    if not tc["val_count"] or ob["num_candidates"] < 2:
         return params, history, (None, None)
     (_, _), (x_val, y_val) = train_val_split(data, tc["val_count"], tc["seed"])
     rng = substream(tc["seed"], "summary-eval")
@@ -416,10 +417,7 @@ def cmd_eval(config, args):
 
 
 def _zero_noise_preds(params, x):
-    if params.config.noise_enabled:
-        z = np.zeros((x.shape[0], params.config.z_dim))
-        return predict_rows(params, x, z)
-    return predict_rows(params, x)
+    return predict_rows(params, x, np.zeros((x.shape[0], params.config.noise_dim)))
 
 
 def cmd_gradcheck(config, args):
@@ -463,6 +461,8 @@ def cmd_sweep(config, args):
     """Train over seeds x L2 values; report all runs and the best by val probloss."""
     if config["train"]["val_count"] < 1:
         raise ConfigError("sweep needs train.val_count >= 1 to select by validation probloss")
+    if config["objective"]["num_candidates"] < 2:
+        raise ConfigError("sweep needs objective.num_candidates >= 2 to score validation probloss")
     digest = config_hash(config)
     rows = []
     best = None

@@ -10,14 +10,13 @@ evaluated example. The probabilistic metric is the per-frame sampled
 energy score (unit weights, beta = 1) across candidates.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError, DimensionError, EstimatorError, ParameterError
 from .network import candidate_array
-from .scoring import LossSpec, energy_score_sample, pairwise_delta
+from .scoring import LossSpec, energy_score_sample, mean_sem, pairwise_delta
 
 
 @dataclass(frozen=True)
@@ -78,14 +77,6 @@ def meu_predict(candidates, task_loss=LossSpec()):
     return idx, outs[idx].copy()
 
 
-def _mean_sem(values):
-    v = np.asarray(values, dtype=np.float64)
-    mean = float(v.mean())
-    if v.size < 2:
-        return mean, 0.0
-    return mean, float(v.std(ddof=1) / math.sqrt(v.size))
-
-
 def _frame_errors(preds, gts, layout):
     preds = np.asarray(preds, dtype=np.float64)
     gts = np.asarray(gts, dtype=np.float64)
@@ -104,12 +95,12 @@ def mejee(preds, gts, layout):
 
     Returns ``(value, sem)`` with the standard error over frames.
     """
-    return _mean_sem(_frame_errors(preds, gts, layout).mean(axis=1))
+    return mean_sem(_frame_errors(preds, gts, layout).mean(axis=1))
 
 
 def majee(preds, gts, layout):
     """Max joint error: per-frame max over joints, averaged over frames."""
-    return _mean_sem(_frame_errors(preds, gts, layout).max(axis=1))
+    return mean_sem(_frame_errors(preds, gts, layout).max(axis=1))
 
 
 def ff(preds, gts, layout, distance):
@@ -127,7 +118,7 @@ def probloss(outs, gts):
         raise ContractError(f"{gts.shape[0]} ground truths but {outs.shape[0]} candidate sets")
     spec = LossSpec(beta=1.0)
     vals = [energy_score_sample(o, y, spec) for o, y in zip(outs, gts)]
-    return _mean_sem(vals)
+    return mean_sem(vals)
 
 
 def pearson_matrix(outs, layout):

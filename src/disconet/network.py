@@ -265,30 +265,43 @@ def forward_rows(g, params, x, z=None):
     return g.add(g.matmul(h, wid), bid)
 
 
-def predict_rows(params, x, z=None):
-    """Plain-array forward pass, mirroring the graph arithmetic exactly."""
+def layer_walk(params, x, z=None):
+    """The generator pass over (R, x_dim) inputs and (R, z_dim) noise,
+    yielding each dense layer's (input, pre-activation) in forward order.
+
+    A hidden layer's input is the ReLU of the previous pre-activation; `z`
+    is appended to the input of the first layer after the encoder, and is
+    ignored when noise is disabled. The last pre-activation is the
+    (R, y_dim) output. Training keeps every input for its backward pass.
+    """
     cfg = params.config
     h = np.asarray(x, dtype=np.float64)
     if h.ndim != 2 or h.shape[1] != cfg.x_dim:
         raise DimensionError(f"x must be (rows, {cfg.x_dim}), got {h.shape}")
-    li = 0
-    for _ in cfg.encoder_widths:
-        w, b = params.layers[li]
-        li += 1
-        h = np.maximum(h @ w + b.reshape(1, -1), 0.0)
     if cfg.noise_enabled:
         if z is None:
             raise ContractError("noise-enabled network needs z")
         z = np.asarray(z, dtype=np.float64)
         if z.shape != (h.shape[0], cfg.z_dim):
             raise DimensionError(f"z must be ({h.shape[0]}, {cfg.z_dim}), got {z.shape}")
-        h = np.concatenate([h, z], axis=1)
-    for _ in cfg.decoder_widths:
-        w, b = params.layers[li]
-        li += 1
-        h = np.maximum(h @ w + b.reshape(1, -1), 0.0)
-    w, b = params.layers[li]
-    return h @ w + b.reshape(1, -1)
+    n_enc = len(cfg.encoder_widths)
+    for li, (w, b) in enumerate(params.layers):
+        if li:
+            h = np.maximum(pre, 0.0)
+            del pre  # a caller that drops each pair frees it here, as a plain loop would
+        if li == n_enc and cfg.noise_enabled:
+            h = np.concatenate([h, z], axis=1)
+        pre = h @ w + b.reshape(1, -1)
+        yield h, pre
+
+
+def predict_rows(params, x, z=None):
+    """Plain-array forward pass, mirroring the graph arithmetic exactly:
+    the last pre-activation of ``layer_walk``."""
+    walk = layer_walk(params, x, z)
+    for _ in params.layers[1:]:
+        next(walk)  # dropped at once: prediction holds one layer's arrays at a time
+    return next(walk)[1]
 
 
 def sample_outputs(params, x, num_candidates, rng):

@@ -25,7 +25,7 @@ import numpy as np
 
 from .autodiff import SINGULARITY_EPS
 from .errors import ContractError, DimensionError, EstimatorError, ParameterError
-from .network import NetworkParams, bind_params, candidate_array, forward_rows
+from .network import NetworkParams, bind_params, candidate_array, forward_rows, layer_walk
 from .scoring import LossSpec, data_term, pair_term, sq_norm
 
 
@@ -105,10 +105,8 @@ def _norm_slope(s, upstream, beta):
     s^(beta/2) with respect to the difference it was computed from (times
     w * d). It is zero where s < SINGULARITY_EPS: a valid subgradient at
     coincident points, and a measure-zero event under continuous noise."""
-    coeff = np.zeros_like(s)
-    live = s >= SINGULARITY_EPS
-    coeff[live] = upstream * beta * s[live] ** (beta / 2.0 - 1.0)
-    return coeff
+    with np.errstate(divide="ignore"):
+        return np.where(s >= SINGULARITY_EPS, upstream * beta * s ** (beta / 2.0 - 1.0), 0.0)
 
 
 def objective_terms(params, x, y, z, cfg):
@@ -130,12 +128,14 @@ def objective_terms(params, x, y, z, cfg):
         ``pq - gamma * qq`` (``pq`` when gamma = 0); and the gradient of the
         objective in ``NetworkParams.to_flat`` order.
 
-    One forward pass keeps every layer's input and pre-activation. The data
-    term is taken on the (n K, y_dim) differences to y, the pair term on one
-    (n, K, K, y_dim) broadcast of candidate differences. Because the pair
-    coefficient c_ab is symmetric in a and b, candidate a's pair gradient is
-    2 * sum_b c_ab w (g_a - g_b). A hand-written backward pass carries the
-    candidate gradient through the layers; ReLU has derivative 0 at 0.
+    One forward pass, ``network.layer_walk`` over the n K rows, keeps every
+    layer's input; the pre-activations are not kept, since ReLU(pre) > 0
+    exactly where pre > 0. The data term is taken on the (n K, y_dim)
+    differences to y, the pair term on one (n, K, K, y_dim) broadcast of
+    candidate differences. Because the pair coefficient c_ab is symmetric
+    in a and b, candidate a's pair gradient is 2 * sum_b c_ab w (g_a - g_b).
+    A hand-written backward pass carries the candidate gradient through the
+    layers; ReLU has derivative 0 at 0.
 
     Rows are example-major and every sum runs in the order the graph form
     ``disco_objective_node`` sums it, so the two agree to roundoff and, on
@@ -143,35 +143,21 @@ def objective_terms(params, x, y, z, cfg):
     finiteness here; the caller checks the value and the gradient.
     """
     net = params.config
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.ndim != 2 or y.ndim != 2 or x.shape[0] != y.shape[0] or x.shape[0] == 0:
-        raise ContractError(f"x {x.shape} and y {y.shape} must be non-empty matrices with equal rows")
-    if x.shape[1] != net.x_dim or y.shape[1] != net.y_dim:
-        raise DimensionError(
-            f"batch dims {x.shape[1]}/{y.shape[1]} do not match net {net.x_dim}/{net.y_dim}"
-        )
+    x, y = _batch_arrays((x, y))
+    if y.shape[1] != net.y_dim:
+        raise DimensionError(f"y has dim {y.shape[1]}, the net outputs {net.y_dim}")
     n, k, m = x.shape[0], cfg.num_candidates, net.y_dim
-    if net.noise_enabled:
-        if z is None:
-            raise ContractError("noise-enabled network needs pre-drawn noises")
+    if net.noise_enabled and z is not None:
         z = np.asarray(z, dtype=np.float64)
         if z.shape != (n, k, net.z_dim):
             raise DimensionError(f"noises must be ({n}, {k}, {net.z_dim}), got {z.shape}")
-
-    n_enc = len(net.encoder_widths)
-    last = len(params.layers) - 1
-    inputs, pres = [], []
-    h = np.repeat(x, k, axis=0)
-    for li, (w, b) in enumerate(params.layers):
-        if li == n_enc and net.noise_enabled:
-            h = np.concatenate([h, z.reshape(n * k, net.z_dim)], axis=1)
+        z = z.reshape(n * k, net.z_dim)
+    inputs = []
+    for h, out in layer_walk(params, np.repeat(x, k, axis=0), z):
         inputs.append(h)
-        pres.append(h @ w + b.reshape(1, -1))
-        h = np.maximum(pres[-1], 0.0) if li < last else pres[-1]
 
     wl, beta = cfg.loss.weight_vector(m), cfg.loss.beta
-    d = h - np.repeat(y, k, axis=0)
+    d = out - np.repeat(y, k, axis=0)
     s = sq_norm(d, wl)
     scale = 1.0 / (n * k)
     pq = float(np.sum(s ** (beta / 2.0))) * scale
@@ -179,7 +165,7 @@ def objective_terms(params, x, y, z, cfg):
     qq = float("nan")
     value = pq
     if k >= 2:
-        g = h.reshape(n, k, m)
+        g = out.reshape(n, k, m)
         # diff[i, b, a] = g_a - g_b: the sum over axis 1 runs over b in order
         diff = g[:, None, :, :] - g[:, :, None, :]
         s_pair = sq_norm(diff.reshape(-1, m), wl).reshape(n, k, k)
@@ -193,16 +179,17 @@ def objective_terms(params, x, y, z, cfg):
             pair_grad = (c[..., None] * (wl * diff)).sum(axis=1)
             grad_out = 2.0 * pair_grad.reshape(n * k, m) + grad_out
 
-    grads = [None] * len(params.layers)
+    last = len(inputs) - 1
+    grads = [None] * len(inputs)
     delta = grad_out
     for li in range(last, -1, -1):
         if li < last:
-            delta = delta * (pres[li] > 0.0)
+            # pre > 0 exactly where ReLU(pre), the next layer's input, is > 0
+            delta = delta * (inputs[li + 1][:, : delta.shape[1]] > 0.0)
         grads[li] = (inputs[li].T @ delta).ravel(), delta.sum(axis=0)
         if li > 0:
-            delta = delta @ params.layers[li][0].T
-            if li == n_enc and net.noise_enabled:
-                delta = delta[:, : -net.z_dim]
+            # trimmed to the previous layer's outputs: appended noise takes none
+            delta = (delta @ params.layers[li][0].T)[:, : params.layers[li - 1][0].shape[1]]
     return pq, qq, value, np.concatenate([part for pair in grads for part in pair])
 
 

@@ -100,6 +100,16 @@ def pair_term(g, w, beta):
     return pairs.sum(axis=(-2, -1)) / (k * (k - 1))
 
 
+def mean_sem(values):
+    """Mean of `values` and its standard error, std (ddof 1) / sqrt(n); the
+    error is 0 for a single value."""
+    v = np.asarray(values, dtype=np.float64)
+    mean = float(v.mean())
+    if v.size < 2:
+        return mean, 0.0
+    return mean, float(v.std(ddof=1) / np.sqrt(v.size))
+
+
 def delta(spec, y, y2):
     """Loss between two vectors under `spec`."""
     a = np.asarray(y, dtype=np.float64).reshape(-1)

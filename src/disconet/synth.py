@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ContractError, NumericError, ParameterError, ParseError, SchemaError
 from .rng import substream
-from .scoring import LOSS_DIM1, LOSS_DIM2, axis_sq, data_term, pair_term
+from .scoring import LOSS_DIM1, LOSS_DIM2, axis_sq, data_term, mean_sem, pair_term
 
 TOY_GAMMA = 0.5
 
@@ -34,8 +34,8 @@ class GmmComponent:
         object.__setattr__(self, "stddev", tuple(float(s) for s in self.stddev))
         if len(self.mean) != 2 or len(self.stddev) != 2:
             raise ContractError("components are 2-D: mean and stddev need two entries")
-        if any(s <= 0.0 for s in self.stddev):
-            raise ContractError("component stddevs must be positive")
+        if not (all(map(math.isfinite, self.mean + self.stddev)) and min(self.stddev) > 0.0):
+            raise ContractError(f"finite mean and stddev > 0 needed: {self.mean}, {self.stddev}")
         if not 0.0 < self.weight < 1.0:
             raise ContractError("component weight must lie strictly inside (0, 1)")
 
@@ -85,8 +85,9 @@ class DiagGaussianParams:
     sigma2: float
 
     def __post_init__(self):
-        if self.sigma1 <= 0.0 or self.sigma2 <= 0.0:
-            raise ContractError("sigmas must be positive")
+        values = (self.mu1, self.mu2, self.sigma1, self.sigma2)
+        if not (all(map(math.isfinite, values)) and min(self.sigma1, self.sigma2) > 0.0):
+            raise ContractError(f"finite means and sigmas > 0 needed: {self.to_dict()}")
 
     def mean(self):
         return np.asarray([self.mu1, self.mu2])
@@ -209,6 +210,24 @@ def save_csv(path, x, y, comments=()):
         fh.write("\n".join(lines) + ("\n" if lines else ""))
 
 
+def _toy_inputs(name, data, loss, gamma, m, rng):
+    """Check the arguments of a toy fit or evaluation; returns the (n, 2)
+    data as float64, the (n, m, 2) standard-normal draws from `rng` that
+    all model samples share, and the loss weight vector."""
+    y = np.asarray(data, dtype=np.float64)
+    if y.ndim != 2 or y.shape[1] != 2 or y.shape[0] < 1:
+        raise ContractError(f"{name} must be a non-empty (n, 2) array, got {y.shape}")
+    if not np.all(np.isfinite(y)):
+        raise ContractError(f"{name} holds non-finite values")
+    if m < 2:
+        raise ContractError("m must be >= 2")
+    if not 0.0 <= gamma <= 1.0:
+        raise ParameterError(f"gamma must lie in [0, 1], got {gamma}")
+    if rng is None:
+        raise ContractError("an rng is required")
+    return y, rng.standard_normal((y.shape[0], m, 2)), loss.weight_vector(2)
+
+
 def _grid_table(y, grid, w, beta, gamma, eps):
     """Sampled dissimilarity of every grid point against the data `y` (n, 2),
     with model samples mu + sigma * eps for the shared draws `eps` (n, m, 2).
@@ -274,17 +293,7 @@ def fit_gaussian_grid(train, grid, loss, gamma=TOY_GAMMA, m=24, rng=None):
     axis fastest. A grid point whose objective is not finite (a sigma so
     large that the samples overflow) raises NumericError naming it.
     """
-    y = np.asarray(train, dtype=np.float64)
-    if y.ndim != 2 or y.shape[1] != 2 or y.shape[0] < 1:
-        raise ContractError(f"train must be a non-empty (n, 2) array, got {y.shape}")
-    if m < 2:
-        raise ContractError("m must be >= 2")
-    if not 0.0 <= gamma <= 1.0:
-        raise ParameterError(f"gamma must lie in [0, 1], got {gamma}")
-    if rng is None:
-        raise ContractError("an rng is required")
-    eps = rng.standard_normal((y.shape[0], m, 2))
-    w = loss.weight_vector(2)
+    y, eps, w = _toy_inputs("train", train, loss, gamma, m, rng)
     # overflow is reported below as a NumericError, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         table = _grid_table(y, grid, w, loss.beta, gamma, eps)
@@ -307,17 +316,7 @@ def eval_gaussian(params, test, loss, gamma=TOY_GAMMA, m=24, rng=None):
     Returns ``(mean, sem)`` over the test points. A non-finite value (a
     sigma so large that the samples overflow) raises NumericError.
     """
-    y = np.asarray(test, dtype=np.float64)
-    if y.ndim != 2 or y.shape[1] != 2 or y.shape[0] < 1:
-        raise ContractError(f"test must be a non-empty (n, 2) array, got {y.shape}")
-    if m < 2:
-        raise ContractError("m must be >= 2")
-    if not 0.0 <= gamma <= 1.0:
-        raise ParameterError(f"gamma must lie in [0, 1], got {gamma}")
-    if rng is None:
-        raise ContractError("an rng is required")
-    eps = rng.standard_normal((y.shape[0], m, 2))
-    w = loss.weight_vector(2)
+    y, eps, w = _toy_inputs("test", test, loss, gamma, m, rng)
     # overflow is reported below as a NumericError, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         q = params.mean()[None, None, :] + params.stddev()[None, None, :] * eps
@@ -329,9 +328,7 @@ def eval_gaussian(params, test, loss, gamma=TOY_GAMMA, m=24, rng=None):
             f"fitted Gaussian {params.to_dict()} gives a non-finite test objective "
             f"under loss weights {w.tolist()}"
         )
-    mean = float(vals.mean())
-    sem = float(vals.std(ddof=1) / np.sqrt(vals.size)) if vals.size > 1 else 0.0
-    return mean, sem
+    return mean_sem(vals)
 
 
 TOY_LOSSES = (("dim1", LOSS_DIM1), ("dim2", LOSS_DIM2))
@@ -387,13 +384,13 @@ def toy_cross_table(
                 "table": table,
             }
         )
-    aggregate = {}
-    for train_name in names:
-        aggregate[train_name] = {}
-        for task_name in names:
-            vals = np.asarray([e["table"][train_name][task_name][0] for e in per_seed])
-            sem = float(vals.std(ddof=1) / np.sqrt(vals.size)) if vals.size > 1 else 0.0
-            aggregate[train_name][task_name] = (float(vals.mean()), sem)
+    aggregate = {
+        train_name: {
+            task_name: mean_sem([e["table"][train_name][task_name][0] for e in per_seed])
+            for task_name in names
+        }
+        for train_name in names
+    }
     dominant = True
     for task_name in names:
         own = aggregate[task_name][task_name][0]

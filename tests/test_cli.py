@@ -630,6 +630,42 @@ def test_sweep_requires_validation(tmp_path):
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
+def k1_doc():
+    """The non-probabilistic baseline: a noise-free net, one candidate, gamma 0."""
+    doc = train_doc()
+    doc["net"]["noise_enabled"] = False
+    doc["objective"] = {"gamma": 0.0, "num_candidates": 1}
+    return doc
+
+
+def test_train_k1_with_validation_writes_null_probloss(tmp_path):
+    """One candidate leaves the validation energy score undefined: train
+    writes it as null, as eval does for probloss, instead of failing."""
+    cfg = write_config(tmp_path / "train.json", k1_doc())
+    out = tmp_path / "out"
+    assert main(["train", "--config", cfg, "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["val_probloss"] is None and summary["val_probloss_sem"] is None
+    assert math.isfinite(summary["final_val_objective"])
+    assert (out / "checkpoint.txt").exists()
+
+
+def test_sweep_k1_exit_2_before_training(tmp_path, capsys, monkeypatch):
+    import disconet.cli as cli
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("sweep trained before rejecting K = 1")
+
+    monkeypatch.setattr(cli, "train", no_training)
+    doc = k1_doc()
+    doc["sweep"] = {"seeds": [0], "l2_values": [0.001]}
+    cfg = write_config(tmp_path / "sweep.json", doc)
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+    assert "objective.num_candidates" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_artifacts(tmp_path):
     doc = train_doc()
     doc["sweep"] = {"seeds": [0], "l2_values": [0.0001, 0.01]}

@@ -15,6 +15,7 @@ from disconet import (
     predict_rows,
     sample_candidates,
 )
+from disconet.network import layer_walk
 
 
 CFG = NetConfig(x_dim=2, y_dim=2, z_dim=3, encoder_widths=(5,), decoder_widths=(4,))
@@ -136,6 +137,28 @@ def test_forward_matches_predict():
     node = forward_rows(g, bind_params(g, p), x[:1], z[:1])
     npt.assert_allclose(np.asarray(g.value(node)), predict_rows(p, x[:1], z[:1]),
                         rtol=1e-12, atol=1e-15)
+
+
+def test_layer_walk_pairs():
+    """One (input, pre-activation) pair per dense layer: z joins the input
+    of the first layer after the encoder, every later input starts with the
+    ReLU of the previous pre-activation, and the last pre-activation is the
+    output predict_rows returns."""
+    p = init_params(CFG, seed=7)
+    rng = np.random.default_rng(1)
+    x = rng.normal(size=(4, 2))
+    z = rng.normal(size=(4, 3))
+    pairs = list(layer_walk(p, x, z))
+    assert [(h.shape[1], pre.shape[1]) for h, pre in pairs] == CFG.layer_dims()
+    npt.assert_array_equal(pairs[0][0], x)
+    npt.assert_array_equal(pairs[1][0][:, -3:], z)
+    for (_, pre), (h, _) in zip(pairs, pairs[1:]):
+        npt.assert_array_equal(h[:, : pre.shape[1]], np.maximum(pre, 0.0))
+    npt.assert_array_equal(pairs[-1][1], predict_rows(p, x, z))
+
+    # with noise disabled any z is ignored, whatever its shape
+    plain = init_params(NetConfig(**{**CFG.to_dict(), "noise_enabled": False}), seed=7)
+    npt.assert_array_equal(predict_rows(plain, x, np.zeros((4, 0))), predict_rows(plain, x))
 
 
 def test_noise_required_when_enabled():

@@ -41,6 +41,17 @@ def test_component_and_spec_validation():
         GmmSpec((good, GmmComponent((1.0, 1.0), (1.0, 1.0), 0.4)))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_gaussian_parameters_must_be_finite(bad):
+    """A NaN slips through a plain `s <= 0` check; NaN and inf in a mean or
+    a stddev are rejected at construction."""
+    for mean, stddev in (((bad, 0.0), (1.0, 1.0)), ((0.0, 0.0), (1.0, bad))):
+        with pytest.raises(ContractError):
+            GmmComponent(mean=mean, stddev=stddev, weight=0.5)
+        with pytest.raises(ContractError):
+            DiagGaussianParams(*mean, *stddev)
+
+
 def test_gen_gmm2d_degenerate_components(rng):
     """With vanishing spreads every sample sits on a component mean, and
     the split between means is binomial in the weights."""
@@ -150,6 +161,20 @@ def test_fit_gaussian_grid_contracts():
         fit_gaussian_grid(np.zeros((4, 2)), grid, LossSpec(), m=1, rng=substream(0, "f"))
     with pytest.raises(ContractError):
         fit_gaussian_grid(np.zeros((4, 2)), grid, LossSpec())  # rng required
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_toy_data_must_be_finite(bad):
+    """Non-finite data is the caller's fault: ContractError naming the
+    argument, not a NumericError blaming the first grid point."""
+    data = np.zeros((5, 2))
+    data[3, 1] = bad
+    grid = GridSpec((0.0,), (0.0,), (0.3,), (0.3,))
+    with pytest.raises(ContractError, match="train"):
+        fit_gaussian_grid(data, grid, LossSpec(), rng=substream(0, "f"))
+    with pytest.raises(ContractError, match="test"):
+        eval_gaussian(DiagGaussianParams(0.0, 0.0, 1.0, 1.0), data, LossSpec(),
+                      rng=substream(0, "e"))
 
 
 def test_eval_gaussian_near_point_mass():
