@@ -391,9 +391,10 @@ def cmd_eval(config, args):
         point = _zero_noise_preds(params, x)
         outs = base_candidates(point, k, float(ev["base_sigma"]), substream(seed, "base-jitter"))
     else:
-        # frame by frame into one array: a single pass over all N * K rows
-        # would hold activations that size and, through BLAS blocking,
-        # change the last bits of the outputs
+        # frame by frame into one array: each frame's encoder runs once for
+        # its K candidates, while a single pass over all N frames would hold
+        # N * K rows of activations and, through BLAS blocking, change the
+        # last bits of the outputs
         rng = substream(seed, "eval-noise")
         outs = np.empty((x.shape[0], k, net.y_dim))
         for i in range(x.shape[0]):

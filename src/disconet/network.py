@@ -4,8 +4,12 @@ The generator maps an input x and a noise draw z to an output y: dense
 encoder layers over x (ReLU), concatenation of the encoder output with z,
 dense decoder layers (ReLU), and a final linear layer. Sampling the noise
 K times for the same x yields K candidate outputs, i.e. samples from the
-model's conditional distribution. With noise disabled the concatenation is
-skipped and the network is an ordinary deterministic regressor.
+model's conditional distribution. The K candidates of an input share the
+encoder, so the encoder runs once per input, and the first layer after the
+concatenation takes the encoder's part of its matmul once per input and
+only the noise's part once per candidate. With noise disabled the
+concatenation is skipped and the network is an ordinary deterministic
+regressor.
 """
 
 import json
@@ -43,6 +47,8 @@ class NetConfig:
         dims = (self.x_dim, self.y_dim) + self.encoder_widths + self.decoder_widths
         if any(int(d) < 1 for d in dims):
             raise ContractError(f"all dimensions must be positive, got {dims}")
+        if self.z_dim < 0:
+            raise ContractError(f"z_dim must be >= 0, got {self.z_dim}")
         if self.noise_enabled and self.z_dim < 1:
             raise ContractError("z_dim must be >= 1 when noise is enabled")
 
@@ -156,10 +162,9 @@ class NetworkParams:
             "version": PARAMS_VERSION,
             "net": self.config.to_dict(),
         }
-        lines = [json.dumps(header, sort_keys=True)]
-        lines.extend(repr(float(v)) for v in self.to_flat())
         with open(path, "w", encoding="utf8") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(json.dumps(header, sort_keys=True) + "\n")
+            fh.write("\n".join(map(repr, self.to_flat().tolist())) + "\n")
 
     @classmethod
     def load(cls, path):
@@ -179,22 +184,37 @@ class NetworkParams:
             config = NetConfig.from_dict(header["net"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"{path}: bad architecture header: {exc}") from exc
-        values = []
-        for ln, line in enumerate(raw[1:], start=2):
-            if not line.strip():
-                continue
-            try:
-                value = float(line)
-            except ValueError as exc:
-                raise ParseError(f"{path}: line {ln}: not a number: {line!r}") from exc
-            if not math.isfinite(value):
-                raise ParseError(f"{path}: line {ln}: not a finite number: {line!r}")
-            values.append(value)
-        if len(values) != config.param_count():
+        values = _parse_values(path, raw[1:])
+        if values.size != config.param_count():
             raise ParseError(
-                f"{path}: expected {config.param_count()} values, found {len(values)}"
+                f"{path}: expected {config.param_count()} values, found {values.size}"
             )
-        return cls.from_flat(config, np.asarray(values))
+        return cls.from_flat(config, values)
+
+
+def _parse_values(path, lines):
+    """The checkpoint lines after the header as a float64 array, one finite
+    float per line; blank lines are skipped. All lines are parsed in one
+    pass; only when that fails are they parsed one at a time, so the
+    ParseError names the first bad line of the file."""
+    try:
+        values = np.fromiter(map(float, lines), dtype=np.float64, count=len(lines))
+        if np.isfinite(values).all():
+            return values
+    except ValueError:
+        pass
+    values = []
+    for ln, line in enumerate(lines, start=2):
+        if not line.strip():
+            continue
+        try:
+            value = float(line)
+        except ValueError as exc:
+            raise ParseError(f"{path}: line {ln}: not a number: {line!r}") from exc
+        if not math.isfinite(value):
+            raise ParseError(f"{path}: line {ln}: not a finite number: {line!r}")
+        values.append(value)
+    return np.asarray(values, dtype=np.float64)
 
 
 def init_params(config, seed):
@@ -265,52 +285,78 @@ def forward_rows(g, params, x, z=None):
     return g.add(g.matmul(h, wid), bid)
 
 
-def layer_walk(params, x, z=None):
-    """The generator pass over (R, x_dim) inputs and (R, z_dim) noise,
-    yielding each dense layer's (input, pre-activation) in forward order.
+def layer_walk(params, x, z=None, k=1):
+    """The generator pass for K candidates of each of n inputs, yielding
+    each dense layer's (input, pre-activation) in forward order.
 
-    A hidden layer's input is the ReLU of the previous pre-activation; `z`
-    is appended to the input of the first layer after the encoder, and is
-    ignored when noise is disabled. The last pre-activation is the
-    (R, y_dim) output. Training keeps every input for its backward pass.
+    `x` is (n, x_dim) and `z` the (n, K, z_dim) noise, ignored when noise
+    is disabled. The layers before the noise join run on the n input rows;
+    the join layer splits its weight matrix where its input's noise columns
+    begin, so its pre-activation ``[h, z] @ W + b`` is ``h @ W[:h_w] + b``,
+    once per input, plus ``z @ W[h_w:]``, once per candidate, and its input
+    is the pair ``(h, z)``: h with n rows, z with n K rows, or None when
+    noise is disabled and the shared term is repeated for the K rows. Every later
+    layer runs on the n K rows, example-major, and its input is the ReLU of
+    the previous pre-activation. The last pre-activation is the (n K,
+    y_dim) output. Training keeps every input for its backward pass.
     """
     cfg = params.config
     h = np.asarray(x, dtype=np.float64)
     if h.ndim != 2 or h.shape[1] != cfg.x_dim:
         raise DimensionError(f"x must be (rows, {cfg.x_dim}), got {h.shape}")
+    n = h.shape[0]
     if cfg.noise_enabled:
         if z is None:
             raise ContractError("noise-enabled network needs z")
         z = np.asarray(z, dtype=np.float64)
-        if z.shape != (h.shape[0], cfg.z_dim):
-            raise DimensionError(f"z must be ({h.shape[0]}, {cfg.z_dim}), got {z.shape}")
-    n_enc = len(cfg.encoder_widths)
+        if z.shape != (n, k, cfg.z_dim):
+            raise DimensionError(f"z must be ({n}, {k}, {cfg.z_dim}), got {z.shape}")
+        z = z.reshape(n * k, cfg.z_dim)
+    else:
+        z = None
+    join = len(cfg.encoder_widths)
     for li, (w, b) in enumerate(params.layers):
         if li:
             h = np.maximum(pre, 0.0)
             del pre  # a caller that drops each pair frees it here, as a plain loop would
-        if li == n_enc and cfg.noise_enabled:
-            h = np.concatenate([h, z], axis=1)
-        pre = h @ w + b.reshape(1, -1)
-        yield h, pre
+        if li == join:
+            h_w = h.shape[1]
+            pre = h @ w[:h_w] + b
+            if z is None:
+                pre = np.repeat(pre, k, axis=0)
+            else:
+                pre = (pre[:, None, :] + (z @ w[h_w:]).reshape(n, k, -1)).reshape(n * k, -1)
+            yield (h, z), pre
+        else:
+            pre = h @ w + b.reshape(1, -1)
+            yield h, pre
+
+
+def _walk_output(params, walk):
+    """The last pre-activation of a ``layer_walk``; every earlier pair is
+    dropped at once, so only one layer's arrays are held at a time."""
+    for _ in params.layers[1:]:
+        next(walk)
+    return next(walk)[1]
 
 
 def predict_rows(params, x, z=None):
-    """Plain-array forward pass, mirroring the graph arithmetic exactly:
-    the last pre-activation of ``layer_walk``."""
-    walk = layer_walk(params, x, z)
-    for _ in params.layers[1:]:
-        next(walk)  # dropped at once: prediction holds one layer's arrays at a time
-    return next(walk)[1]
+    """Plain-array forward pass over (R, x_dim) inputs and (R, z_dim)
+    noise: ``layer_walk`` with one candidate per row. `z` is ignored when
+    noise is disabled."""
+    if z is not None:
+        z = np.expand_dims(np.asarray(z, dtype=np.float64), 1)
+    return _walk_output(params, layer_walk(params, x, z))
 
 
 def sample_outputs(params, x, num_candidates, rng):
     """K sampled outputs for every row of `x`, as an (N, K, y_dim) array.
 
     The noise is one (N, K, z_dim) uniform draw from `rng`, the same stream
-    values that N one-row draws in row order would take; the generator then
-    runs once over all N * K rows. With noise disabled no randomness is
-    consumed and all candidates are the deterministic prediction.
+    values that N one-row draws in row order would take; one
+    ``layer_walk`` then runs the encoder once per row and the layers after
+    the noise join over all N * K rows. With noise disabled no randomness
+    is consumed and all candidates are the deterministic prediction.
     """
     if num_candidates < 1:
         raise ContractError("num_candidates must be >= 1")
@@ -319,7 +365,7 @@ def sample_outputs(params, x, num_candidates, rng):
     n, k = x.shape[0], num_candidates
     if cfg.noise_enabled:
         z = rng.uniform(-1.0, 1.0, size=(n, k, cfg.z_dim))
-        outs = predict_rows(params, np.repeat(x, k, axis=0), z.reshape(n * k, cfg.z_dim))
+        outs = _walk_output(params, layer_walk(params, x, z, k))
     else:
         outs = np.repeat(predict_rows(params, x), k, axis=0)
     return outs.reshape(n, k, cfg.y_dim)

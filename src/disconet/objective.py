@@ -128,32 +128,31 @@ def objective_terms(params, x, y, z, cfg):
         ``pq - gamma * qq`` (``pq`` when gamma = 0); and the gradient of the
         objective in ``NetworkParams.to_flat`` order.
 
-    One forward pass, ``network.layer_walk`` over the n K rows, keeps every
-    layer's input; the pre-activations are not kept, since ReLU(pre) > 0
-    exactly where pre > 0. The data term is taken on the (n K, y_dim)
-    differences to y, the pair term on one (n, K, K, y_dim) broadcast of
-    candidate differences. Because the pair coefficient c_ab is symmetric
-    in a and b, candidate a's pair gradient is 2 * sum_b c_ab w (g_a - g_b).
-    A hand-written backward pass carries the candidate gradient through the
-    layers; ReLU has derivative 0 at 0.
+    One forward pass, ``network.layer_walk``, keeps every layer's input:
+    the encoder runs on the n input rows, the layers after the noise join
+    on the n K candidate rows. The pre-activations are not kept, since
+    ReLU(pre) > 0 exactly where pre > 0. The data term is taken on the
+    (n K, y_dim) differences to y, the pair term on one (n, K, K, y_dim)
+    broadcast of candidate differences. Because the pair coefficient c_ab
+    is symmetric in a and b, candidate a's pair gradient is
+    2 * sum_b c_ab w (g_a - g_b). A hand-written backward pass carries the
+    candidate gradient through the layers; ReLU has derivative 0 at 0. At
+    the join layer the gradient is summed over each input's K candidates
+    once, so the encoder's backward also runs on n rows.
 
-    Rows are example-major and every sum runs in the order the graph form
-    ``disco_objective_node`` sums it, so the two agree to roundoff and, on
-    the desk and full-scale nets measured, bitwise. Nothing is checked for
-    finiteness here; the caller checks the value and the gradient.
+    Rows are example-major, and the loss terms sum in the order the graph
+    form ``disco_objective_node`` sums them. The graph form runs every layer
+    on n K repeated rows and never splits the join layer's matmul, so the
+    two agree to roundoff, not bitwise. Nothing is checked for finiteness
+    here; the caller checks the value and the gradient.
     """
     net = params.config
     x, y = _batch_arrays((x, y))
     if y.shape[1] != net.y_dim:
         raise DimensionError(f"y has dim {y.shape[1]}, the net outputs {net.y_dim}")
     n, k, m = x.shape[0], cfg.num_candidates, net.y_dim
-    if net.noise_enabled and z is not None:
-        z = np.asarray(z, dtype=np.float64)
-        if z.shape != (n, k, net.z_dim):
-            raise DimensionError(f"noises must be ({n}, {k}, {net.z_dim}), got {z.shape}")
-        z = z.reshape(n * k, net.z_dim)
     inputs = []
-    for h, out in layer_walk(params, np.repeat(x, k, axis=0), z):
+    for h, out in layer_walk(params, x, z, k):
         inputs.append(h)
 
     wl, beta = cfg.loss.weight_vector(m), cfg.loss.beta
@@ -179,18 +178,26 @@ def objective_terms(params, x, y, z, cfg):
             pair_grad = (c[..., None] * (wl * diff)).sum(axis=1)
             grad_out = 2.0 * pair_grad.reshape(n * k, m) + grad_out
 
-    last = len(inputs) - 1
-    grads = [None] * len(inputs)
+    join = len(net.encoder_widths)
+    grads = []
     delta = grad_out
-    for li in range(last, -1, -1):
-        if li < last:
-            # pre > 0 exactly where ReLU(pre), the next layer's input, is > 0
-            delta = delta * (inputs[li + 1][:, : delta.shape[1]] > 0.0)
-        grads[li] = (inputs[li].T @ delta).ravel(), delta.sum(axis=0)
+    for li in range(len(inputs) - 1, -1, -1):
+        h, w = inputs[li], params.layers[li][0]
+        gb = delta.sum(axis=0)
+        if li == join:
+            # h is shared by an input's K candidates, z is drawn per candidate
+            h, zj = h
+            gz = [] if zj is None else [zj.T @ delta]
+            delta = delta.reshape(n, k, -1).sum(axis=1)
+            gw = np.concatenate([h.T @ delta, *gz])
+            w = w[: h.shape[1]]
+        else:
+            gw = h.T @ delta
+        grads.append((gw.ravel(), gb))
         if li > 0:
-            # trimmed to the previous layer's outputs: appended noise takes none
-            delta = (delta @ params.layers[li][0].T)[:, : params.layers[li - 1][0].shape[1]]
-    return pq, qq, value, np.concatenate([part for pair in grads for part in pair])
+            # h = ReLU(pre) of the layer below, so pre > 0 exactly where h > 0
+            delta = (delta @ w.T) * (h > 0.0)
+    return pq, qq, value, np.concatenate([part for pair in reversed(grads) for part in pair])
 
 
 def candidate_pair_indices(num_candidates, num_examples):

@@ -175,25 +175,38 @@ def load_csv(path, x_dim, y_dim):
     both naming the line. An empty file yields empty arrays.
     """
     width = int(x_dim) + int(y_dim)
-    xs, ys = [], []
     with open(path, "r", encoding="utf8") as fh:
-        for ln, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            fields = [f.strip() for f in text.split(",")]
-            if len(fields) != width:
-                raise SchemaError(f"{path}: line {ln}: expected {width} fields, got {len(fields)}")
-            try:
-                row = [float(f) for f in fields]
-            except ValueError as exc:
-                raise ParseError(f"{path}: line {ln}: {exc}") from exc
-            if not all(map(math.isfinite, row)):
-                raise ParseError(f"{path}: line {ln}: non-finite value in {text!r}")
-            xs.append(row[:x_dim])
-            ys.append(row[x_dim:])
-    if not xs:
+        lines = fh.read().split("\n")
+    rows = [t for t in map(str.strip, lines) if t and not t.startswith("#")]
+    if not rows:
         return np.zeros((0, x_dim)), np.zeros((0, y_dim))
+    # every field of every row in one pass; a row of the wrong arity, a
+    # malformed or a non-finite field sends it to the line-by-line loop below
+    if all(t.count(",") == width - 1 for t in rows):
+        try:
+            flat = np.fromiter(map(float, ",".join(rows).split(",")), dtype=np.float64,
+                               count=len(rows) * width)
+            if np.isfinite(flat).all():
+                table = flat.reshape(len(rows), width)
+                return table[:, :x_dim].copy(), table[:, x_dim:].copy()
+        except ValueError:
+            pass
+    xs, ys = [], []
+    for ln, line in enumerate(lines, start=1):
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        fields = [f.strip() for f in text.split(",")]
+        if len(fields) != width:
+            raise SchemaError(f"{path}: line {ln}: expected {width} fields, got {len(fields)}")
+        try:
+            row = [float(f) for f in fields]
+        except ValueError as exc:
+            raise ParseError(f"{path}: line {ln}: {exc}") from exc
+        if not all(map(math.isfinite, row)):
+            raise ParseError(f"{path}: line {ln}: non-finite value in {text!r}")
+        xs.append(row[:x_dim])
+        ys.append(row[x_dim:])
     return np.asarray(xs), np.asarray(ys)
 
 

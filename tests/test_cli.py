@@ -17,6 +17,7 @@ from disconet import (
     energy_score_sample,
     init_params,
     predict_rows,
+    sample_outputs,
     save_csv,
 )
 from disconet.cli import _SCHEMA, SCHEMA_VERSION, _write_json, config_hash, load_config, main
@@ -555,8 +556,7 @@ def test_eval_probloss_replays_draw_order(tmp_path, base_sigma):
         if base_sigma > 0.0:
             outs = point[i] + base_sigma * rng.standard_normal((k, net.y_dim))
         else:
-            z = rng.uniform(-1.0, 1.0, size=(k, net.z_dim))
-            outs = predict_rows(params, np.tile(x[i], (k, 1)), z)
+            outs = sample_outputs(params, x[i : i + 1], k, rng)[0]
         scores.append(energy_score_sample(outs, y[i], LossSpec(beta=1.0)))
     scores = np.asarray(scores)
     got = json.loads((out / "metrics.json").read_text())["probloss"]

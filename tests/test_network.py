@@ -14,6 +14,7 @@ from disconet import (
     init_params,
     predict_rows,
     sample_candidates,
+    sample_outputs,
 )
 from disconet.network import layer_walk
 
@@ -43,6 +44,9 @@ def test_config_validation():
         NetConfig(x_dim=1, y_dim=1, z_dim=0)
     with pytest.raises(ContractError):
         NetConfig(x_dim=1, y_dim=1, encoder_widths=(0,))
+    with pytest.raises(ContractError, match="z_dim must be >= 0"):
+        NetConfig(x_dim=1, y_dim=1, z_dim=-5, noise_enabled=False)
+    assert NetConfig(x_dim=1, y_dim=1, z_dim=0, noise_enabled=False).noise_dim == 0
 
 
 def test_config_round_trip():
@@ -84,6 +88,11 @@ def test_save_load_round_trip(tmp_path):
     q = NetworkParams.load(path)
     assert q.config == CFG
     npt.assert_array_equal(p.to_flat(), q.to_flat())
+
+    # blank lines are skipped, by the line-by-line parse the one-pass parse falls back to
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:3] + ["", "  "] + lines[3:]) + "\n\n")
+    npt.assert_array_equal(NetworkParams.load(path).to_flat(), p.to_flat())
 
 
 def test_load_errors(tmp_path):
@@ -140,25 +149,58 @@ def test_forward_matches_predict():
 
 
 def test_layer_walk_pairs():
-    """One (input, pre-activation) pair per dense layer: z joins the input
-    of the first layer after the encoder, every later input starts with the
-    ReLU of the previous pre-activation, and the last pre-activation is the
-    output predict_rows returns."""
+    """One (input, pre-activation) pair per dense layer: the join layer's
+    input is the pair (h, z) and its pre-activation is [h, z] @ W + b, every
+    later input is the ReLU of the previous pre-activation, and the last
+    pre-activation is the output predict_rows returns."""
     p = init_params(CFG, seed=7)
     rng = np.random.default_rng(1)
     x = rng.normal(size=(4, 2))
     z = rng.normal(size=(4, 3))
-    pairs = list(layer_walk(p, x, z))
-    assert [(h.shape[1], pre.shape[1]) for h, pre in pairs] == CFG.layer_dims()
+    pairs = list(layer_walk(p, x, z[:, None, :]))
+    (h, zj), pre = pairs[1]
+    assert [h.shape[1] + zj.shape[1], pre.shape[1]] == list(CFG.layer_dims()[1])
+    assert [(h.shape[1], pre.shape[1]) for h, pre in pairs[::2]] == CFG.layer_dims()[::2]
     npt.assert_array_equal(pairs[0][0], x)
-    npt.assert_array_equal(pairs[1][0][:, -3:], z)
-    for (_, pre), (h, _) in zip(pairs, pairs[1:]):
-        npt.assert_array_equal(h[:, : pre.shape[1]], np.maximum(pre, 0.0))
+    npt.assert_array_equal(zj, z)
+    w, b = p.layers[1]
+    npt.assert_allclose(pre, np.hstack([h, zj]) @ w + b, rtol=1e-13, atol=1e-15)
+    npt.assert_array_equal(h, np.maximum(pairs[0][1], 0.0))
+    npt.assert_array_equal(pairs[2][0], np.maximum(pre, 0.0))
     npt.assert_array_equal(pairs[-1][1], predict_rows(p, x, z))
 
     # with noise disabled any z is ignored, whatever its shape
     plain = init_params(NetConfig(**{**CFG.to_dict(), "noise_enabled": False}), seed=7)
     npt.assert_array_equal(predict_rows(plain, x, np.zeros((4, 0))), predict_rows(plain, x))
+
+
+@pytest.mark.parametrize("noise_enabled", [True, False], ids=["noise", "noise-disabled"])
+def test_layer_walk_row_counts(noise_enabled):
+    """The layers before the noise join run once per input and the layers
+    after it once per candidate: n rows up to the join, whose input pairs
+    the n-row h with the n K-row z, then n K rows, example-major. The last
+    pre-activation is what sample_outputs returns for the same draws."""
+    cfg = NetConfig(x_dim=2, y_dim=2, z_dim=3, encoder_widths=(5, 6), decoder_widths=(4, 3),
+                    noise_enabled=noise_enabled)
+    p = init_params(cfg, seed=8)
+    n, k = 3, 4
+    x = np.random.default_rng(0).normal(size=(n, 2))
+    z = np.random.default_rng(5).uniform(-1.0, 1.0, size=(n, k, 3))
+    pairs = list(layer_walk(p, x, z, k))
+    assert len(pairs) == len(cfg.layer_dims())
+    for h, pre in pairs[:2]:
+        assert h.shape[0] == pre.shape[0] == n
+    (h, zj), pre = pairs[2]
+    assert h.shape[0] == n and pre.shape[0] == n * k
+    if noise_enabled:
+        npt.assert_array_equal(zj, z.reshape(n * k, 3))
+    else:
+        assert zj is None
+        npt.assert_array_equal(pre.reshape(n, k, -1), np.stack([pre[::k]] * k, axis=1))
+    for h, pre in pairs[3:]:
+        assert h.shape[0] == pre.shape[0] == n * k
+    outs = sample_outputs(p, x, k, np.random.default_rng(5))
+    npt.assert_array_equal(pairs[-1][1], outs.reshape(n * k, -1))
 
 
 def test_noise_required_when_enabled():
@@ -212,5 +254,5 @@ def test_sample_candidates_shapes_and_noises():
     assert outs.shape == (4, 2)
     # outputs reproduce from the noise replayed from the same seeded stream:
     # one (K, z_dim) block of uniform draws on [-1, 1]
-    z = np.random.default_rng(2).uniform(-1.0, 1.0, size=(4, 3))
-    npt.assert_array_equal(outs, predict_rows(p, np.tile([0.5, -0.5], (4, 1)), z))
+    z = np.random.default_rng(2).uniform(-1.0, 1.0, size=(1, 4, 3))
+    npt.assert_array_equal(outs, list(layer_walk(p, np.array([[0.5, -0.5]]), z, 4))[-1][1])
