@@ -6,8 +6,8 @@ with fixed sections and strict validation: any unknown section or key is
 an error, and a ``schema_version`` tag is required. Every command's
 randomness flows from the config's seed through named substreams, so a
 rerun with the same config and seed writes byte-identical files. Every
-output file embeds the SHA-256 hash of the effective config (after any
-``--seed`` override).
+CSV and JSON artifact embeds the SHA-256 hash of the effective config
+(after any ``--seed`` override); checkpoints do not.
 
 Exit codes: 0 success; 1 a checked result condition failed (cross-table
 dominance or gradient tolerance); 2 config error; 3 data error; 4 numeric
@@ -35,6 +35,7 @@ from .metrics import JointLayout, base_candidates, metrics_report
 from .network import (
     NetConfig,
     NetworkParams,
+    draw_noise,
     init_params,
     predict_rows,
     sample_candidates,
@@ -272,7 +273,10 @@ def _load_xy(config, data_override, seed, x_dim, y_dim):
     """Resolve the (x, y) dataset: explicit path, config path, or generator."""
     path = data_override or config["data"]["path"]
     if path is not None:
-        return load_csv(path, x_dim, y_dim)
+        x, y = load_csv(path, x_dim, y_dim)
+        if x.shape[0] == 0:
+            raise SchemaError(f"{path}: no data rows")
+        return x, y
     generator = config["data"]["generator"]
     if generator is None:
         raise ConfigError("data.path and data.generator are both null")
@@ -384,8 +388,6 @@ def cmd_eval(config, args):
     params = NetworkParams.load(args.checkpoint)
     net = params.config
     x, y = _load_xy(config, args.data, seed, net.x_dim, net.y_dim)
-    if x.shape[0] == 0:
-        raise SchemaError("evaluation dataset is empty")
     layout = JointLayout.grouped(net.y_dim, ev["group_size"])
     if float(ev["base_sigma"]) > 0.0:
         point = _zero_noise_preds(params, x)
@@ -431,9 +433,7 @@ def cmd_gradcheck(config, args):
     rng = substream(gc["seed"], "gradcheck-data")
     x = rng.uniform(-1.0, 1.0, size=(n, net.x_dim))
     y = rng.uniform(-1.0, 1.0, size=(n, net.y_dim))
-    noises = None
-    if net.noise_enabled:
-        noises = rng.uniform(-1.0, 1.0, size=(n, k, net.z_dim))
+    noises = draw_noise(net, n, k, rng)
     params = init_params(net, derive_seed(gc["seed"], "gradcheck-init"))
     worst = 0.0
     for gamma in gc["gammas"]:
@@ -445,8 +445,6 @@ def cmd_gradcheck(config, args):
             def f(flat):
                 p = NetworkParams.from_flat(net, flat)
                 _, _, value, grad = objective_terms(p, x, y, noises, objective)
-                if args.corrupt_analytic:
-                    grad = grad + 1e-3
                 return value, grad
 
             err = grad_check(f, params.to_flat(), step=float(gc["step"]))
@@ -512,8 +510,8 @@ _COMMANDS = {
               ("--config", "--out", "--seed", "--data")),
     "eval": ("evaluate a checkpoint on a dataset", ("data", "eval"),
              ("--config", "--out", "--seed", "--data", "--checkpoint")),
-    "gradcheck": ("compare analytic gradients against central differences", ("net",),
-                  ("--config", "--seed", "--corrupt-analytic")),
+    "gradcheck": ("compare analytic gradients against central differences",
+                  ("net", "gradcheck"), ("--config", "--seed")),
     "sweep": ("train over seeds x L2 values and pick the best", _TRAIN_SECTIONS + ("sweep",),
               ("--config", "--out", "--seed", "--data")),
 }
@@ -524,10 +522,6 @@ _FLAGS = {
     "--seed": {"type": int, "default": None, "help": "override the config seed(s)"},
     "--data": {"default": None, "help": "CSV dataset overriding the config"},
     "--checkpoint": {"required": True, "help": "checkpoint to evaluate"},
-    "--corrupt-analytic": {
-        "action": "store_true",
-        "help": "testing hook: perturb the analytic gradient so the check must fail",
-    },
 }
 
 # error class -> exit code; the first match wins, so every DisconetError not

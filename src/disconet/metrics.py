@@ -251,11 +251,18 @@ def metrics_report(outs, gts, layout, distances, task_loss=LossSpec(), pointwise
     default to maximum-expected-utility selection per input; pass
     `pointwise_preds` to evaluate externally chosen predictions (e.g. the
     zero-noise forward pass) instead. With a single candidate per input
-    the probabilistic entries are None.
+    the probabilistic entries are None. Two distinct FF distances that
+    print alike under ``:g`` are a ContractError, since the report keys FF
+    values by that label.
     """
     outs = candidate_array(outs)
     gts = np.asarray(gts, dtype=np.float64)
     k = outs.shape[1]
+    labels = {}
+    for d in map(float, distances):
+        seen = labels.setdefault(f"{d:g}", d)
+        if seen != d:
+            raise ContractError(f"FF distances {seen!r} and {d!r} share the label {d:g}")
     if pointwise_preds is None:
         preds = np.asarray([meu_predict(o, task_loss)[1] for o in outs])
     else:

@@ -7,9 +7,9 @@ K times for the same x yields K candidate outputs, i.e. samples from the
 model's conditional distribution. The K candidates of an input share the
 encoder, so the encoder runs once per input, and the first layer after the
 concatenation takes the encoder's part of its matmul once per input and
-only the noise's part once per candidate. With noise disabled the
-concatenation is skipped and the network is an ordinary deterministic
-regressor.
+only the noise's part once per candidate. A net with noise disabled takes
+the same pass with noise of width zero: its K candidates coincide and it is
+an ordinary deterministic regressor.
 """
 
 import json
@@ -28,10 +28,12 @@ PARAMS_VERSION = 1
 class NetConfig:
     """Generator architecture: layer widths and the noise channel.
 
-    Noise coordinates are drawn i.i.d. uniform on [-1, 1] and concatenated
-    after the encoder stack. All hidden layers use ReLU; the output layer
-    is linear. The defaults are desk-scale; the full-scale hand-pose setup
-    uses z_dim=200 with wider layers.
+    Noise coordinates are drawn i.i.d. uniform on [-1, 1] (``draw_noise``)
+    and concatenated after the encoder stack. With ``noise_enabled`` False
+    the noise has width ``noise_dim`` = 0, whatever ``z_dim`` says. All
+    hidden layers use ReLU; the output layer is linear. The defaults are
+    desk-scale; the full-scale hand-pose setup uses z_dim=200 with wider
+    layers.
     """
 
     x_dim: int
@@ -285,35 +287,41 @@ def forward_rows(g, params, x, z=None):
     return g.add(g.matmul(h, wid), bid)
 
 
+def draw_noise(config, n, k, rng):
+    """The (n, K, noise_dim) noise for K candidates of each of n inputs:
+    i.i.d. uniform on [-1, 1], in row order. A noise-free net's draw is
+    empty and takes nothing from `rng`."""
+    return rng.uniform(-1.0, 1.0, size=(n, k, config.noise_dim))
+
+
 def layer_walk(params, x, z=None, k=1):
     """The generator pass for K candidates of each of n inputs, yielding
     each dense layer's (input, pre-activation) in forward order.
 
-    `x` is (n, x_dim) and `z` the (n, K, z_dim) noise, ignored when noise
-    is disabled. The layers before the noise join run on the n input rows;
-    the join layer splits its weight matrix where its input's noise columns
-    begin, so its pre-activation ``[h, z] @ W + b`` is ``h @ W[:h_w] + b``,
-    once per input, plus ``z @ W[h_w:]``, once per candidate, and its input
-    is the pair ``(h, z)``: h with n rows, z with n K rows, or None when
-    noise is disabled and the shared term is repeated for the K rows. Every later
-    layer runs on the n K rows, example-major, and its input is the ReLU of
-    the previous pre-activation. The last pre-activation is the (n K,
-    y_dim) output. Training keeps every input for its backward pass.
+    `x` is (n, x_dim) and `z` the (n, K, z_dim) noise. A net with noise
+    disabled ignores `z` and walks with noise of width zero. The layers
+    before the noise join run on the n input rows; the join layer splits its
+    weight matrix where its input's noise columns begin, so its
+    pre-activation ``[h, z] @ W + b`` is ``h @ W[:h_w] + b``, once per input,
+    plus ``z @ W[h_w:]``, once per candidate (all zeros at width zero), and
+    its input is the pair ``(h, z)``: h with n rows, z with n K rows. Every
+    later layer runs on the n K rows, example-major, and its input is the
+    ReLU of the previous pre-activation. The last pre-activation is the
+    (n K, y_dim) output. Training keeps every input for its backward pass.
     """
     cfg = params.config
     h = np.asarray(x, dtype=np.float64)
     if h.ndim != 2 or h.shape[1] != cfg.x_dim:
         raise DimensionError(f"x must be (rows, {cfg.x_dim}), got {h.shape}")
     n = h.shape[0]
-    if cfg.noise_enabled:
-        if z is None:
-            raise ContractError("noise-enabled network needs z")
-        z = np.asarray(z, dtype=np.float64)
-        if z.shape != (n, k, cfg.z_dim):
-            raise DimensionError(f"z must be ({n}, {k}, {cfg.z_dim}), got {z.shape}")
-        z = z.reshape(n * k, cfg.z_dim)
-    else:
-        z = None
+    if not cfg.noise_enabled:
+        z = np.empty((n, k, 0))
+    elif z is None:
+        raise ContractError("noise-enabled network needs z")
+    z = np.asarray(z, dtype=np.float64)
+    if z.shape != (n, k, cfg.noise_dim):
+        raise DimensionError(f"z must be ({n}, {k}, {cfg.noise_dim}), got {z.shape}")
+    z = z.reshape(n * k, cfg.noise_dim)
     join = len(cfg.encoder_widths)
     for li, (w, b) in enumerate(params.layers):
         if li:
@@ -321,11 +329,8 @@ def layer_walk(params, x, z=None, k=1):
             del pre  # a caller that drops each pair frees it here, as a plain loop would
         if li == join:
             h_w = h.shape[1]
-            pre = h @ w[:h_w] + b
-            if z is None:
-                pre = np.repeat(pre, k, axis=0)
-            else:
-                pre = (pre[:, None, :] + (z @ w[h_w:]).reshape(n, k, -1)).reshape(n * k, -1)
+            pre = (h @ w[:h_w] + b)[:, None, :] + (z @ w[h_w:]).reshape(n, k, -1)
+            pre = pre.reshape(n * k, -1)
             yield (h, z), pre
         else:
             pre = h @ w + b.reshape(1, -1)
@@ -352,30 +357,23 @@ def predict_rows(params, x, z=None):
 def sample_outputs(params, x, num_candidates, rng):
     """K sampled outputs for every row of `x`, as an (N, K, y_dim) array.
 
-    The noise is one (N, K, z_dim) uniform draw from `rng`, the same stream
-    values that N one-row draws in row order would take; one
-    ``layer_walk`` then runs the encoder once per row and the layers after
-    the noise join over all N * K rows. With noise disabled no randomness
-    is consumed and all candidates are the deterministic prediction.
+    The noise is one ``draw_noise`` from `rng`, the same stream values that
+    N one-row draws in row order would take; one ``layer_walk`` then runs
+    the encoder once per row and the layers after the noise join over all
+    N * K rows. A noise-free net draws nothing, and its K candidates
+    coincide.
     """
     if num_candidates < 1:
         raise ContractError("num_candidates must be >= 1")
-    cfg = params.config
     x = np.asarray(x, dtype=np.float64)
     n, k = x.shape[0], num_candidates
-    if cfg.noise_enabled:
-        z = rng.uniform(-1.0, 1.0, size=(n, k, cfg.z_dim))
-        outs = _walk_output(params, layer_walk(params, x, z, k))
-    else:
-        outs = np.repeat(predict_rows(params, x), k, axis=0)
-    return outs.reshape(n, k, cfg.y_dim)
+    z = draw_noise(params.config, n, k, rng)
+    return _walk_output(params, layer_walk(params, x, z, k)).reshape(n, k, params.config.y_dim)
 
 
 def sample_candidates(params, x, num_candidates, rng):
     """The (K, y_dim) candidates for one input `x`: ``sample_outputs`` on a
-    single row. With noise disabled no randomness is consumed and all
-    candidates are the single deterministic prediction.
-    """
+    single row."""
     x = np.asarray(x, dtype=np.float64).reshape(1, -1)
     return sample_outputs(params, x, num_candidates, rng)[0]
 

@@ -117,8 +117,9 @@ def objective_terms(params, x, y, z, cfg):
     params : NetworkParams
     x, y : arrays of shape (n, x_dim) and (n, y_dim)
     z : array of shape (n, K, z_dim), or None
-        Pre-drawn noise, held fixed. Required when the network has its noise
-        channel enabled; ignored otherwise.
+        Pre-drawn noise (``network.draw_noise``), held fixed. Required when
+        the network has its noise channel enabled; a noise-free net ignores
+        it and walks with noise of width zero.
     cfg : ObjectiveConfig
 
     Returns
@@ -186,11 +187,9 @@ def objective_terms(params, x, y, z, cfg):
         gb = delta.sum(axis=0)
         if li == join:
             # h is shared by an input's K candidates, z is drawn per candidate
-            h, zj = h
-            gz = [] if zj is None else [zj.T @ delta]
-            delta = delta.reshape(n, k, -1).sum(axis=1)
-            gw = np.concatenate([h.T @ delta, *gz])
-            w = w[: h.shape[1]]
+            (h, zj), ds = h, delta.reshape(n, k, -1).sum(axis=1)
+            gw = np.concatenate([h.T @ ds, zj.T @ delta])
+            delta, w = ds, w[: h.shape[1]]
         else:
             gw = h.T @ delta
         grads.append((gw.ravel(), gb))

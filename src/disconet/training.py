@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractError, DimensionError, NumericError, ParameterError
-from .network import NetworkParams, init_params, sample_outputs
+from .network import NetworkParams, draw_noise, init_params, sample_outputs
 from .objective import ObjectiveConfig, _batch_arrays, disco_objective, objective_terms
 from .rng import derive_seed, substream
 
@@ -155,9 +155,7 @@ def train(net_config, train_config, data, checkpoint_dir=None):
         for bi, start in enumerate(range(0, n, cfg.batch_size), start=1):
             idx = perm[start : start + cfg.batch_size]
             xb, yb = x_train[idx], y_train[idx]
-            noises = None
-            if net_config.noise_enabled:
-                noises = noise_rng.uniform(-1.0, 1.0, size=(len(idx), k, net_config.z_dim))
+            noises = draw_noise(net_config, len(idx), k, noise_rng)
             pq, qq, value, grads = objective_terms(params, xb, yb, noises, cfg.objective)
             if not (math.isfinite(value) and np.all(np.isfinite(grads))):
                 raise NumericError(f"epoch {epoch}, batch {bi}: non-finite objective or gradient")

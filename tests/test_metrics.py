@@ -222,6 +222,18 @@ def test_metrics_report_assembles():
         metrics_report(outs[0], gts, JointLayout.scalar(2), distances=(0.5,))
 
 
+def test_metrics_report_rejects_colliding_ff_labels():
+    """FF values are keyed by the distance's ``:g`` label in metrics.json and
+    metrics.csv, so two distinct distances sharing a label would lose one."""
+    outs, gts = _report_fixture()
+    layout = JointLayout.scalar(2)
+    with pytest.raises(ContractError, match="1.0 and 1.0000001"):
+        metrics_report(outs, gts, layout, distances=(1.0, 1.0000001, 1.5))
+    # the same distance twice is one entry under one label
+    rep = metrics_report(outs, gts, layout, distances=(1.0, 1.0, 1.5))
+    assert set(rep.to_json_dict()["ff"]) == {"1", "1.5"}
+
+
 def test_metrics_report_single_candidate():
     outs = [[[1.0, 0.0]], [[0.0, 2.0]]]
     rep = metrics_report(outs, np.zeros((2, 2)), JointLayout.scalar(2), distances=(1.0,))

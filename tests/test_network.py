@@ -16,7 +16,7 @@ from disconet import (
     sample_candidates,
     sample_outputs,
 )
-from disconet.network import layer_walk
+from disconet.network import draw_noise, layer_walk
 
 
 CFG = NetConfig(x_dim=2, y_dim=2, z_dim=3, encoder_widths=(5,), decoder_widths=(4,))
@@ -195,7 +195,8 @@ def test_layer_walk_row_counts(noise_enabled):
     if noise_enabled:
         npt.assert_array_equal(zj, z.reshape(n * k, 3))
     else:
-        assert zj is None
+        # the noise-free walk joins noise of width zero
+        assert zj.shape == (n * k, 0)
         npt.assert_array_equal(pre.reshape(n, k, -1), np.stack([pre[::k]] * k, axis=1))
     for h, pre in pairs[3:]:
         assert h.shape[0] == pre.shape[0] == n * k
@@ -245,7 +246,21 @@ def test_noise_disabled_candidates_constant():
     assert outs.shape == (6, 2)
     assert np.ptp(outs, axis=0).max() == 0.0
     assert rng.bit_generator.state == state_before
-    npt.assert_array_equal(outs[0], predict_rows(p, np.array([[0.5, -0.5]]))[0])
+    # replayed through the same K-row walk: one row through BLAS need not
+    # sum in the order K rows do
+    npt.assert_array_equal(outs, list(layer_walk(p, np.array([[0.5, -0.5]]), None, 6))[-1][1])
+
+
+def test_draw_noise_law_and_zero_width():
+    """The noise law: i.i.d. uniform on [-1, 1] in row order; a noise-free
+    net's draw has width zero and leaves the stream where it was."""
+    rng = np.random.default_rng(3)
+    z = draw_noise(CFG, 2, 4, rng)
+    npt.assert_array_equal(z, np.random.default_rng(3).uniform(-1.0, 1.0, size=(2, 4, 3)))
+    plain = NetConfig(**{**CFG.to_dict(), "noise_enabled": False})
+    state = rng.bit_generator.state
+    assert draw_noise(plain, 2, 4, rng).shape == (2, 4, 0)
+    assert rng.bit_generator.state == state
 
 
 def test_sample_candidates_shapes_and_noises():
