@@ -26,7 +26,7 @@ import numpy as np
 from .autodiff import SINGULARITY_EPS
 from .errors import ContractError, DimensionError, EstimatorError, ParameterError
 from .network import NetworkParams, bind_params, candidate_array, forward_rows, layer_walk
-from .scoring import LossSpec, data_term, pair_term, sq_norm
+from .scoring import LossSpec, data_term, pair_term, sorted_pairs, sq_norm
 
 
 @dataclass(frozen=True)
@@ -109,6 +109,18 @@ def _norm_slope(s, upstream, beta):
         return np.where(s >= SINGULARITY_EPS, upstream * beta * s ** (beta / 2.0 - 1.0), 0.0)
 
 
+def _sorted_pair_grad(g, w, upstream):
+    """Gradient of upstream * sum_{a != b} sqrt(w) |g_a - g_b| with respect
+    to each g_a, for (n, K) candidate values g of one output: 2 sqrt(w)
+    upstream (#{b: g_b < g_a - t} - #{b: g_b > g_a + t}) with
+    t = sqrt(SINGULARITY_EPS / w). This is _norm_slope's zero rule at
+    beta = 1: exact ties and differences under t contribute 0."""
+    t = np.sqrt(SINGULARITY_EPS / w)
+    below = (g[:, None, :] < (g - t)[:, :, None]).sum(axis=2)
+    above = (g[:, None, :] > (g + t)[:, :, None]).sum(axis=2)
+    return (2.0 * np.sqrt(w) * upstream) * (below - above)
+
+
 def objective_terms(params, x, y, z, cfg):
     """The sampled objective of one minibatch, its two terms and its gradient.
 
@@ -133,16 +145,22 @@ def objective_terms(params, x, y, z, cfg):
     the encoder runs on the n input rows, the layers after the noise join
     on the n K candidate rows. The pre-activations are not kept, since
     ReLU(pre) > 0 exactly where pre > 0. The data term is taken on the
-    (n K, y_dim) differences to y, the pair term on one (n, K, K, y_dim)
-    broadcast of candidate differences. Because the pair coefficient c_ab
-    is symmetric in a and b, candidate a's pair gradient is
-    2 * sum_b c_ab w (g_a - g_b). A hand-written backward pass carries the
-    candidate gradient through the layers; ReLU has derivative 0 at 0. At
-    the join layer the gradient is summed over each input's K candidates
-    once, so the encoder's backward also runs on n rows.
+    (n K, y_dim) differences to y. The pair term has two forms, chosen by
+    ``scoring.sorted_pairs`` from the shape and the loss alone. With one
+    output and beta = 1 it is ``scoring.pair_term`` on sorted candidates,
+    and candidate a's pair gradient counts the candidates below and above
+    it (``_sorted_pair_grad``); no (n, K, K) float array is built.
+    Otherwise it is one (n, K, K, y_dim) broadcast of candidate
+    differences, and since the pair coefficient c_ab is symmetric in a and
+    b, candidate a's pair gradient is 2 * sum_b c_ab w (g_a - g_b). A
+    hand-written backward pass carries the candidate gradient through the
+    layers; ReLU has derivative 0 at 0. At the join layer the gradient is
+    summed over each input's K candidates once, so the encoder's backward
+    also runs on n rows.
 
-    Rows are example-major, and the loss terms sum in the order the graph
-    form ``disco_objective_node`` sums them. The graph form runs every layer
+    Rows are example-major, and the loss terms of the broadcast form sum in
+    the order the graph form ``disco_objective_node`` sums them; the sorted
+    form sums its pairs in another order. The graph form runs every layer
     on n K repeated rows and never splits the join layer's matmul, so the
     two agree to roundoff, not bitwise. Nothing is checked for finiteness
     here; the caller checks the value and the gradient.
@@ -166,18 +184,25 @@ def objective_terms(params, x, y, z, cfg):
     value = pq
     if k >= 2:
         g = out.reshape(n, k, m)
-        # diff[i, b, a] = g_a - g_b: the sum over axis 1 runs over b in order
-        diff = g[:, None, :, :] - g[:, :, None, :]
-        s_pair = sq_norm(diff.reshape(-1, m), wl).reshape(n, k, k)
         pair_scale = 1.0 / (n * k * (k - 1))
-        # the distinct pairs as one flat run, summed the way the graph form sums them
-        distinct = s_pair[:, ~np.eye(k, dtype=bool)].ravel()
-        qq = float(np.sum(distinct ** (beta / 2.0))) * pair_scale
-        if cfg.gamma > 0.0:
-            value = pq - cfg.gamma * qq
-            c = _norm_slope(s_pair, pair_scale * -cfg.gamma, beta)
-            pair_grad = (c[..., None] * (wl * diff)).sum(axis=1)
-            grad_out = 2.0 * pair_grad.reshape(n * k, m) + grad_out
+        if sorted_pairs(m, beta):
+            qq = float(np.mean(pair_term(g, wl, beta)))
+            if cfg.gamma > 0.0:
+                value = pq - cfg.gamma * qq
+                pair_grad = _sorted_pair_grad(g[:, :, 0], wl[0], pair_scale * -cfg.gamma)
+                grad_out = pair_grad.reshape(n * k, 1) + grad_out
+        else:
+            # diff[i, b, a] = g_a - g_b: the sum over axis 1 runs over b in order
+            diff = g[:, None, :, :] - g[:, :, None, :]
+            s_pair = sq_norm(diff.reshape(-1, m), wl).reshape(n, k, k)
+            # the distinct pairs as one flat run, summed the way the graph form sums them
+            distinct = s_pair[:, ~np.eye(k, dtype=bool)].ravel()
+            qq = float(np.sum(distinct ** (beta / 2.0))) * pair_scale
+            if cfg.gamma > 0.0:
+                value = pq - cfg.gamma * qq
+                c = _norm_slope(s_pair, pair_scale * -cfg.gamma, beta)
+                pair_grad = (c[..., None] * (wl * diff)).sum(axis=1)
+                grad_out = 2.0 * pair_grad.reshape(n * k, m) + grad_out
 
     join = len(net.encoder_widths)
     grads = []

@@ -48,25 +48,29 @@ def _report(num, name, ok, detail):
 def test_criterion_1_gradient_correctness():
     """The training gradient of the sampled objective (objective_terms)
     matches central finite differences on the two-layer generator across
-    gamma and beta."""
+    gamma and beta, with two outputs and with one, where beta = 1 takes the
+    sorted pair form."""
     t0 = time.perf_counter()
-    net = NetConfig(x_dim=2, y_dim=2, z_dim=4, encoder_widths=(), decoder_widths=(6,))
     n, k = 4, 3
     data_rng = substream(0, "acc1-data")
     x = data_rng.uniform(-1.0, 1.0, size=(n, 2))
     y = data_rng.uniform(-1.0, 1.0, size=(n, 2))
     z = data_rng.uniform(-1.0, 1.0, size=(n, k, 4))
-    params = init_params(net, seed=0)
+    targets = {2: y, 1: data_rng.uniform(-1.0, 1.0, size=(n, 1))}
     worst = 0.0
-    for gamma in (0.0, 0.25, 0.5):
-        for beta in (0.5, 1.0, 1.5):
-            cfg = ObjectiveConfig(gamma=gamma, num_candidates=k, loss=LossSpec(beta=beta))
+    for y_dim in (2, 1):
+        net = NetConfig(x_dim=2, y_dim=y_dim, z_dim=4, encoder_widths=(), decoder_widths=(6,))
+        params = init_params(net, seed=0)
+        for gamma in (0.0, 0.25, 0.5):
+            for beta in (0.5, 1.0, 1.5):
+                cfg = ObjectiveConfig(gamma=gamma, num_candidates=k, loss=LossSpec(beta=beta))
 
-            def f(flat):
-                _, _, value, grad = objective_terms(NetworkParams.from_flat(net, flat), x, y, z, cfg)
-                return value, grad
+                def f(flat):
+                    p = NetworkParams.from_flat(net, flat)
+                    _, _, value, grad = objective_terms(p, x, targets[y_dim], z, cfg)
+                    return value, grad
 
-            worst = max(worst, grad_check(f, params.to_flat()))
+                worst = max(worst, grad_check(f, params.to_flat()))
     dt = time.perf_counter() - t0
     _report(1, "gradient correctness", worst < 1e-4 and dt < 10.0,
             f"max_rel_err={worst:.3e} (tol 1e-4), {dt:.1f}s (budget 10s)")

@@ -12,6 +12,7 @@ from disconet import (
     NetConfig,
     ObjectiveConfig,
     ParameterError,
+    SINGULARITY_EPS,
     bind_params,
     disco_objective,
     disco_objective_node,
@@ -25,7 +26,8 @@ from disconet import (
     objective_terms,
     predict_rows,
 )
-from disconet.objective import _batch_arrays, candidate_pair_indices
+from disconet.objective import _batch_arrays, _sorted_pair_grad, candidate_pair_indices
+from disconet.scoring import pair_term, pairwise_delta
 
 
 def test_objective_config_validation():
@@ -242,10 +244,17 @@ ORACLE_CASES = [
     (dict(gamma=0.0, k=1), {}),
     (dict(gamma=0.5), dict(decoder_widths=())),
     (dict(gamma=0.5), dict(encoder_widths=(), noise_enabled=False)),
+    # one output: beta = 1 takes the sorted pair form, beta = 0.5 the broadcast
+    (dict(gamma=0.25, beta=1.0), dict(y_dim=1)),
+    (dict(gamma=0.5, beta=1.0), dict(y_dim=1)),
+    (dict(gamma=0.5, weights=(2.7,)), dict(y_dim=1)),
+    (dict(gamma=0.5, beta=0.5), dict(y_dim=1)),
+    (dict(gamma=0.5), dict(y_dim=1, noise_enabled=False)),
 ]
 ORACLE_IDS = [f"gamma{c['gamma']}-beta{c['beta']}" for c, _ in ORACLE_CASES[:9]] + [
     "weights", "no-encoder", "noise-disabled", "batch-1", "k1-gamma0",
-    "no-decoder", "no-encoder-noise-disabled",
+    "no-decoder", "no-encoder-noise-disabled", "y1-gamma0.25-beta1.0",
+    "y1-gamma0.5-beta1.0", "y1-weights", "y1-beta0.5", "y1-noise-disabled",
 ]
 
 
@@ -284,6 +293,46 @@ def test_objective_terms_match_graph_oracle(case, net_kw):
     npt.assert_allclose(qq, div_qq_hat(outs.reshape(n, k, -1), loss), **tol)
     if not net.noise_enabled:
         assert qq == 0.0  # coincident candidates: every pair sits at the singularity
+
+
+@pytest.mark.parametrize("kind", ["random", "tied", "near-tied"])
+def test_sorted_pair_form_matches_broadcast(kind):
+    """With one output and beta = 1 the pair term and its gradient come from
+    sorted candidates; they agree with the broadcast loss matrix and with
+    the graph's pair gradient at 1e-12, under a non-unit weight. Exact ties
+    and a pair closer than t = sqrt(SINGULARITY_EPS / w) get zero slope, as
+    the broadcast form's singularity rule gives them."""
+    n, k, w = 4, 6, 2.7
+    g = np.random.default_rng(5).normal(size=(n, k))
+    t = np.sqrt(SINGULARITY_EPS / w)
+    if kind == "tied":
+        g[:, 4] = g[:, 1]
+        g[0] = g[0, 0]
+    elif kind == "near-tied":
+        g[:, 4] = g[:, 1] + 0.5 * t
+    spec = LossSpec(beta=1.0, weights=(w,))
+    tol = dict(rtol=1e-12, atol=1e-12)
+
+    value = pair_term(g[..., None], np.array([w]), 1.0)
+    ref = [pairwise_delta(spec, row[:, None]).sum() / (k * (k - 1)) for row in g]
+    npt.assert_allclose(value, ref, **tol)
+
+    upstream = -0.5 / (n * k * (k - 1))
+    graph = Graph()
+    rows = graph.constant(g.reshape(n * k, 1))
+    idx1, idx2 = candidate_pair_indices(k, n)
+    terms = graph.row_pow_norms(
+        graph.gather_rows(rows, idx1), graph.gather_rows(rows, idx2), weights=(w,), beta=1.0
+    )
+    graph.backward(graph.scale(graph.reduce_sum(terms), upstream))
+    grad_ref = graph.grad(rows).array.reshape(n, k)
+    grad = _sorted_pair_grad(g, w, upstream)
+    npt.assert_allclose(grad, grad_ref, **tol)
+    if kind == "tied":
+        assert value[0] == 0.0 and np.all(grad[0] == 0.0)
+    if kind != "random":
+        # candidates 1 and 4 give each other no slope and see the rest alike
+        npt.assert_array_equal(grad[:, 1], grad[:, 4])
 
 
 def test_objective_terms_contract_errors():

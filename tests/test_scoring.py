@@ -17,7 +17,7 @@ from disconet import (
     divergence_discrete,
     energy_score_sample,
 )
-from disconet.scoring import delta_rows, pairwise_delta
+from disconet.scoring import delta_rows, pairwise_delta, sorted_pairs
 from disconet.synth import DiagGaussianParams, eval_gaussian
 
 
@@ -79,6 +79,16 @@ def test_delta_rows_and_pairwise():
     outs = np.array([[0.0], [1.0], [2.0]])
     pairs = pairwise_delta(spec, outs)
     npt.assert_array_equal(pairs, [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+
+
+def test_sorted_pair_selection():
+    """The sorted pair form is chosen from the candidates' trailing
+    dimension and beta alone: one output and beta exactly 1."""
+    assert sorted_pairs(1, 1.0)
+    assert not sorted_pairs(2, 1.0)
+    assert not sorted_pairs(42, 1.0)
+    assert not sorted_pairs(1, 0.5)
+    assert not sorted_pairs(1, np.nextafter(1.0, 2.0))
 
 
 def test_energy_score_hand_values():
