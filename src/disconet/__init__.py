@@ -10,7 +10,7 @@ reverse-mode autodiff graph over dense float64 arrays serves as the
 independent gradient reference. No framework.
 """
 
-from .autodiff import SINGULARITY_EPS, Graph, Tensor, grad_check
+from .autodiff import Graph, Tensor
 from .errors import (
     ConfigError,
     ContractError,
@@ -51,12 +51,14 @@ from .objective import (
     disco_objective_node,
     div_pq_hat,
     div_qq_hat,
+    grad_check,
     objective_terms,
 )
 from .rng import derive_seed, substream
 from .scoring import (
     LOSS_DIM1,
     LOSS_DIM2,
+    SINGULARITY_EPS,
     DiscreteDistribution,
     LossSpec,
     delta,

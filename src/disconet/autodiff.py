@@ -3,22 +3,17 @@
 The graph is the independent reference for the training gradient, which
 ``objective.objective_terms`` computes by hand. It holds only what a
 noise-conditioned dense generator and its sampled training objective need:
-values of rank two or less, a small fixed set of primitive operations, and
-finite-difference checking. Graphs are append-only, so the node list is
-already a topological order and the backward pass is a single reverse
-sweep. Identical graph construction yields bitwise-identical values and
-gradients.
+values of rank two or less and a small fixed set of primitive operations.
+Its loss op takes the loss, and the singularity rule of its slope, from
+``scoring``. Graphs are append-only, so the node list is already a
+topological order and the backward pass is a single reverse sweep.
+Identical graph construction yields bitwise-identical values and gradients.
 """
 
 import numpy as np
 
 from .errors import ContractError, DimensionError, NumericError, ParameterError
-from .scoring import _loss_weights, beta_norm, sq_norm
-
-# Below this squared-norm threshold the power-norm gradient is taken as
-# zero: a valid subgradient at the coincident point, and a measure-zero
-# event under continuous noise.
-SINGULARITY_EPS = 1e-24
+from .scoring import SINGULARITY_EPS, _loss_weights, beta_norm, sq_norm
 
 
 class Tensor:
@@ -262,46 +257,3 @@ def _unbroadcast(g, target_shape):
     if g.shape == target_shape:
         return g
     return g.sum(axis=0, keepdims=True)
-
-
-def grad_check(f, params, step=1e-6):
-    """Max relative disagreement between an analytic gradient and central differences.
-
-    Parameters
-    ----------
-    f : callable
-        Maps a flat parameter vector to ``(objective value, gradient vector)``.
-        Must be deterministic in its argument; only the value is used at the
-        perturbed points.
-    params : array-like
-        Flat parameter vector at which to check.
-    step : float
-        Absolute central-difference step.
-
-    Returns
-    -------
-    float
-        ``max_i |analytic_i - numeric_i| / max(1e-8, |analytic_i| + |numeric_i|)``.
-    """
-    if not step > 0.0:
-        raise ParameterError("step must be positive")
-    p = np.array(params, dtype=np.float64).reshape(-1)
-    _, grad = f(p.copy())
-    grad = np.asarray(grad, dtype=np.float64).reshape(-1)
-    if grad.shape != p.shape:
-        raise ContractError(f"gradient length {grad.size} does not match {p.size} parameters")
-    numeric = np.empty_like(p)
-    for i in range(p.size):
-        up = p.copy()
-        up[i] += step
-        down = p.copy()
-        down[i] -= step
-        vp = float(f(up)[0])
-        vm = float(f(down)[0])
-        if not (np.isfinite(vp) and np.isfinite(vm)):
-            raise NumericError(f"non-finite objective at perturbed coordinate {i}")
-        numeric[i] = (vp - vm) / (2.0 * step)
-    if p.size == 0:
-        return 0.0
-    denom = np.maximum(1e-8, np.abs(grad) + np.abs(numeric))
-    return float(np.max(np.abs(grad - numeric) / denom))

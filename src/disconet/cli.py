@@ -23,7 +23,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import grad_check
 from .errors import (
     ConfigError,
     DisconetError,
@@ -41,7 +40,7 @@ from .network import (
     sample_candidates,
     sample_outputs,
 )
-from .objective import ObjectiveConfig, objective_terms
+from .objective import ObjectiveConfig, grad_check, objective_terms
 from .rng import derive_seed, substream
 from .scoring import LossSpec
 from .synth import GridSpec, gen_conditional_bimodal, load_csv, toy_cross_table

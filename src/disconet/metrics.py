@@ -244,16 +244,16 @@ def _pair_dict(pair):
     return {"value": float(pair[0]), "sem": float(pair[1])}
 
 
-def metrics_report(outs, gts, layout, distances, task_loss=LossSpec(), pointwise_preds=None):
+def metrics_report(outs, gts, layout, distances, pointwise_preds=None):
     """Assemble the full evaluation report for one dataset.
 
     `outs` holds the (N, K, y_dim) candidates. Pointwise predictions
-    default to maximum-expected-utility selection per input; pass
-    `pointwise_preds` to evaluate externally chosen predictions (e.g. the
-    zero-noise forward pass) instead. With a single candidate per input
-    the probabilistic entries are None. Two distinct FF distances that
-    print alike under ``:g`` are a ContractError, since the report keys FF
-    values by that label.
+    default to maximum-expected-utility selection per input under the
+    default loss; pass `pointwise_preds` to evaluate externally chosen
+    predictions (e.g. the zero-noise forward pass) instead. With a single
+    candidate per input the probabilistic entries are None. Two distinct FF
+    distances that print alike under ``:g`` are a ContractError, since the
+    report keys FF values by that label.
     """
     outs = candidate_array(outs)
     gts = np.asarray(gts, dtype=np.float64)
@@ -264,7 +264,7 @@ def metrics_report(outs, gts, layout, distances, task_loss=LossSpec(), pointwise
         if seen != d:
             raise ContractError(f"FF distances {seen!r} and {d!r} share the label {d:g}")
     if pointwise_preds is None:
-        preds = np.asarray([meu_predict(o, task_loss)[1] for o in outs])
+        preds = np.asarray([meu_predict(o)[1] for o in outs])
     else:
         preds = np.asarray(pointwise_preds, dtype=np.float64)
     report = MetricsReport(

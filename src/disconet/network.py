@@ -164,9 +164,12 @@ class NetworkParams:
             "version": PARAMS_VERSION,
             "net": self.config.to_dict(),
         }
+        flat = self.to_flat()
         with open(path, "w", encoding="utf8") as fh:
             fh.write(json.dumps(header, sort_keys=True) + "\n")
-            fh.write("\n".join(map(repr, self.to_flat().tolist())) + "\n")
+            # in blocks: a full-scale checkpoint's lines are some 20 MB of Python objects
+            for i in range(0, flat.size, 8192):
+                fh.write("\n".join(map(repr, flat[i : i + 8192].tolist())) + "\n")
 
     @classmethod
     def load(cls, path):
@@ -307,7 +310,7 @@ def layer_walk(params, x, z=None, k=1):
     its input is the pair ``(h, z)``: h with n rows, z with n K rows. Every
     later layer runs on the n K rows, example-major, and its input is the
     ReLU of the previous pre-activation. The last pre-activation is the
-    (n K, y_dim) output. Training keeps every input for its backward pass.
+    (n K, y_dim) output. Training keeps every input for ``walk_back``.
     """
     cfg = params.config
     h = np.asarray(x, dtype=np.float64)
@@ -335,6 +338,32 @@ def layer_walk(params, x, z=None, k=1):
         else:
             pre = h @ w + b.reshape(1, -1)
             yield h, pre
+
+
+def walk_back(params, inputs, delta):
+    """The gradient of sum(delta * output) in ``NetworkParams.to_flat``
+    order, for the layer inputs one ``layer_walk`` yielded and a `delta`
+    shaped like its output. ReLU has derivative 0 at 0, and its input is
+    positive exactly where its output is. At the join layer the gradient is
+    summed over each input's K candidates, so the layers before it run on
+    n rows."""
+    join = len(params.config.encoder_widths)
+    grads = []
+    for li in range(len(inputs) - 1, -1, -1):
+        h, w = inputs[li], params.layers[li][0]
+        gb = delta.sum(axis=0)
+        if li == join:
+            # h is shared by an input's K candidates, z is drawn per candidate
+            h, zj = h
+            ds = delta.reshape(h.shape[0], -1, delta.shape[1]).sum(axis=1)
+            gw = np.concatenate([h.T @ ds, zj.T @ delta])
+            delta, w = ds, w[: h.shape[1]]
+        else:
+            gw = h.T @ delta
+        grads.append((gw.ravel(), gb))
+        if li > 0:
+            delta = (delta @ w.T) * (h > 0.0)
+    return np.concatenate([part for pair in reversed(grads) for part in pair])
 
 
 def _walk_output(params, walk):

@@ -12,21 +12,21 @@ sampled energy score, hence (the negative of) a strictly proper scoring
 rule; gamma = 0 drops the diversity term and trains a plain regressor.
 
 ``objective_terms`` computes the objective of one minibatch together with
-its gradient, with the noise draws held fixed: one forward pass, the loss
-gradient in closed form, and a hand-written backward pass. The graph
-builder ``disco_objective_node`` states the same arithmetic through the
-reverse-mode graph; it is kept as the independent reference that tests
-compare the fused gradient against.
+its gradient, with the noise draws held fixed. It only composes: the
+network walks forward and back, and the loss module gives the two terms and
+their slopes. ``grad_check`` compares such a gradient with central
+differences. The graph builder ``disco_objective_node`` states the same
+arithmetic through the reverse-mode graph; it is kept as the independent
+reference that tests compare the gradient against.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import SINGULARITY_EPS
-from .errors import ContractError, DimensionError, EstimatorError, ParameterError
-from .network import NetworkParams, bind_params, candidate_array, forward_rows, layer_walk
-from .scoring import LossSpec, data_term, pair_term, sorted_pairs, sq_norm
+from .errors import ContractError, DimensionError, EstimatorError, NumericError, ParameterError
+from .network import NetworkParams, bind_params, candidate_array, forward_rows, layer_walk, walk_back
+from .scoring import LossSpec, data_grad, data_term, pair_grad, pair_term
 
 
 @dataclass(frozen=True)
@@ -100,27 +100,6 @@ def disco_objective(y, outs, config):
     return pq - config.gamma * div_qq_hat(outs, config.loss)
 
 
-def _norm_slope(s, upstream, beta):
-    """upstream * beta * s^(beta/2 - 1), the gradient coefficient of
-    s^(beta/2) with respect to the difference it was computed from (times
-    w * d). It is zero where s < SINGULARITY_EPS: a valid subgradient at
-    coincident points, and a measure-zero event under continuous noise."""
-    with np.errstate(divide="ignore"):
-        return np.where(s >= SINGULARITY_EPS, upstream * beta * s ** (beta / 2.0 - 1.0), 0.0)
-
-
-def _sorted_pair_grad(g, w, upstream):
-    """Gradient of upstream * sum_{a != b} sqrt(w) |g_a - g_b| with respect
-    to each g_a, for (n, K) candidate values g of one output: 2 sqrt(w)
-    upstream (#{b: g_b < g_a - t} - #{b: g_b > g_a + t}) with
-    t = sqrt(SINGULARITY_EPS / w). This is _norm_slope's zero rule at
-    beta = 1: exact ties and differences under t contribute 0."""
-    t = np.sqrt(SINGULARITY_EPS / w)
-    below = (g[:, None, :] < (g - t)[:, :, None]).sum(axis=2)
-    above = (g[:, None, :] > (g + t)[:, :, None]).sum(axis=2)
-    return (2.0 * np.sqrt(w) * upstream) * (below - above)
-
-
 def objective_terms(params, x, y, z, cfg):
     """The sampled objective of one minibatch, its two terms and its gradient.
 
@@ -141,87 +120,75 @@ def objective_terms(params, x, y, z, cfg):
         ``pq - gamma * qq`` (``pq`` when gamma = 0); and the gradient of the
         objective in ``NetworkParams.to_flat`` order.
 
-    One forward pass, ``network.layer_walk``, keeps every layer's input:
-    the encoder runs on the n input rows, the layers after the noise join
-    on the n K candidate rows. The pre-activations are not kept, since
-    ReLU(pre) > 0 exactly where pre > 0. The data term is taken on the
-    (n K, y_dim) differences to y. The pair term has two forms, chosen by
-    ``scoring.sorted_pairs`` from the shape and the loss alone. With one
-    output and beta = 1 it is ``scoring.pair_term`` on sorted candidates,
-    and candidate a's pair gradient counts the candidates below and above
-    it (``_sorted_pair_grad``); no (n, K, K) float array is built.
-    Otherwise it is one (n, K, K, y_dim) broadcast of candidate
-    differences, and since the pair coefficient c_ab is symmetric in a and
-    b, candidate a's pair gradient is 2 * sum_b c_ab w (g_a - g_b). A
-    hand-written backward pass carries the candidate gradient through the
-    layers; ReLU has derivative 0 at 0. At the join layer the gradient is
-    summed over each input's K candidates once, so the encoder's backward
-    also runs on n rows.
-
-    Rows are example-major, and the loss terms of the broadcast form sum in
-    the order the graph form ``disco_objective_node`` sums them; the sorted
-    form sums its pairs in another order. The graph form runs every layer
-    on n K repeated rows and never splits the join layer's matmul, so the
-    two agree to roundoff, not bitwise. Nothing is checked for finiteness
-    here; the caller checks the value and the gradient.
+    One ``network.layer_walk`` gives the candidates, ``scoring.data_grad``
+    and ``scoring.pair_grad`` the per-example terms and their slopes, and
+    ``network.walk_back`` the gradient. pq and qq are means of the
+    per-example terms, as in ``div_pq_hat`` and ``div_qq_hat``, so on the
+    same candidates they equal those bitwise. The caller checks the value
+    and the gradient for finiteness.
     """
     net = params.config
     x, y = _batch_arrays((x, y))
     if y.shape[1] != net.y_dim:
         raise DimensionError(f"y has dim {y.shape[1]}, the net outputs {net.y_dim}")
-    n, k, m = x.shape[0], cfg.num_candidates, net.y_dim
+    n, k = x.shape[0], cfg.num_candidates
     inputs = []
     for h, out in layer_walk(params, x, z, k):
         inputs.append(h)
-
-    wl, beta = cfg.loss.weight_vector(m), cfg.loss.beta
-    d = out - np.repeat(y, k, axis=0)
-    s = sq_norm(d, wl)
-    scale = 1.0 / (n * k)
-    pq = float(np.sum(s ** (beta / 2.0))) * scale
-    grad_out = _norm_slope(s, scale, beta)[:, None] * (wl * d)
+    g = out.reshape(n, k, net.y_dim)
+    w, beta = cfg.loss.weight_vector(net.y_dim), cfg.loss.beta
+    pq_rows, grad = data_grad(y, g, w, beta)
+    pq = value = float(np.mean(pq_rows))
     qq = float("nan")
-    value = pq
-    if k >= 2:
-        g = out.reshape(n, k, m)
-        pair_scale = 1.0 / (n * k * (k - 1))
-        if sorted_pairs(m, beta):
-            qq = float(np.mean(pair_term(g, wl, beta)))
-            if cfg.gamma > 0.0:
-                value = pq - cfg.gamma * qq
-                pair_grad = _sorted_pair_grad(g[:, :, 0], wl[0], pair_scale * -cfg.gamma)
-                grad_out = pair_grad.reshape(n * k, 1) + grad_out
-        else:
-            # diff[i, b, a] = g_a - g_b: the sum over axis 1 runs over b in order
-            diff = g[:, None, :, :] - g[:, :, None, :]
-            s_pair = sq_norm(diff.reshape(-1, m), wl).reshape(n, k, k)
-            # the distinct pairs as one flat run, summed the way the graph form sums them
-            distinct = s_pair[:, ~np.eye(k, dtype=bool)].ravel()
-            qq = float(np.sum(distinct ** (beta / 2.0))) * pair_scale
-            if cfg.gamma > 0.0:
-                value = pq - cfg.gamma * qq
-                c = _norm_slope(s_pair, pair_scale * -cfg.gamma, beta)
-                pair_grad = (c[..., None] * (wl * diff)).sum(axis=1)
-                grad_out = 2.0 * pair_grad.reshape(n * k, m) + grad_out
+    if k >= 2 and cfg.gamma > 0.0:
+        qq_rows, qq_grad = pair_grad(g, w, beta)
+        qq = float(np.mean(qq_rows))
+        value = pq - cfg.gamma * qq
+        grad = grad - cfg.gamma * qq_grad
+    elif k >= 2:
+        qq = float(np.mean(pair_term(g, w, beta)))
+    return pq, qq, value, walk_back(params, inputs, (grad / n).reshape(n * k, net.y_dim))
 
-    join = len(net.encoder_widths)
-    grads = []
-    delta = grad_out
-    for li in range(len(inputs) - 1, -1, -1):
-        h, w = inputs[li], params.layers[li][0]
-        gb = delta.sum(axis=0)
-        if li == join:
-            # h is shared by an input's K candidates, z is drawn per candidate
-            (h, zj), ds = h, delta.reshape(n, k, -1).sum(axis=1)
-            gw = np.concatenate([h.T @ ds, zj.T @ delta])
-            delta, w = ds, w[: h.shape[1]]
-        else:
-            gw = h.T @ delta
-        grads.append((gw.ravel(), gb))
-        if li > 0:
-            # h = ReLU(pre) of the layer below, so pre > 0 exactly where h > 0
-            delta = (delta @ w.T) * (h > 0.0)
-    return pq, qq, value, np.concatenate([part for pair in reversed(grads) for part in pair])
+
+def grad_check(f, params, step=1e-6):
+    """Max relative disagreement between an analytic gradient and central differences.
+
+    Parameters
+    ----------
+    f : callable
+        Maps a flat parameter vector to ``(objective value, gradient vector)``.
+        Must be deterministic in its argument; only the value is used at the
+        perturbed points.
+    params : array-like
+        Flat parameter vector at which to check.
+    step : float
+        Absolute central-difference step.
+
+    Returns
+    -------
+    float
+        ``max_i |analytic_i - numeric_i| / max(1e-8, |analytic_i| + |numeric_i|)``.
+    """
+    if not step > 0.0:
+        raise ParameterError("step must be positive")
+    p = np.array(params, dtype=np.float64).reshape(-1)
+    _, grad = f(p.copy())
+    grad = np.asarray(grad, dtype=np.float64).reshape(-1)
+    if grad.shape != p.shape:
+        raise ContractError(f"gradient length {grad.size} does not match {p.size} parameters")
+    numeric = np.empty_like(p)
+    for i in range(p.size):
+        up, down = p.copy(), p.copy()
+        up[i] += step
+        down[i] -= step
+        vp, vm = float(f(up)[0]), float(f(down)[0])
+        if not (np.isfinite(vp) and np.isfinite(vm)):
+            raise NumericError(f"non-finite objective at perturbed coordinate {i}")
+        numeric[i] = (vp - vm) / (2.0 * step)
+    if p.size == 0:
+        return 0.0
+    denom = np.maximum(1e-8, np.abs(grad) + np.abs(numeric))
+    return float(np.max(np.abs(grad - numeric) / denom))
 
 
 def candidate_pair_indices(num_candidates, num_examples):

@@ -7,9 +7,9 @@ induced energy score is a strictly proper scoring rule, and the discrete
 divergence here evaluates its expectation exactly so that propriety and
 estimator unbiasedness can be verified by brute force.
 
-The loss kernel and its two sampled estimators (the data term and the pair
-term) live here only; the objective, the graph op, the metrics and the toy
-grid fit all call them.
+The loss kernel, its two sampled estimators (the data term and the pair
+term) and their gradients live here only; the objective, the graph op, the
+metrics and the toy grid fit all call them.
 """
 
 from dataclasses import dataclass
@@ -19,6 +19,11 @@ import numpy as np
 from .errors import ContractError, DimensionError, EstimatorError, ParameterError
 
 PROB_SUM_TOL = 1e-12
+
+# Below this squared-norm threshold the power-norm gradient is taken as
+# zero: a valid subgradient at the coincident point, and a measure-zero
+# event under continuous noise.
+SINGULARITY_EPS = 1e-24
 
 
 def _loss_weights(weights, beta, dim):
@@ -87,9 +92,25 @@ def beta_norm(d, w, beta):
     return sq_norm(d, w) ** (beta / 2.0)
 
 
+def _slope(s, beta):
+    """beta * s^(beta/2 - 1), which times w * d is the gradient of s^(beta/2)
+    in the difference d; 0 where s < SINGULARITY_EPS."""
+    with np.errstate(divide="ignore"):
+        return np.where(s >= SINGULARITY_EPS, beta * s ** (beta / 2.0 - 1.0), 0.0)
+
+
 def data_term(y, g, w, beta):
     """Mean over K of Delta(y, g_k): y is (..., y_dim), g is (..., K, y_dim)."""
     return beta_norm(y[..., None, :] - g, w, beta).mean(axis=-1)
+
+
+def data_grad(y, g, w, beta):
+    """``data_term(y, g, w, beta)`` and the gradient of its sum with
+    respect to g, the same shape as g."""
+    d = g - y[..., None, :]
+    s = sq_norm(d, w)
+    slope = _slope(s, beta) / g.shape[-2]
+    return (s ** (beta / 2.0)).mean(axis=-1), slope[..., None] * (w * d)
 
 
 def sorted_pairs(y_dim, beta):
@@ -100,23 +121,60 @@ def sorted_pairs(y_dim, beta):
     return y_dim == 1 and beta == 1.0
 
 
+def _sorted_pair_sum(g, w):
+    """sum_{a != b} sqrt(w) |g_a - g_b| / (K (K-1)) over the trailing axis
+    of one output's K candidate values g, in the gap form
+    2 sqrt(w) sum_j j (K - j) (g_(j+1) - g_(j)) of the sorted values:
+    O(K log K), no cancellation, and exactly 0 on tied candidates."""
+    k = g.shape[-1]
+    gaps = np.diff(np.sort(g, axis=-1), axis=-1)
+    j = np.arange(1.0, k)
+    return (2.0 * np.sqrt(w)) * (gaps * (j * (k - j))).sum(axis=-1) / (k * (k - 1))
+
+
+def _pair_sq_norms(g, w):
+    """diff[..., a, b, :] = g_a - g_b for g of shape (..., K, y_dim), and
+    the (..., K, K) squared norms of those differences."""
+    diff = g[..., :, None, :] - g[..., None, :, :]
+    return diff, sq_norm(diff, w)
+
+
+def _broadcast_pair_sum(s, beta):
+    """sum_{a, b} s_ab^(beta/2) / (K (K-1)) over (..., K, K) squared norms
+    whose zero diagonal is summed with the rest."""
+    k = s.shape[-1]
+    return (s ** (beta / 2.0)).sum(axis=(-2, -1)) / (k * (k - 1))
+
+
 def pair_term(g, w, beta):
     """Sum over k != k' of Delta(g_k, g_k') / (K (K-1)) for g of shape
-    (..., K, y_dim); needs K >= 2.
+    (..., K, y_dim); needs K >= 2. When ``sorted_pairs(y_dim, beta)``
+    holds the sum is rank arithmetic on sorted candidates; otherwise it is
+    one (..., K, K) broadcast."""
+    if sorted_pairs(g.shape[-1], beta):
+        return _sorted_pair_sum(g[..., 0], w[0])
+    return _broadcast_pair_sum(_pair_sq_norms(g, w)[1], beta)
 
-    When ``sorted_pairs(y_dim, beta)`` holds, the ordered-pair sum of K
-    sorted values g_(1..K) is 2 sqrt(w) sum_j (2j - K - 1) g_(j), taken here
-    in its gap form 2 sqrt(w) sum_j j (K - j) (g_(j+1) - g_(j)): O(K log K),
-    no cancellation, and exactly 0 on tied candidates. Otherwise it is one
-    (..., K, K) broadcast whose zero diagonal is summed with the rest.
+
+def pair_grad(g, w, beta):
+    """``pair_term(g, w, beta)`` and the gradient of its sum with respect
+    to g. The loss is symmetric, so candidate a's gradient is
+    2 sum_b slope(s_ab) w (g_a - g_b) / (K (K-1)); in the sorted form,
+    2 sqrt(w) (#{b: g_b < g_a - t} - #{b: g_b > g_a + t}) / (K (K-1)) with
+    t = sqrt(SINGULARITY_EPS / w), the zero rule of ``_slope`` at beta = 1.
     """
     k = g.shape[-2]
     if sorted_pairs(g.shape[-1], beta):
-        gaps = np.diff(np.sort(g[..., 0], axis=-1), axis=-1)
-        j = np.arange(1.0, k)
-        return (2.0 * np.sqrt(w[0])) * (gaps * (j * (k - j))).sum(axis=-1) / (k * (k - 1))
-    pairs = beta_norm(g[..., :, None, :] - g[..., None, :, :], w, beta)
-    return pairs.sum(axis=(-2, -1)) / (k * (k - 1))
+        g1, w1 = g[..., 0], w[0]
+        t = np.sqrt(SINGULARITY_EPS / w1)
+        below = (g1[..., None, :] < (g1 - t)[..., :, None]).sum(axis=-1)
+        above = (g1[..., None, :] > (g1 + t)[..., :, None]).sum(axis=-1)
+        grad = (2.0 * np.sqrt(w1) / (k * (k - 1))) * (below - above)
+        return _sorted_pair_sum(g1, w1), grad[..., None]
+    diff, s = _pair_sq_norms(g, w)
+    # one (1, K) @ (K, y_dim) product per candidate: no further (..., K, K, y_dim) array
+    grad = (_slope(s, beta)[..., None, :] @ diff)[..., 0, :]
+    return _broadcast_pair_sum(s, beta), (2.0 / (k * (k - 1))) * (w * grad)
 
 
 def mean_sem(values):

@@ -347,17 +347,8 @@ def eval_gaussian(params, test, loss, gamma=TOY_GAMMA, m=24, rng=None):
 TOY_LOSSES = (("dim1", LOSS_DIM1), ("dim2", LOSS_DIM2))
 
 
-def toy_cross_table(
-    seeds,
-    mixture=TOY_MIXTURE,
-    grid=None,
-    n_train=400,
-    n_test=400,
-    gamma=TOY_GAMMA,
-    m=24,
-    losses=TOY_LOSSES,
-):
-    """Fit under each loss, evaluate under each loss, per seed.
+def toy_cross_table(seeds, grid=None, n_train=400, n_test=400, gamma=TOY_GAMMA, m=24):
+    """Fit ``TOY_MIXTURE`` under each of ``TOY_LOSSES``, evaluate under each, per seed.
 
     Evaluation draws are shared across fitted models within a task-loss
     column (common random numbers) so column comparisons are paired.
@@ -372,20 +363,20 @@ def toy_cross_table(
     """
     if grid is None:
         grid = GridSpec.default()
-    names = [name for name, _ in losses]
+    names = [name for name, _ in TOY_LOSSES]
     per_seed = []
     for seed in seeds:
         data_rng = substream(seed, "toy-data")
-        train = gen_gmm2d(mixture, n_train, data_rng)
-        test = gen_gmm2d(mixture, n_test, data_rng)
+        train = gen_gmm2d(TOY_MIXTURE, n_train, data_rng)
+        test = gen_gmm2d(TOY_MIXTURE, n_test, data_rng)
         fits = {}
-        for name, loss in losses:
+        for name, loss in TOY_LOSSES:
             fit_rng = substream(seed, "toy-fit", name)
             fits[name] = fit_gaussian_grid(train, grid, loss, gamma, m, fit_rng)
         table = {}
         for train_name in names:
             table[train_name] = {}
-            for task_name, task_loss in losses:
+            for task_name, task_loss in TOY_LOSSES:
                 eval_rng = substream(seed, "toy-eval", task_name)
                 table[train_name][task_name] = eval_gaussian(
                     fits[train_name], test, task_loss, gamma, m, eval_rng

@@ -26,8 +26,9 @@ from disconet import (
     objective_terms,
     predict_rows,
 )
-from disconet.objective import _batch_arrays, _sorted_pair_grad, candidate_pair_indices
-from disconet.scoring import pair_term, pairwise_delta
+from disconet.network import layer_walk
+from disconet.objective import _batch_arrays, candidate_pair_indices
+from disconet.scoring import pair_grad, pair_term, pairwise_delta
 
 
 def test_objective_config_validation():
@@ -262,10 +263,10 @@ ORACLE_IDS = [f"gamma{c['gamma']}-beta{c['beta']}" for c, _ in ORACLE_CASES[:9]]
 def test_objective_terms_match_graph_oracle(case, net_kw):
     """The fused objective, its two terms and its gradient agree with the
     graph form and the sampled estimators. The tolerance, rtol = atol =
-    1e-12, was fixed from float64 before comparing. The loss terms sum in
-    the same order on both sides, but only the fused side runs the encoder
-    once per input and splits the join layer's matmul at the noise columns,
-    so the two agree to roundoff."""
+    1e-12, was fixed from float64 before comparing. Only the fused side
+    sums the loss terms per example first, runs the encoder once per input
+    and splits the join layer's matmul at the noise columns, so the two
+    agree to roundoff."""
     n, k = case.get("n", 5), case.get("k", 4)
     net = NetConfig(x_dim=2, y_dim=2, z_dim=3, encoder_widths=(4,), decoder_widths=(5, 4))
     net = NetConfig(**{**net.to_dict(), **net_kw})
@@ -295,21 +296,71 @@ def test_objective_terms_match_graph_oracle(case, net_kw):
         assert qq == 0.0  # coincident candidates: every pair sits at the singularity
 
 
-@pytest.mark.parametrize("kind", ["random", "tied", "near-tied"])
-def test_sorted_pair_form_matches_broadcast(kind):
-    """With one output and beta = 1 the pair term and its gradient come from
-    sorted candidates; they agree with the broadcast loss matrix and with
-    the graph's pair gradient at 1e-12, under a non-unit weight. Exact ties
-    and a pair closer than t = sqrt(SINGULARITY_EPS / w) get zero slope, as
-    the broadcast form's singularity rule gives them."""
-    n, k, w = 4, 6, 2.7
+@pytest.mark.parametrize("y_dim", [1, 2])
+@pytest.mark.parametrize("noise", [True, False], ids=["noise", "noise-disabled"])
+def test_objective_terms_share_the_sampled_estimators(y_dim, noise):
+    """On the candidates of the walk it takes, objective_terms's two terms
+    and value are bitwise those of div_pq_hat, div_qq_hat and
+    disco_objective: both sides take the same scoring kernels' per-example
+    values and their mean."""
+    n, k = 5, 4
+    net = NetConfig(x_dim=2, y_dim=y_dim, z_dim=3, encoder_widths=(4,), decoder_widths=(5, 4),
+                    noise_enabled=noise)
+    rng = np.random.default_rng(23)
+    params = init_params(net, seed=23)
+    x = rng.normal(size=(n, net.x_dim))
+    y = rng.normal(size=(n, net.y_dim))
+    z = rng.uniform(-1.0, 1.0, size=(n, k, net.z_dim))
+    *_, out = layer_walk(params, x, z, k)
+    outs = out[1].reshape(n, k, y_dim)
+    for beta in (0.5, 1.0, 1.5):
+        loss = LossSpec(beta=beta)
+        for gamma in (0.0, 0.5):
+            cfg = ObjectiveConfig(gamma=gamma, num_candidates=k, loss=loss)
+            pq, qq, value, _ = objective_terms(params, x, y, z, cfg)
+            assert pq == div_pq_hat(y, outs, loss), (beta, gamma)
+            assert qq == div_qq_hat(outs, loss), (beta, gamma)
+            assert value == disco_objective(y, outs, cfg), (beta, gamma)
+
+
+def _pair_values(kind, n=4, k=6, w=2.7):
+    """(n, K) values of one output; "tied" makes candidates 1 and 4 equal
+    and the first row constant, "near-tied" puts candidate 4 half the
+    singularity distance t = sqrt(SINGULARITY_EPS / w) above candidate 1."""
     g = np.random.default_rng(5).normal(size=(n, k))
-    t = np.sqrt(SINGULARITY_EPS / w)
     if kind == "tied":
         g[:, 4] = g[:, 1]
         g[0] = g[0, 0]
     elif kind == "near-tied":
-        g[:, 4] = g[:, 1] + 0.5 * t
+        g[:, 4] = g[:, 1] + 0.5 * np.sqrt(SINGULARITY_EPS / w)
+    return g
+
+
+def _graph_pair_grad(g, w, beta):
+    """The graph's gradient of sum over examples of the pair term of the
+    (n, K) values `g`, with respect to g."""
+    n, k = g.shape
+    graph = Graph()
+    rows = graph.constant(g.reshape(n * k, 1))
+    idx1, idx2 = candidate_pair_indices(k, n)
+    terms = graph.row_pow_norms(
+        graph.gather_rows(rows, idx1), graph.gather_rows(rows, idx2), weights=(w,), beta=beta
+    )
+    graph.backward(graph.scale(graph.reduce_sum(terms), 1.0 / (k * (k - 1))))
+    return graph.grad(rows).array.reshape(n, k)
+
+
+@pytest.mark.parametrize("kind", ["random", "tied", "near-tied"])
+def test_sorted_pair_form_matches_broadcast(kind):
+    """With one output and beta = 1 the pair term and its gradient
+    (``scoring.pair_grad``) come from sorted candidates; they agree with the
+    broadcast loss matrix and with the graph's pair gradient at 1e-12,
+    under a non-unit weight. Exact ties and a pair closer than
+    t = sqrt(SINGULARITY_EPS / w) get zero slope, as the broadcast form's
+    singularity rule gives them."""
+    w = 2.7
+    g = _pair_values(kind, w=w)
+    k = g.shape[1]
     spec = LossSpec(beta=1.0, weights=(w,))
     tol = dict(rtol=1e-12, atol=1e-12)
 
@@ -317,22 +368,29 @@ def test_sorted_pair_form_matches_broadcast(kind):
     ref = [pairwise_delta(spec, row[:, None]).sum() / (k * (k - 1)) for row in g]
     npt.assert_allclose(value, ref, **tol)
 
-    upstream = -0.5 / (n * k * (k - 1))
-    graph = Graph()
-    rows = graph.constant(g.reshape(n * k, 1))
-    idx1, idx2 = candidate_pair_indices(k, n)
-    terms = graph.row_pow_norms(
-        graph.gather_rows(rows, idx1), graph.gather_rows(rows, idx2), weights=(w,), beta=1.0
-    )
-    graph.backward(graph.scale(graph.reduce_sum(terms), upstream))
-    grad_ref = graph.grad(rows).array.reshape(n, k)
-    grad = _sorted_pair_grad(g, w, upstream)
-    npt.assert_allclose(grad, grad_ref, **tol)
+    value_g, grad = pair_grad(g[..., None], np.array([w]), 1.0)
+    npt.assert_array_equal(value_g, value)
+    grad = grad[..., 0]
+    npt.assert_allclose(grad, _graph_pair_grad(g, w, 1.0), **tol)
     if kind == "tied":
         assert value[0] == 0.0 and np.all(grad[0] == 0.0)
     if kind != "random":
         # candidates 1 and 4 give each other no slope and see the rest alike
         npt.assert_array_equal(grad[:, 1], grad[:, 4])
+
+
+@pytest.mark.parametrize("kind", ["random", "tied", "near-tied"])
+def test_broadcast_pair_grad_matches_graph(kind):
+    """The broadcast branch of ``scoring.pair_grad`` (one output, beta =
+    0.5) gives pair_term's values bitwise and the graph's pair gradient at
+    1e-12; a pair under the singularity distance gets zero slope."""
+    w = 2.7
+    g = _pair_values(kind, w=w)
+    value, grad = pair_grad(g[..., None], np.array([w]), 0.5)
+    npt.assert_array_equal(value, pair_term(g[..., None], np.array([w]), 0.5))
+    npt.assert_allclose(grad[..., 0], _graph_pair_grad(g, w, 0.5), rtol=1e-12, atol=1e-12)
+    if kind == "tied":
+        assert value[0] == 0.0 and np.all(grad[0] == 0.0)
 
 
 def test_objective_terms_contract_errors():

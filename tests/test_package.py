@@ -24,3 +24,27 @@ def test_all_lists_every_public_import():
         and (inspect.isclass(getattr(disconet, n)) or inspect.isfunction(getattr(disconet, n)))
     }
     assert sorted(public - set(names)) == []
+
+
+def test_oracle_and_singularity_rule_stay_in_place():
+    """Only ``__init__.py`` imports the graph oracle ``autodiff``, so the
+    training code never depends on it; and ``SINGULARITY_EPS``, the zero
+    rule of every loss slope, is assigned in ``scoring.py`` alone."""
+    importers, assigners = [], []
+    for path in sorted(Path(disconet.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = {node.module or ""} | {a.name for a in node.names}
+            elif isinstance(node, ast.Import):
+                names = {a.name for a in node.names}
+            else:
+                names = set()
+            if any(n.split(".")[-1] == "autodiff" for n in names):
+                importers.append(path.name)
+            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                if any(isinstance(t, ast.Name) and t.id == "SINGULARITY_EPS"
+                       for t in targets):
+                    assigners.append(path.name)
+    assert sorted(set(importers)) == ["__init__.py"]
+    assert assigners == ["scoring.py"]
