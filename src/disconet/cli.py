@@ -160,11 +160,21 @@ _SEED_KEYS = {
 }
 
 
+def _unique_keys(pairs):
+    """A JSON object's dict; a repeated key, which would keep its last value, is a ConfigError."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ConfigError(f"duplicate key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def load_config(path, required_sections, seed_override=None):
     """Load, validate, and normalize a config file.
 
-    Unknown sections or keys, wrong value types, a missing or mismatched
-    ``schema_version``, and missing required sections all raise
+    Unknown sections or keys, repeated keys, wrong value types, a missing or
+    mismatched ``schema_version``, and missing required sections all raise
     ConfigError. Defaults are filled so callers see complete sections.
     """
     try:
@@ -172,8 +182,8 @@ def load_config(path, required_sections, seed_override=None):
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
+    except (json.JSONDecodeError, ConfigError) as exc:
         raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be an object")

@@ -14,7 +14,7 @@ an ordinary deterministic regressor.
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -59,98 +59,82 @@ class NetConfig:
         return self.z_dim if self.noise_enabled else 0
 
     def layer_dims(self):
-        """(fan_in, fan_out) for every dense layer, in forward order."""
-        dims = []
-        h = self.x_dim
-        for w in self.encoder_widths:
-            dims.append((h, w))
-            h = w
-        h += self.noise_dim
-        for w in self.decoder_widths:
-            dims.append((h, w))
-            h = w
-        dims.append((h, self.y_dim))
-        return dims
+        """(fan_in, fan_out) for every dense layer, in forward order: the
+        encoder chain from x, then the chain from the join (the encoder's
+        output and the noise) through the decoder to y."""
+        enc = (self.x_dim,) + self.encoder_widths
+        dec = (enc[-1] + self.noise_dim,) + self.decoder_widths + (self.y_dim,)
+        return list(zip(enc[:-1], enc[1:])) + list(zip(dec[:-1], dec[1:]))
 
     def param_count(self):
         return sum((fi + 1) * fo for fi, fo in self.layer_dims())
 
     def to_dict(self):
-        return {
-            "x_dim": self.x_dim,
-            "y_dim": self.y_dim,
-            "z_dim": self.z_dim,
-            "encoder_widths": list(self.encoder_widths),
-            "decoder_widths": list(self.decoder_widths),
-            "noise_enabled": self.noise_enabled,
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        return dict(doc, encoder_widths=list(self.encoder_widths), decoder_widths=list(self.decoder_widths))
 
     @classmethod
     def from_dict(cls, doc):
-        return cls(
-            x_dim=int(doc["x_dim"]),
-            y_dim=int(doc["y_dim"]),
-            z_dim=int(doc["z_dim"]),
-            encoder_widths=tuple(doc["encoder_widths"]),
-            decoder_widths=tuple(doc["decoder_widths"]),
-            noise_enabled=bool(doc["noise_enabled"]),
-        )
+        """The config of a ``to_dict`` document: exactly its six fields, with
+        no coercion (the widths are lists of ints, and a bool is no int);
+        TypeError names the first field that breaks this."""
+        kinds = {f.name: f.type for f in fields(cls)}
+        if not isinstance(doc, dict) or doc.keys() != kinds.keys():
+            raise TypeError(f"the fields must be exactly {sorted(kinds)}")
+        for key, kind in kinds.items():
+            v = doc[key]
+            ints = type(v) is list and all(type(w) is int for w in v)
+            if not (ints if kind is tuple else type(v) is kind):
+                raise TypeError(f"{key} has the wrong type: {v!r}")
+        return cls(**doc)
+
+
+def layer_views(config, flat):
+    """Every dense layer's ``(W, b)`` as views into the vector `flat`, in
+    forward order. This is the one statement of the flat layout: per layer,
+    the row-major (fan_in, fan_out) weight matrix, then the bias."""
+    views, pos = [], 0
+    for fi, fo in config.layer_dims():
+        end = pos + fi * fo
+        views.append((flat[pos:end].reshape(fi, fo), flat[end : end + fo]))
+        pos = end + fo
+    return tuple(views)
 
 
 class NetworkParams:
-    """All layer weights and biases, with a flat float64 view for optimizers.
+    """All layer weights and biases as one read-only float64 vector, ``flat``.
 
-    The flat layout is, per layer in forward order, the row-major weight
-    matrix followed by the bias vector.
+    ``layers`` holds each dense layer's ``(W, b)`` as read-only views into
+    ``flat`` (``layer_views``); optimizers work on the vector itself.
     """
 
-    def __init__(self, config, layers):
-        expected = config.layer_dims()
-        if len(layers) != len(expected):
-            raise DimensionError(f"expected {len(expected)} layers, got {len(layers)}")
-        locked = []
-        for (w, b), (fi, fo) in zip(layers, expected):
-            w = np.array(w, dtype=np.float64)
-            b = np.array(b, dtype=np.float64)
-            if w.shape != (fi, fo) or b.shape != (fo,):
-                raise DimensionError(
-                    f"layer shapes {w.shape}/{b.shape} do not match ({fi},{fo})/({fo},)"
-                )
-            w.setflags(write=False)
-            b.setflags(write=False)
-            locked.append((w, b))
+    def __init__(self, config, flat):
+        flat = np.asarray(flat, dtype=np.float64).reshape(-1).copy()
+        if flat.size != config.param_count():
+            raise DimensionError(f"expected {config.param_count()} values, got {flat.size}")
+        flat.setflags(write=False)
         self.config = config
-        self.layers = tuple(locked)
+        self.flat = flat
+        self.layers = layer_views(config, flat)
 
     @property
     def size(self):
-        return self.config.param_count()
+        return self.flat.size
 
     def to_flat(self):
-        return np.concatenate([np.concatenate([w.ravel(), b]) for w, b in self.layers])
+        """A writable copy of ``flat``."""
+        return self.flat.copy()
 
     @classmethod
     def from_flat(cls, config, flat):
-        flat = np.asarray(flat, dtype=np.float64).reshape(-1)
-        if flat.size != config.param_count():
-            raise DimensionError(f"expected {config.param_count()} values, got {flat.size}")
-        layers = []
-        pos = 0
-        for fi, fo in config.layer_dims():
-            w = flat[pos : pos + fi * fo].reshape(fi, fo)
-            pos += fi * fo
-            b = flat[pos : pos + fo]
-            pos += fo
-            layers.append((w, b))
-        return cls(config, layers)
+        return cls(config, flat)
 
     def weight_mask(self):
-        """Boolean flat-view mask: True at weight entries, False at biases."""
-        parts = []
-        for fi, fo in self.config.layer_dims():
-            parts.append(np.ones(fi * fo, dtype=bool))
-            parts.append(np.zeros(fo, dtype=bool))
-        return np.concatenate(parts)
+        """Boolean mask over ``flat``: True at weight entries, False at biases."""
+        mask = np.zeros(self.size, dtype=bool)
+        for w, _ in layer_views(self.config, mask):
+            w[...] = True
+        return mask
 
     def save(self, path):
         """Write the versioned textual checkpoint format.
@@ -164,12 +148,11 @@ class NetworkParams:
             "version": PARAMS_VERSION,
             "net": self.config.to_dict(),
         }
-        flat = self.to_flat()
         with open(path, "w", encoding="utf8") as fh:
             fh.write(json.dumps(header, sort_keys=True) + "\n")
             # in blocks: a full-scale checkpoint's lines are some 20 MB of Python objects
-            for i in range(0, flat.size, 8192):
-                fh.write("\n".join(map(repr, flat[i : i + 8192].tolist())) + "\n")
+            for i in range(0, self.size, 8192):
+                fh.write("\n".join(map(repr, self.flat[i : i + 8192].tolist())) + "\n")
 
     @classmethod
     def load(cls, path):
@@ -183,12 +166,12 @@ class NetworkParams:
             raise ParseError(f"{path}: line 1: bad header: {exc}") from exc
         if not isinstance(header, dict) or header.get("format") != PARAMS_FORMAT:
             raise ParseError(f"{path}: line 1: not a {PARAMS_FORMAT} header")
-        if header.get("version") != PARAMS_VERSION:
-            raise ParseError(f"{path}: unsupported version {header.get('version')!r}")
+        if type(header.get("version")) is not int or header["version"] != PARAMS_VERSION:
+            raise ParseError(f"{path}: line 1: unsupported version {header.get('version')!r}")
         try:
-            config = NetConfig.from_dict(header["net"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"{path}: bad architecture header: {exc}") from exc
+            config = NetConfig.from_dict(header.get("net"))
+        except (TypeError, ContractError) as exc:
+            raise ParseError(f"{path}: line 1: bad architecture header: {exc}") from exc
         values = _parse_values(path, raw[1:])
         if values.size != config.param_count():
             raise ParseError(
@@ -226,11 +209,11 @@ def init_params(config, seed):
     """Deterministic init: weights uniform on [-a, a] with
     a = sqrt(6 / (fan_in + fan_out)), biases zero."""
     rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
-    layers = []
-    for fi, fo in config.layer_dims():
-        a = math.sqrt(6.0 / (fi + fo))
-        layers.append((rng.uniform(-a, a, size=(fi, fo)), np.zeros(fo)))
-    return NetworkParams(config, layers)
+    flat = np.zeros(config.param_count())
+    for w, _ in layer_views(config, flat):
+        a = math.sqrt(6.0 / sum(w.shape))
+        w[...] = rng.uniform(-a, a, size=w.shape)
+    return NetworkParams(config, flat)
 
 
 @dataclass
@@ -248,12 +231,12 @@ def bind_params(g, params):
 
 
 def grad_flat(g, bound):
-    """Collect parameter gradients after backward(), in flat-view order."""
-    parts = []
-    for wid, bid in bound.nodes:
-        parts.append(g.grad(wid).array.ravel())
-        parts.append(g.grad(bid).array.ravel())
-    return np.concatenate(parts)
+    """Collect parameter gradients after backward(), in ``flat`` order."""
+    grad = np.empty(bound.config.param_count())
+    for (wid, bid), (gw, gb) in zip(bound.nodes, layer_views(bound.config, grad)):
+        gw[...] = g.grad(wid).array
+        gb[...] = g.grad(bid).array.ravel()
+    return grad
 
 
 def forward_rows(g, params, x, z=None):
@@ -341,29 +324,32 @@ def layer_walk(params, x, z=None, k=1):
 
 
 def walk_back(params, inputs, delta):
-    """The gradient of sum(delta * output) in ``NetworkParams.to_flat``
-    order, for the layer inputs one ``layer_walk`` yielded and a `delta`
-    shaped like its output. ReLU has derivative 0 at 0, and its input is
-    positive exactly where its output is. At the join layer the gradient is
-    summed over each input's K candidates, so the layers before it run on
-    n rows."""
+    """The gradient of sum(delta * output) as one vector in
+    ``NetworkParams.flat`` order, for the layer inputs one ``layer_walk``
+    yielded and a `delta` shaped like its output. ReLU has derivative 0 at
+    0, and its input is positive exactly where its output is. At the join
+    layer the gradient is summed over each input's K candidates, so the
+    layers before it run on n rows."""
     join = len(params.config.encoder_widths)
-    grads = []
+    grad = np.empty(params.size)
+    views = layer_views(params.config, grad)
     for li in range(len(inputs) - 1, -1, -1):
         h, w = inputs[li], params.layers[li][0]
-        gb = delta.sum(axis=0)
+        gw, gb = views[li]
+        np.sum(delta, axis=0, out=gb)
         if li == join:
             # h is shared by an input's K candidates, z is drawn per candidate
             h, zj = h
+            h_w = h.shape[1]
             ds = delta.reshape(h.shape[0], -1, delta.shape[1]).sum(axis=1)
-            gw = np.concatenate([h.T @ ds, zj.T @ delta])
-            delta, w = ds, w[: h.shape[1]]
+            np.matmul(h.T, ds, out=gw[:h_w])
+            np.matmul(zj.T, delta, out=gw[h_w:])
+            delta, w = ds, w[:h_w]
         else:
-            gw = h.T @ delta
-        grads.append((gw.ravel(), gb))
+            np.matmul(h.T, delta, out=gw)
         if li > 0:
             delta = (delta @ w.T) * (h > 0.0)
-    return np.concatenate([part for pair in reversed(grads) for part in pair])
+    return grad
 
 
 def _walk_output(params, walk):

@@ -118,7 +118,7 @@ def objective_terms(params, x, y, z, cfg):
     (pq, qq, value, grad)
         DIVhat(P,Q); DIVhat(Q,Q), or nan when K = 1; the objective
         ``pq - gamma * qq`` (``pq`` when gamma = 0); and the gradient of the
-        objective in ``NetworkParams.to_flat`` order.
+        objective in ``NetworkParams.flat`` order.
 
     One ``network.layer_walk`` gives the candidates, ``scoring.data_grad``
     and ``scoring.pair_grad`` the per-example terms and their slopes, and

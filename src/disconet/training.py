@@ -141,8 +141,7 @@ def train(net_config, train_config, data, checkpoint_dir=None):
         raise ContractError("no training examples left after the split")
     k = cfg.objective.num_candidates
     params = init_params(net_config, derive_seed(cfg.seed, "init"))
-    flat = params.to_flat()
-    velocity = np.zeros_like(flat)
+    velocity = np.zeros(params.size)
     mask = params.weight_mask()
     shuffle_rng = substream(cfg.seed, "shuffle")
     noise_rng = substream(cfg.seed, "noise")
@@ -160,7 +159,7 @@ def train(net_config, train_config, data, checkpoint_dir=None):
             if not (math.isfinite(value) and np.all(np.isfinite(grads))):
                 raise NumericError(f"epoch {epoch}, batch {bi}: non-finite objective or gradient")
             flat, velocity = sgd_momentum_step(
-                flat, grads, velocity, cfg.lr, cfg.momentum, cfg.l2, mask
+                params.flat, grads, velocity, cfg.lr, cfg.momentum, cfg.l2, mask
             )
             params = NetworkParams.from_flat(net_config, flat)
             sums += np.array([value, pq, qq]) * len(idx)

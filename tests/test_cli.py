@@ -628,6 +628,43 @@ def test_eval_rejects_non_finite_checkpoint(tmp_path, capsys):
     assert not any("NaN" in text for text in written)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("noise_enabled", "false"),
+    ("x_dim", 1.7),
+    ("x_dim", True),
+    ("encoder_widths", "4"),
+    ("encoder_widths", [4.0]),
+    ("depth", 3),
+    ("version", True),
+    ("version", 1.0),
+])
+def test_eval_rejects_malformed_checkpoint_header_exit_3(tmp_path, capsys, field, value):
+    """Headers that a coercing parse would accept: bool("false") is True,
+    1.7, true and 4.0 become 1, 1 and 4, the string "4" is the widths (4,),
+    an unknown net key is ignored, and true and 1.0 equal the version 1."""
+    ckpt = tmp_path / "ckpt.txt"
+    init_params(NetConfig(**SMALL_NET), seed=0).save(ckpt)
+    lines = ckpt.read_text().splitlines()
+    header = json.loads(lines[0])
+    (header if field == "version" else header["net"])[field] = value
+    ckpt.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+    doc = {"data": dict(SMALL_DATA), "eval": {"num_candidates": 3, "distances": [1.0]}}
+    cfg = write_config(tmp_path / "eval.json", doc)
+    out = tmp_path / "o"
+    assert main(["eval", "--config", cfg, "--out", str(out), "--checkpoint", str(ckpt)]) == 3
+    assert ": line 1: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_duplicate_config_key_exit_2(tmp_path, capsys):
+    """A repeated key is refused, not settled by keeping its last value."""
+    path = tmp_path / "gradcheck.json"
+    path.write_text('{"schema_version": 1, "net": {"x_dim": 1, "y_dim": 1},\n'
+                    ' "gradcheck": {"tolerance": -1.0, "tolerance": 1.0}}\n')
+    assert main(["gradcheck", "--config", str(path)]) == 2
+    assert "duplicate key 'tolerance'" in capsys.readouterr().err
+
+
 def test_write_json_rejects_non_finite(tmp_path):
     path = tmp_path / "doc.json"
     with pytest.raises(NumericError):

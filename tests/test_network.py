@@ -81,6 +81,37 @@ def test_flat_round_trip():
         NetworkParams.from_flat(CFG, np.zeros(60))
 
 
+def test_params_are_one_read_only_vector():
+    p = init_params(CFG, seed=4)
+    assert not p.flat.flags.writeable
+    for w, b in p.layers:
+        for view in (w, b):
+            assert np.shares_memory(view, p.flat) and not view.flags.writeable
+
+    # the layout: per layer the row-major W, then b
+    index = NetworkParams.from_flat(CFG, np.arange(CFG.param_count()))
+    bounds = [(0, 10, 15), (15, 47, 51), (51, 59, 61)]
+    for (w, b), (fi, fo), (start, mid, end) in zip(index.layers, CFG.layer_dims(), bounds):
+        npt.assert_array_equal(w, np.arange(start, mid).reshape(fi, fo))
+        npt.assert_array_equal(b, np.arange(mid, end))
+
+    # to_flat is a writable copy, and from_flat keeps none of the caller's array
+    before = p.to_flat()
+    copy = p.to_flat()
+    copy[:] = 7.0
+    npt.assert_array_equal(p.flat, before)
+    q = NetworkParams.from_flat(CFG, copy)
+    assert not np.shares_memory(q.flat, copy)
+    copy[:] = 0.0
+    npt.assert_array_equal(q.flat, 7.0)
+
+    # weight_mask is True exactly on the W views
+    in_w = np.zeros(CFG.param_count(), dtype=bool)
+    for w, _ in index.layers:
+        in_w[w.ravel().astype(int)] = True
+    npt.assert_array_equal(p.weight_mask(), in_w)
+
+
 def test_save_load_round_trip(tmp_path):
     p = init_params(CFG, seed=5)
     path = tmp_path / "params.txt"
