@@ -32,10 +32,10 @@ def run(gamma):
         seed=0,
         val_count=256,
     )
-    params, history = train(net, cfg, data)
+    params, epochs = train(net, cfg, data)
     print(
-        f"gamma={gamma}: train objective {history.epochs[0].train_objective:.3f} "
-        f"(epoch 1) -> {history.final().train_objective:.3f} (epoch {cfg.epochs})"
+        f"gamma={gamma}: train objective {epochs[0].train_objective:.3f} "
+        f"(epoch 1) -> {epochs[-1].train_objective:.3f} (epoch {cfg.epochs})"
     )
     return params
 

@@ -82,7 +82,6 @@ from .synth import (
 from .training import (
     EpochStats,
     TrainConfig,
-    TrainHistory,
     sgd_momentum_step,
     train,
     train_val_split,
@@ -152,7 +151,6 @@ __all__ = [
     "toy_cross_table",
     "EpochStats",
     "TrainConfig",
-    "TrainHistory",
     "sgd_momentum_step",
     "train",
     "train_val_split",

@@ -19,6 +19,7 @@ import hashlib
 import json
 import math
 import sys
+from dataclasses import MISSING
 from pathlib import Path
 
 import numpy as np
@@ -40,117 +41,63 @@ from .network import (
     sample_candidates,
     sample_outputs,
 )
-from .objective import ObjectiveConfig, grad_check, objective_terms
+from .objective import GRAD_CHECK_STEP, ObjectiveConfig, grad_check, objective_terms
 from .rng import derive_seed, substream
 from .scoring import LossSpec
+from .strictjson import TYPES, dataclass_keys, keyspec, read_json
+from .synth import BIMODAL_NOISE_SIGMA, TOY_GAMMA, TOY_M, TOY_N
 from .synth import GridSpec, gen_conditional_bimodal, load_csv, toy_cross_table
 from .training import TrainConfig, train, train_val_split
 from .metrics import probloss as probloss_metric
 
 SCHEMA_VERSION = 1
 
-_REQUIRED = object()
-
-
-def _check_int(v):
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _check_float(v):
-    """A finite number: JSON NaN and Infinity fail, as does an int past float range."""
-    try:
-        return (_check_int(v) or isinstance(v, float)) and math.isfinite(v)
-    except OverflowError:
-        return False
-
-
-def _check_bool(v):
-    return isinstance(v, bool)
-
-
-def _check_opt_str(v):
-    return v is None or isinstance(v, str)
-
-
-def _check_list_int(v):
-    return isinstance(v, list) and len(v) > 0 and all(_check_int(x) for x in v)
-
-
-def _check_list_int_or_empty(v):
-    return isinstance(v, list) and all(_check_int(x) for x in v)
-
-
-def _check_list_float(v):
-    return isinstance(v, list) and len(v) > 0 and all(_check_float(x) for x in v)
-
-
-def _check_opt_list_float(v):
-    return v is None or _check_list_float(v)
-
-
-_GRID = GridSpec.default()
-
-# section -> key -> (checker, human-readable type, default or _REQUIRED)
+# section -> key -> (check, type name, default); a MISSING default marks a
+# required key. A default the library owns is taken from it.
 _SCHEMA = {
-    "net": {
-        "x_dim": (_check_int, "int", _REQUIRED),
-        "y_dim": (_check_int, "int", _REQUIRED),
-        "z_dim": (_check_int, "int", 8),
-        "encoder_widths": (_check_list_int_or_empty, "list of int", [64]),
-        "decoder_widths": (_check_list_int_or_empty, "list of int", [64, 64]),
-        "noise_enabled": (_check_bool, "bool", True),
-    },
+    "net": dataclass_keys(NetConfig),
     "objective": {
-        "gamma": (_check_float, "number", 0.5),
-        "num_candidates": (_check_int, "int", 16),
-        "beta": (_check_float, "number", 1.0),
-        "weights": (_check_opt_list_float, "list of numbers or null", None),
+        "gamma": keyspec("number", ObjectiveConfig.gamma),
+        "num_candidates": keyspec("int", ObjectiveConfig.num_candidates),
+        "beta": keyspec("number", LossSpec.beta),
+        "weights": keyspec("non-empty list of numbers or null", LossSpec.weights),
     },
-    "train": {
-        "lr": (_check_float, "number", 0.01),
-        "momentum": (_check_float, "number", 0.9),
-        "l2": (_check_float, "number", 0.0),
-        "batch_size": (_check_int, "int", 64),
-        "epochs": (_check_int, "int", 100),
-        "seed": (_check_int, "int", 0),
-        "val_count": (_check_int, "int", 0),
-        "checkpoint_every": (_check_int, "int", 0),
-    },
+    "train": dataclass_keys(TrainConfig, skip=("objective",)),
     "data": {
-        "generator": (_check_opt_str, "string or null", "conditional_bimodal"),
-        "n": (_check_int, "int", 1000),
-        "path": (_check_opt_str, "string or null", None),
-        "noise_sigma": (_check_float, "number", 0.1),
+        "generator": keyspec("string or null", "conditional_bimodal"),
+        "n": keyspec("int", 1000),
+        "path": keyspec("string or null", None),
+        "noise_sigma": keyspec("number", BIMODAL_NOISE_SIGMA),
     },
     "eval": {
-        "num_candidates": (_check_int, "int", 16),
-        "group_size": (_check_int, "int", 1),
-        "distances": (_check_list_float, "list of numbers", [0.1, 0.25, 0.5, 1.0]),
-        "zero_noise": (_check_bool, "bool", False),
-        "base_sigma": (_check_float, "number", 0.0),
-        "seed": (_check_int, "int", 0),
+        "num_candidates": keyspec("int", 16),
+        "group_size": keyspec("int", 1),
+        "distances": keyspec("non-empty list of numbers", [0.1, 0.25, 0.5, 1.0]),
+        "zero_noise": keyspec("bool", False),
+        "base_sigma": keyspec("number", 0.0),
+        "seed": keyspec("int", 0),
     },
     "toy": {
-        "seeds": (_check_list_int, "list of int", [0, 1, 2, 3, 4]),
-        "n_train": (_check_int, "int", 400),
-        "n_test": (_check_int, "int", 400),
-        "m": (_check_int, "int", 24),
-        "gamma": (_check_float, "number", 0.5),
-        "mu_values": (_check_list_float, "list of numbers", list(_GRID.mu1_values)),
-        "sigma_values": (_check_list_float, "list of numbers", list(_GRID.sigma1_values)),
+        "seeds": keyspec("non-empty list of int", [0, 1, 2, 3, 4]),
+        "n_train": keyspec("int", TOY_N),
+        "n_test": keyspec("int", TOY_N),
+        "m": keyspec("int", TOY_M),
+        "gamma": keyspec("number", TOY_GAMMA),
+        "mu_values": keyspec("non-empty list of numbers", list(GridSpec.default().mu1_values)),
+        "sigma_values": keyspec("non-empty list of numbers", list(GridSpec.default().sigma1_values)),
     },
     "gradcheck": {
-        "gammas": (_check_list_float, "list of numbers", [0.0, 0.25, 0.5]),
-        "betas": (_check_list_float, "list of numbers", [0.5, 1.0, 1.5]),
-        "num_examples": (_check_int, "int", 4),
-        "num_candidates": (_check_int, "int", 3),
-        "seed": (_check_int, "int", 0),
-        "step": (_check_float, "number", 1e-6),
-        "tolerance": (_check_float, "number", 1e-4),
+        "gammas": keyspec("non-empty list of numbers", [0.0, 0.25, 0.5]),
+        "betas": keyspec("non-empty list of numbers", [0.5, 1.0, 1.5]),
+        "num_examples": keyspec("int", 4),
+        "num_candidates": keyspec("int", 3),
+        "seed": keyspec("int", 0),
+        "step": keyspec("number", GRAD_CHECK_STEP),
+        "tolerance": keyspec("number", 1e-4),
     },
     "sweep": {
-        "seeds": (_check_list_int, "list of int", [0, 1, 2]),
-        "l2_values": (_check_list_float, "list of numbers", [0.0001, 0.001, 0.01]),
+        "seeds": keyspec("non-empty list of int", [0, 1, 2]),
+        "l2_values": keyspec("non-empty list of numbers", [0.0001, 0.001, 0.01]),
     },
 }
 
@@ -158,16 +105,6 @@ _SCHEMA = {
 _SEED_KEYS = {
     "train": "seed", "eval": "seed", "gradcheck": "seed", "toy": "seeds", "sweep": "seeds",
 }
-
-
-def _unique_keys(pairs):
-    """A JSON object's dict; a repeated key, which would keep its last value, is a ConfigError."""
-    doc = {}
-    for key, value in pairs:
-        if key in doc:
-            raise ConfigError(f"duplicate key {key!r}")
-        doc[key] = value
-    return doc
 
 
 def load_config(path, required_sections, seed_override=None):
@@ -182,51 +119,42 @@ def load_config(path, required_sections, seed_override=None):
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        doc = json.loads(text, object_pairs_hook=_unique_keys)
-    except (json.JSONDecodeError, ConfigError) as exc:
+        doc = read_json(text)
+    except ValueError as exc:
         raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be an object")
     if "schema_version" not in doc:
         raise ConfigError(f"{path}: missing schema_version")
-    if not (_check_int(doc["schema_version"]) and doc["schema_version"] == SCHEMA_VERSION):
-        raise ConfigError(
-            f"{path}: schema_version {doc['schema_version']!r} != {SCHEMA_VERSION}"
-        )
-    config = {"schema_version": SCHEMA_VERSION}
+    version = doc.pop("schema_version")
+    if not (TYPES["int"](version) and version == SCHEMA_VERSION):
+        raise ConfigError(f"{path}: schema_version {version!r} != {SCHEMA_VERSION}")
     for section, body in doc.items():
-        if section == "schema_version":
-            continue
         if section not in _SCHEMA:
             raise ConfigError(f"{path}: unknown section {section!r}")
         if not isinstance(body, dict):
             raise ConfigError(f"{path}: section {section!r} must be an object")
         spec = _SCHEMA[section]
-        out = {}
         for key, value in body.items():
             if key not in spec:
                 raise ConfigError(f"{path}: unknown key {section}.{key}")
-            checker, typename, _ = spec[key]
-            if not checker(value):
+            check, typename, _ = spec[key]
+            if not check(value):
                 raise ConfigError(f"{path}: {section}.{key} must be {typename}, got {value!r}")
-            out[key] = value
-        config[section] = out
     for section in required_sections:
-        if section not in config:
+        if section not in doc:
             raise ConfigError(f"{path}: missing required section {section!r}")
-    for section, body in config.items():
-        if section == "schema_version":
-            continue
-        for key, (checker, typename, default) in _SCHEMA[section].items():
+    for section, body in doc.items():
+        for key, (_, _, default) in _SCHEMA[section].items():
             if key not in body:
-                if default is _REQUIRED:
+                if default is MISSING:
                     raise ConfigError(f"{path}: missing required key {section}.{key}")
                 body[key] = default
     if seed_override is not None:
         for section, key in _SEED_KEYS.items():
-            if section in config:
-                config[section][key] = [seed_override] if key == "seeds" else seed_override
-    return config
+            if section in doc:
+                doc[section][key] = [seed_override] if key == "seeds" else seed_override
+    return {"schema_version": SCHEMA_VERSION, **doc}
 
 
 def config_hash(config):
@@ -256,7 +184,7 @@ def _fmt(x):
 
 
 def _train_and_score(config, data_override, checkpoint_dir=None):
-    """Train one model; returns ``(params, history, val)``.
+    """Train one model; returns ``(params, epochs, val)``.
 
     ``val`` is the ``(value, sem)`` ProbLoss of the validation split, drawn
     from the "summary-eval" substream, or ``(None, None)`` when
@@ -269,13 +197,13 @@ def _train_and_score(config, data_override, checkpoint_dir=None):
     objective = ObjectiveConfig(float(ob["gamma"]), ob["num_candidates"], loss)
     train_config = TrainConfig(objective=objective, **tc)
     data = _load_xy(config, data_override, tc["seed"], net.x_dim, net.y_dim)
-    params, history = train(net, train_config, data, checkpoint_dir=checkpoint_dir)
+    params, epochs = train(net, train_config, data, checkpoint_dir=checkpoint_dir)
     if not tc["val_count"] or ob["num_candidates"] < 2:
-        return params, history, (None, None)
+        return params, epochs, (None, None)
     (_, _), (x_val, y_val) = train_val_split(data, tc["val_count"], tc["seed"])
     rng = substream(tc["seed"], "summary-eval")
     outs = sample_outputs(params, x_val, ob["num_candidates"], rng)
-    return params, history, probloss_metric(outs, y_val)
+    return params, epochs, probloss_metric(outs, y_val)
 
 
 def _load_xy(config, data_override, seed, x_dim, y_dim):
@@ -349,7 +277,7 @@ def cmd_toy(config, args):
 
 def cmd_train(config, args):
     """Train one model and write checkpoint, history, and summary."""
-    params, history, val = _train_and_score(config, args.data, checkpoint_dir=args.out)
+    params, epochs, val = _train_and_score(config, args.data, checkpoint_dir=args.out)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     digest = config_hash(config)
@@ -361,24 +289,24 @@ def cmd_train(config, args):
         [
             [e.epoch, _fmt(e.train_objective), _fmt(e.val_objective), _fmt(e.train_pq),
              _fmt(e.train_qq)]
-            for e in history.epochs
+            for e in epochs
         ],
     )
-    final_val = history.final().val_objective
+    final = epochs[-1]
     summary = {
         "config_sha256": digest,
-        "epochs": len(history.epochs),
-        "final_train_objective": history.final().train_objective,
-        "final_val_objective": None if math.isnan(final_val) else final_val,
+        "epochs": len(epochs),
+        "final_train_objective": final.train_objective,
+        "final_val_objective": None if math.isnan(final.val_objective) else final.val_objective,
         "param_count": params.size,
         "val_probloss": val[0],
         "val_probloss_sem": val[1],
     }
     _write_json(out / "summary.json", summary)
-    seconds = sum(e.seconds for e in history.epochs)
+    seconds = sum(e.seconds for e in epochs)
     print(
-        f"train: {len(history.epochs)} epochs in {seconds:.1f}s, "
-        f"final train objective {history.final().train_objective:.6f}, "
+        f"train: {len(epochs)} epochs in {seconds:.1f}s, "
+        f"final train objective {final.train_objective:.6f}, "
         f"outputs in {out}"
     )
     return 0
@@ -477,10 +405,8 @@ def cmd_sweep(config, args):
     for seed in config["sweep"]["seeds"]:
         for l2 in config["sweep"]["l2_values"]:
             run = dict(config, train=dict(config["train"], seed=seed, l2=l2))
-            params, history, (value, sem) = _train_and_score(run, args.data)
-            rows.append(
-                [seed, _fmt(l2), _fmt(history.final().val_objective), _fmt(value), _fmt(sem)]
-            )
+            params, epochs, (value, sem) = _train_and_score(run, args.data)
+            rows.append([seed, _fmt(l2), _fmt(epochs[-1].val_objective), _fmt(value), _fmt(sem)])
             print(f"sweep: seed={seed} l2={l2:g} val_probloss={value:.6f}")
             if best is None or value < best[0]:
                 best = (value, sem, seed, l2, params)

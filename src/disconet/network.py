@@ -19,6 +19,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ContractError, DimensionError, ParseError
+from .strictjson import TYPES, dataclass_keys, json_value, read_json
 
 PARAMS_FORMAT = "disconet-params"
 PARAMS_VERSION = 1
@@ -70,22 +71,20 @@ class NetConfig:
         return sum((fi + 1) * fo for fi, fo in self.layer_dims())
 
     def to_dict(self):
-        doc = {f.name: getattr(self, f.name) for f in fields(self)}
-        return dict(doc, encoder_widths=list(self.encoder_widths), decoder_widths=list(self.decoder_widths))
+        return {f.name: json_value(getattr(self, f.name)) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, doc):
-        """The config of a ``to_dict`` document: exactly its six fields, with
-        no coercion (the widths are lists of ints, and a bool is no int);
-        TypeError names the first field that breaks this."""
-        kinds = {f.name: f.type for f in fields(cls)}
-        if not isinstance(doc, dict) or doc.keys() != kinds.keys():
-            raise TypeError(f"the fields must be exactly {sorted(kinds)}")
-        for key, kind in kinds.items():
-            v = doc[key]
-            ints = type(v) is list and all(type(w) is int for w in v)
-            if not (ints if kind is tuple else type(v) is kind):
-                raise TypeError(f"{key} has the wrong type: {v!r}")
+        """The config of a ``to_dict`` document: exactly its six fields, each
+        of its JSON type (``strictjson.dataclass_keys``: the widths are lists
+        of ints, and a bool is no int), with no coercion; TypeError names the
+        first field that breaks this."""
+        spec = dataclass_keys(cls)
+        if not isinstance(doc, dict) or doc.keys() != spec.keys():
+            raise TypeError(f"the fields must be exactly {sorted(spec)}")
+        for key, (check, _, _) in spec.items():
+            if not check(doc[key]):
+                raise TypeError(f"{key} has the wrong type: {doc[key]!r}")
         return cls(**doc)
 
 
@@ -161,12 +160,12 @@ class NetworkParams:
         if not raw:
             raise ParseError(f"{path}: empty checkpoint file")
         try:
-            header = json.loads(raw[0])
-        except json.JSONDecodeError as exc:
+            header = read_json(raw[0])
+        except ValueError as exc:
             raise ParseError(f"{path}: line 1: bad header: {exc}") from exc
         if not isinstance(header, dict) or header.get("format") != PARAMS_FORMAT:
             raise ParseError(f"{path}: line 1: not a {PARAMS_FORMAT} header")
-        if type(header.get("version")) is not int or header["version"] != PARAMS_VERSION:
+        if not TYPES["int"](header.get("version")) or header["version"] != PARAMS_VERSION:
             raise ParseError(f"{path}: line 1: unsupported version {header.get('version')!r}")
         try:
             config = NetConfig.from_dict(header.get("net"))

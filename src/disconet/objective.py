@@ -28,6 +28,8 @@ from .errors import ContractError, DimensionError, EstimatorError, NumericError,
 from .network import NetworkParams, bind_params, candidate_array, forward_rows, layer_walk, walk_back
 from .scoring import LossSpec, data_grad, data_term, pair_grad, pair_term
 
+GRAD_CHECK_STEP = 1e-6
+
 
 @dataclass(frozen=True)
 class ObjectiveConfig:
@@ -150,7 +152,7 @@ def objective_terms(params, x, y, z, cfg):
     return pq, qq, value, walk_back(params, inputs, (grad / n).reshape(n * k, net.y_dim))
 
 
-def grad_check(f, params, step=1e-6):
+def grad_check(f, params, step=GRAD_CHECK_STEP):
     """Max relative disagreement between an analytic gradient and central differences.
 
     Parameters

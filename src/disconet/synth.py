@@ -21,6 +21,9 @@ from .rng import substream
 from .scoring import LOSS_DIM1, LOSS_DIM2, axis_sq, data_term, mean_sem, pair_term
 
 TOY_GAMMA = 0.5
+TOY_M = 24  # model samples per data point
+TOY_N = 400  # train and test points per seed
+BIMODAL_NOISE_SIGMA = 0.1
 
 
 @dataclass(frozen=True)
@@ -148,7 +151,7 @@ def gen_gmm2d(spec, n, rng):
     return spec.means()[which] + spec.stddevs()[which] * eps
 
 
-def gen_conditional_bimodal(n, rng, noise_sigma=0.1):
+def gen_conditional_bimodal(n, rng, noise_sigma=BIMODAL_NOISE_SIGMA):
     """Scalar-input bimodal regression task: y = +-(1 + x^2) + noise.
 
     x is uniform on [-1, 1]; the sign is an even coin flip, so the
@@ -286,7 +289,7 @@ def _grid_table(y, grid, w, beta, gamma, eps):
     return table
 
 
-def fit_gaussian_grid(train, grid, loss, gamma=TOY_GAMMA, m=24, rng=None):
+def fit_gaussian_grid(train, grid, loss, gamma=TOY_GAMMA, m=TOY_M, rng=None):
     """Exhaustive argmin of the sampled dissimilarity over the grid.
 
     Parameters
@@ -323,7 +326,7 @@ def fit_gaussian_grid(train, grid, loss, gamma=TOY_GAMMA, m=24, rng=None):
     return point
 
 
-def eval_gaussian(params, test, loss, gamma=TOY_GAMMA, m=24, rng=None):
+def eval_gaussian(params, test, loss, gamma=TOY_GAMMA, m=TOY_M, rng=None):
     """Sampled dissimilarity of a fitted Gaussian on held-out points.
 
     Returns ``(mean, sem)`` over the test points. A non-finite value (a
@@ -347,7 +350,7 @@ def eval_gaussian(params, test, loss, gamma=TOY_GAMMA, m=24, rng=None):
 TOY_LOSSES = (("dim1", LOSS_DIM1), ("dim2", LOSS_DIM2))
 
 
-def toy_cross_table(seeds, grid=None, n_train=400, n_test=400, gamma=TOY_GAMMA, m=24):
+def toy_cross_table(seeds, grid=None, n_train=TOY_N, n_test=TOY_N, gamma=TOY_GAMMA, m=TOY_M):
     """Fit ``TOY_MIXTURE`` under each of ``TOY_LOSSES``, evaluate under each, per seed.
 
     Evaluation draws are shared across fitted models within a task-loss

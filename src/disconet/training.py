@@ -65,14 +65,6 @@ class EpochStats:
     train_qq: float
 
 
-@dataclass
-class TrainHistory:
-    epochs: list
-
-    def final(self):
-        return self.epochs[-1]
-
-
 def train_val_split(data, val_count, seed):
     """Disjoint, exhaustive train/validation split by a seeded shuffle.
 
@@ -116,7 +108,8 @@ def validation_objective(params, data, objective, rng):
 
 
 def train(net_config, train_config, data, checkpoint_dir=None):
-    """Run the full training loop; returns ``(params, history)``.
+    """Run the full training loop; returns ``(params, epochs)``, with one
+    ``EpochStats`` per epoch in order.
 
     Substreams of the config seed: "split" for the validation split,
     "init" for parameter init, "shuffle" for epoch permutations, "noise"
@@ -146,7 +139,7 @@ def train(net_config, train_config, data, checkpoint_dir=None):
     shuffle_rng = substream(cfg.seed, "shuffle")
     noise_rng = substream(cfg.seed, "noise")
     val_rng = substream(cfg.seed, "val-noise")
-    history = []
+    epochs = []
     for epoch in range(1, cfg.epochs + 1):
         t0 = time.perf_counter()
         perm = shuffle_rng.permutation(n)
@@ -168,11 +161,11 @@ def train(net_config, train_config, data, checkpoint_dir=None):
             val_obj = validation_objective(params, (x_val, y_val), cfg.objective, val_rng)
         else:
             val_obj = float("nan")
-        history.append(
+        epochs.append(
             EpochStats(epoch, train_obj, val_obj, time.perf_counter() - t0, train_pq, train_qq)
         )
         if checkpoint_dir is not None and cfg.checkpoint_every:
             if epoch % cfg.checkpoint_every == 0:
                 Path(checkpoint_dir).mkdir(parents=True, exist_ok=True)
                 params.save(Path(checkpoint_dir) / f"checkpoint_epoch_{epoch}.txt")
-    return params, TrainHistory(history)
+    return params, epochs

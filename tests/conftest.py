@@ -51,9 +51,9 @@ def train_bimodal(seed, gamma, noise_enabled, epochs=ABLATION_EPOCHS):
         val_count=ABLATION_VAL,
     )
     data = gen_conditional_bimodal(ABLATION_N, substream(seed, "abl-data"))
-    params, history = train(net, config, data)
+    params, epochs = train(net, config, data)
     (_, _), val = train_val_split(data, ABLATION_VAL, seed)
-    return params, val, history
+    return params, val, epochs
 
 
 def sampled_candidates(params, x, seed, num_candidates=ABLATION_K):

@@ -11,10 +11,13 @@ import pytest
 
 from disconet import (
     ConfigError,
+    GridSpec,
     LossSpec,
     NetConfig,
     NetworkParams,
     NumericError,
+    ObjectiveConfig,
+    TrainConfig,
     energy_score_sample,
     init_params,
     predict_rows,
@@ -30,8 +33,9 @@ from disconet.cli import (
     load_config,
     main,
 )
+from disconet.objective import GRAD_CHECK_STEP
 from disconet.rng import substream
-from disconet.synth import gen_conditional_bimodal
+from disconet.synth import BIMODAL_NOISE_SIGMA, TOY_GAMMA, TOY_M, TOY_N, gen_conditional_bimodal
 
 
 def write_config(path, doc):
@@ -65,6 +69,49 @@ def test_load_config_fills_defaults(tmp_path):
     assert config["train"]["momentum"] == 0.9
     assert config["data"]["noise_sigma"] == 0.1
     assert config["schema_version"] == SCHEMA_VERSION
+
+
+def test_required_keys_alone_load_the_library_defaults(tmp_path):
+    """Every default a library type or constant owns reaches the loaded
+    config unchanged, in its JSON type (the widths as lists)."""
+    sections = ("net", "objective", "train", "data", "toy", "gradcheck")
+    doc = {s: {} for s in sections}
+    doc["net"] = {"x_dim": 1, "y_dim": 2}
+    config = load_config(write_config(tmp_path / "c.json", doc), sections)
+    net, ob, toy = config["net"], config["objective"], config["toy"]
+    assert net == NetConfig(x_dim=1, y_dim=2).to_dict()
+    assert type(net["encoder_widths"]) is list and type(net["decoder_widths"]) is list
+    assert TrainConfig(**config["train"]) == TrainConfig()
+    assert ObjectiveConfig(ob["gamma"], ob["num_candidates"]) == ObjectiveConfig()
+    assert LossSpec(ob["beta"], ob["weights"]) == LossSpec()
+    grid = GridSpec.default()
+    assert (toy["n_train"], toy["n_test"], toy["m"], toy["gamma"]) == (TOY_N, TOY_N, TOY_M, TOY_GAMMA)
+    assert (toy["mu_values"], toy["sigma_values"]) == (list(grid.mu1_values), list(grid.sigma1_values))
+    assert config["data"]["noise_sigma"] == BIMODAL_NOISE_SIGMA
+    assert config["gradcheck"]["step"] == GRAD_CHECK_STEP
+
+
+_NON_EMPTY_LISTS = [
+    ("toy", "seeds", "non-empty list of int"),
+    ("sweep", "seeds", "non-empty list of int"),
+    ("eval", "distances", "non-empty list of numbers"),
+    ("gradcheck", "gammas", "non-empty list of numbers"),
+    ("gradcheck", "betas", "non-empty list of numbers"),
+    ("toy", "mu_values", "non-empty list of numbers"),
+    ("toy", "sigma_values", "non-empty list of numbers"),
+    ("sweep", "l2_values", "non-empty list of numbers"),
+    ("objective", "weights", "non-empty list of numbers or null"),
+]
+
+
+@pytest.mark.parametrize("section, key, typename", _NON_EMPTY_LISTS,
+                         ids=[f"{section}.{key}" for section, key, _ in _NON_EMPTY_LISTS])
+def test_empty_list_refused_by_a_type_it_breaks(tmp_path, section, key, typename):
+    """An empty list is refused by a type name that ``[]`` does not meet."""
+    path = write_config(tmp_path / "c.json", {section: {key: []}})
+    with pytest.raises(ConfigError) as info:
+        load_config(path, ())
+    assert str(info.value) == f"{path}: {section}.{key} must be {typename}, got []"
 
 
 def test_load_config_rejections(tmp_path):
@@ -120,6 +167,12 @@ def test_load_config_rejections(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ConfigError, match="not valid JSON"):
         load_config(str(path), ())
+
+    # an int past the interpreter's digit limit is a ValueError, not a JSONDecodeError
+    if hasattr(sys, "get_int_max_str_digits"):
+        path.write_text('{"schema_version": 1, "train": {"seed": 1' + "0" * 5000 + "}}")
+        with pytest.raises(ConfigError, match="not valid JSON: Exceeds the limit"):
+            load_config(str(path), ())
 
 
 @pytest.mark.parametrize("command, section, key, value", [
@@ -628,6 +681,10 @@ def test_eval_rejects_non_finite_checkpoint(tmp_path, capsys):
     assert not any("NaN" in text for text in written)
 
 
+# the header's version key written twice, first with a version no reader takes
+_REPEATED_VERSION = '"version": 9, "version": 1'
+
+
 @pytest.mark.parametrize("field, value", [
     ("noise_enabled", "false"),
     ("x_dim", 1.7),
@@ -637,22 +694,32 @@ def test_eval_rejects_non_finite_checkpoint(tmp_path, capsys):
     ("depth", 3),
     ("version", True),
     ("version", 1.0),
+    ("version", _REPEATED_VERSION),
 ])
 def test_eval_rejects_malformed_checkpoint_header_exit_3(tmp_path, capsys, field, value):
-    """Headers that a coercing parse would accept: bool("false") is True,
-    1.7, true and 4.0 become 1, 1 and 4, the string "4" is the widths (4,),
-    an unknown net key is ignored, and true and 1.0 equal the version 1."""
+    """Headers that a coercing or last-key-wins parse would accept:
+    bool("false") is True, 1.7, true and 4.0 become 1, 1 and 4, the string
+    "4" is the widths (4,), an unknown net key is ignored, true and 1.0
+    equal the version 1, and a repeated version key keeps its last value."""
     ckpt = tmp_path / "ckpt.txt"
     init_params(NetConfig(**SMALL_NET), seed=0).save(ckpt)
     lines = ckpt.read_text().splitlines()
-    header = json.loads(lines[0])
-    (header if field == "version" else header["net"])[field] = value
-    ckpt.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+    if value == _REPEATED_VERSION:
+        assert '"version": 1' in lines[0]
+        header_line = lines[0].replace('"version": 1', value)
+    else:
+        header = json.loads(lines[0])
+        (header if field == "version" else header["net"])[field] = value
+        header_line = json.dumps(header)
+    ckpt.write_text("\n".join([header_line] + lines[1:]) + "\n")
     doc = {"data": dict(SMALL_DATA), "eval": {"num_candidates": 3, "distances": [1.0]}}
     cfg = write_config(tmp_path / "eval.json", doc)
     out = tmp_path / "o"
     assert main(["eval", "--config", cfg, "--out", str(out), "--checkpoint", str(ckpt)]) == 3
-    assert ": line 1: " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert ": line 1: " in err
+    if value == _REPEATED_VERSION:
+        assert err == f"error: {ckpt}: line 1: bad header: duplicate key 'version'\n"
     assert not out.exists()
 
 

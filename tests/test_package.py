@@ -48,3 +48,19 @@ def test_oracle_and_singularity_rule_stay_in_place():
                     assigners.append(path.name)
     assert sorted(set(importers)) == ["__init__.py"]
     assert assigners == ["scoring.py"]
+
+
+def test_json_is_read_in_one_place():
+    """Every JSON document the package reads, a config or a checkpoint
+    header, goes through ``strictjson.read_json``, which refuses a repeated
+    key: no other ``src/`` module calls ``json.load`` or ``json.loads``."""
+    callers = []
+    for path in sorted(Path(disconet.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf8"))):
+            func = node.func if isinstance(node, ast.Call) else None
+            if (isinstance(func, ast.Attribute) and func.attr in ("load", "loads")
+                    and isinstance(func.value, ast.Name) and func.value.id == "json"):
+                callers.append(path.name)
+            if isinstance(node, ast.ImportFrom) and node.module == "json":
+                callers.append(path.name)
+    assert callers == ["strictjson.py"]

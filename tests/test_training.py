@@ -122,9 +122,9 @@ def test_train_is_deterministic():
     p1, h1 = train(NET, _small_cfg(), data)
     p2, h2 = train(NET, _small_cfg(), data)
     npt.assert_array_equal(p1.to_flat(), p2.to_flat())
-    assert [e.train_objective for e in h1.epochs] == [e.train_objective for e in h2.epochs]
-    assert [e.val_objective for e in h1.epochs] == [e.val_objective for e in h2.epochs]
-    assert [e.epoch for e in h1.epochs] == [1, 2, 3]
+    assert [e.train_objective for e in h1] == [e.train_objective for e in h2]
+    assert [e.val_objective for e in h1] == [e.val_objective for e in h2]
+    assert [e.epoch for e in h1] == [1, 2, 3]
 
 
 def test_train_seed_changes_outcome():
@@ -136,9 +136,9 @@ def test_train_seed_changes_outcome():
 
 def test_train_objective_decreases():
     data = _small_data(n=128)
-    _, hist = train(NET, _small_cfg(epochs=20, val_count=16), data)
-    first = hist.epochs[0].train_objective
-    last = hist.final().train_objective
+    _, epochs = train(NET, _small_cfg(epochs=20, val_count=16), data)
+    first = epochs[0].train_objective
+    last = epochs[-1].train_objective
     assert last < first
 
 
@@ -150,17 +150,17 @@ def test_epoch_terms_recombine_to_objective(gamma):
     DIVhat(Q,Q) is reported at gamma = 0 as well."""
     data = _small_data()
     cfg = _small_cfg(objective=ObjectiveConfig(gamma=gamma, num_candidates=4), epochs=4)
-    _, hist = train(NET, cfg, data)
-    for e in hist.epochs:
+    _, epochs = train(NET, cfg, data)
+    for e in epochs:
         assert e.train_pq - gamma * e.train_qq == pytest.approx(e.train_objective, rel=1e-12, abs=1e-12)
         assert e.train_qq > 0.0
 
 
 def test_train_no_validation_gives_nan_val():
     data = _small_data()
-    _, hist = train(NET, _small_cfg(val_count=0), data)
-    assert np.isnan(hist.final().val_objective)
-    assert np.isfinite(hist.final().train_objective)
+    _, epochs = train(NET, _small_cfg(val_count=0), data)
+    assert np.isnan(epochs[-1].val_objective)
+    assert np.isfinite(epochs[-1].train_objective)
 
 
 def test_train_writes_checkpoints(tmp_path):
