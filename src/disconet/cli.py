@@ -15,6 +15,7 @@ error.
 """
 
 import argparse
+import copy
 import hashlib
 import json
 import math
@@ -149,7 +150,7 @@ def load_config(path, required_sections, seed_override=None):
             if key not in body:
                 if default is MISSING:
                     raise ConfigError(f"{path}: missing required key {section}.{key}")
-                body[key] = default
+                body[key] = copy.deepcopy(default)  # a caller may change its config in place
     if seed_override is not None:
         for section, key in _SEED_KEYS.items():
             if section in doc:

@@ -7,7 +7,8 @@ minimizing its summed task loss to all candidates of the same input.
 Pointwise metrics follow the hand-pose convention: output coordinates are
 grouped into joints, errors are Euclidean per joint, and a frame is one
 evaluated example. The probabilistic metric is the per-frame sampled
-energy score (unit weights, beta = 1) across candidates.
+energy score (unit weights, beta = 1) across candidates, whose pair term
+sums the same K x K candidate distances that MEU row-sums.
 """
 
 from dataclasses import dataclass
@@ -16,7 +17,11 @@ import numpy as np
 
 from .errors import ContractError, DimensionError, EstimatorError, ParameterError
 from .network import candidate_array
-from .scoring import LossSpec, energy_score_sample, mean_sem, pairwise_delta
+from .scoring import LossSpec, beta_norm, data_term, mean_sem, pair_term, pairwise_delta, sorted_pairs
+
+# Frames per block of the data term and of the correlations: small, to bound peak memory.
+DATA_BLOCK = 16
+PEARSON_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -109,16 +114,41 @@ def ff(preds, gts, layout, distance):
     return float((worst <= distance).mean())
 
 
+def _frame_scores(outs, gts, meu):
+    """MEU indices (None unless `meu`) and energy scores (None for K = 1) of
+    (N, K, y_dim) candidates, bitwise ``meu_predict`` and ``energy_score_sample``
+    frame by frame: one ``pairwise_delta`` broadcast per frame, not mirrored from
+    its upper triangle, as BLAS may round a row's last K mod 4 entries apart."""
+    n, k, y_dim = outs.shape
+    gts = np.asarray(gts, dtype=np.float64)
+    if gts.shape[0] != n:
+        raise ContractError(f"{gts.shape[0]} ground truths but {n} candidate sets")
+    if gts.size != n * y_dim:
+        raise DimensionError(f"ground truths of shape {gts.shape} for candidate dim {y_dim}")
+    w, sort = np.ones(y_dim), sorted_pairs(y_dim, 1.0)
+    rows, totals = np.empty((n, k)), np.empty(n)
+    if meu or not sort:
+        diff = np.empty((k, k, y_dim))
+        for i, g in enumerate(outs):
+            dist = beta_norm(np.subtract(g[:, None, :], g[None, :, :], out=diff), w, 1.0)
+            rows[i], totals[i] = dist.sum(axis=1), dist.sum(axis=(0, 1))
+    idx = rows.argmin(axis=1) if meu else None  # argmin keeps the lowest index on ties
+    if k < 2:
+        return idx, None
+    gts = gts.reshape(n, y_dim)
+    data = np.concatenate([data_term(gts[s:s + DATA_BLOCK], outs[s:s + DATA_BLOCK], w, 1.0)
+                           for s in range(0, n, DATA_BLOCK)])
+    pair = pair_term(outs, w, 1.0) if sort else totals / (k * (k - 1))
+    return idx, data - 0.5 * pair
+
+
 def probloss(outs, gts):
     """Mean per-frame energy score (beta = 1, unit weights) of (N, K, y_dim)
     candidates against (N, y_dim) ground truths, with its sem."""
     outs = candidate_array(outs)
-    gts = np.asarray(gts, dtype=np.float64)
-    if outs.shape[0] != gts.shape[0]:
-        raise ContractError(f"{gts.shape[0]} ground truths but {outs.shape[0]} candidate sets")
-    spec = LossSpec(beta=1.0)
-    vals = [energy_score_sample(o, y, spec) for o, y in zip(outs, gts)]
-    return mean_sem(vals)
+    if outs.shape[1] < 2:
+        raise EstimatorError("energy score needs at least two candidates")
+    return mean_sem(_frame_scores(outs, gts, meu=False)[1])
 
 
 def pearson_matrix(outs, layout):
@@ -143,24 +173,22 @@ def pearson_matrix(outs, layout):
         raise DimensionError(f"outputs have dim {y_dim}, layout expects {layout.y_dim}")
     if k < 2:
         raise EstimatorError("correlations need at least two candidates")
-    j = layout.num_joints
-    sums = np.zeros((j, j))
-    counts = np.zeros((j, j), dtype=np.int64)
-    for o in outs:
-        dev = (o - o.mean(axis=0, keepdims=True)).reshape(k, j, layout.group_size)
-        if layout.group_size > 1:
-            e = np.sqrt((dev * dev).sum(axis=2))
-        else:
-            e = dev[:, :, 0]
-        c = e - e.mean(axis=0, keepdims=True)
-        ss = (c * c).sum(axis=0)
+    j, group = layout.num_joints, layout.group_size
+    sums, counts = np.zeros((j, j)), np.zeros((j, j), dtype=np.int64)
+    for start in range(0, outs.shape[0], PEARSON_BLOCK):
+        o = outs[start:start + PEARSON_BLOCK]
+        dev = (o - o.mean(axis=1, keepdims=True)).reshape(o.shape[0], k, j, group)
+        e = np.sqrt((dev * dev).sum(axis=3)) if group > 1 else dev[..., 0]
+        c = e - e.mean(axis=1, keepdims=True)
+        ss = (c * c).sum(axis=1)
         live = ss > 0.0
-        mask = np.outer(live, live)
-        denom = np.sqrt(np.outer(ss, ss))
+        mask = live[:, :, None] & live[:, None, :]
+        denom = np.sqrt(ss[:, :, None] * ss[:, None, :])
         with np.errstate(invalid="ignore", divide="ignore"):
-            r = np.where(mask, (c.T @ c) / np.where(denom > 0.0, denom, 1.0), 0.0)
-        sums += np.clip(r, -1.0, 1.0) * mask
-        counts += mask
+            r = np.where(mask, (c.transpose(0, 2, 1) @ c) / np.where(denom > 0.0, denom, 1.0), 0.0)
+        for r_f, mask_f in zip(np.clip(r, -1.0, 1.0) * mask, mask):  # one frame at a time, in order
+            sums += r_f
+            counts += mask_f
     defined = counts > 0
     values = np.full((j, j), np.nan)
     values[defined] = sums[defined] / counts[defined]
@@ -263,12 +291,13 @@ def metrics_report(outs, gts, layout, distances, pointwise_preds=None):
         seen = labels.setdefault(f"{d:g}", d)
         if seen != d:
             raise ContractError(f"FF distances {seen!r} and {d!r} share the label {d:g}")
+    idx, scores = _frame_scores(outs, gts, meu=pointwise_preds is None)
     if pointwise_preds is None:
-        preds = np.asarray([meu_predict(o)[1] for o in outs])
+        preds = outs[np.arange(outs.shape[0]), idx]
     else:
         preds = np.asarray(pointwise_preds, dtype=np.float64)
     report = MetricsReport(
-        probloss=probloss(outs, gts) if k >= 2 else None,
+        probloss=None if scores is None else mean_sem(scores),
         mejee=mejee(preds, gts, layout),
         majee=majee(preds, gts, layout),
         ff={float(d): ff(preds, gts, layout, float(d)) for d in distances},

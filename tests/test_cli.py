@@ -91,6 +91,24 @@ def test_required_keys_alone_load_the_library_defaults(tmp_path):
     assert config["gradcheck"]["step"] == GRAD_CHECK_STEP
 
 
+def test_loaded_defaults_are_copies(tmp_path):
+    """Changing a list default in one loaded config leaves the next load's
+    defaults as they were."""
+    doc = {section: {} for section in _SCHEMA}
+    doc["net"] = {"x_dim": 1, "y_dim": 2}
+    path = write_config(tmp_path / "c.json", doc)
+    first = load_config(path, ())
+    expected = json.loads(json.dumps(first))
+    mutated = 0
+    for body in first.values():
+        for value in body.values() if isinstance(body, dict) else ():
+            if isinstance(value, list):
+                value.append(9)
+                mutated += 1
+    assert mutated == sum(type(d) is list for spec in _SCHEMA.values() for _, _, d in spec.values())
+    assert load_config(path, ()) == expected
+
+
 _NON_EMPTY_LISTS = [
     ("toy", "seeds", "non-empty list of int"),
     ("sweep", "seeds", "non-empty list of int"),

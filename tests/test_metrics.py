@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -12,6 +13,7 @@ from disconet import (
     LossSpec,
     ParameterError,
     base_candidates,
+    energy_score_sample,
     ff,
     majee,
     meu_predict,
@@ -20,6 +22,8 @@ from disconet import (
     pearson_matrix,
     probloss,
 )
+from disconet.metrics import DATA_BLOCK, PEARSON_BLOCK, _frame_scores
+from disconet.scoring import mean_sem
 
 
 def test_layout_constructors():
@@ -255,3 +259,93 @@ def test_metrics_report_pointwise_override():
     assert rep.ff[1.0] == 1.0
     # while the candidate-based probabilistic entry is untouched
     assert rep.probloss[0] > 0.0
+
+
+def _pearson_frame_by_frame(outs, layout):
+    """The correlation pass one frame at a time: the reference for the
+    blocked pass in ``pearson_matrix``."""
+    _, k, _ = outs.shape
+    j = layout.num_joints
+    sums = np.zeros((j, j))
+    counts = np.zeros((j, j), dtype=np.int64)
+    for o in outs:
+        dev = (o - o.mean(axis=0, keepdims=True)).reshape(k, j, layout.group_size)
+        e = np.sqrt((dev * dev).sum(axis=2)) if layout.group_size > 1 else dev[:, :, 0]
+        c = e - e.mean(axis=0, keepdims=True)
+        ss = (c * c).sum(axis=0)
+        mask = np.outer(ss > 0.0, ss > 0.0)
+        denom = np.sqrt(np.outer(ss, ss))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            r = np.where(mask, (c.T @ c) / np.where(denom > 0.0, denom, 1.0), 0.0)
+        sums += np.clip(r, -1.0, 1.0) * mask
+        counts += mask
+    defined = counts > 0
+    values = np.full((j, j), np.nan)
+    values[defined] = sums[defined] / counts[defined]
+    values[np.diag_indices(j)] = np.where(np.diag(defined), 1.0, np.nan)
+    return values, defined
+
+
+_FRAME_COUNTS = (1, DATA_BLOCK - 1, DATA_BLOCK, PEARSON_BLOCK, 2 * PEARSON_BLOCK + 3)
+
+
+@pytest.mark.parametrize("n", _FRAME_COUNTS)
+@pytest.mark.parametrize("k, y_dim, group", [
+    (30, 42, 3),  # K mod 4 = 2: the BLAS product rounds a row's last entries apart
+    (7, 2, 1),    # signed singleton joints
+    (5, 1, 1),    # the sorted pair term
+    (2, 42, 3),   # one pair per frame
+    (1, 4, 2),    # no energy score, no correlations
+])
+def test_metrics_report_is_frame_by_frame_bitwise(n, k, y_dim, group):
+    """The one metric pass gives the bits of meu_predict, energy_score_sample
+    and the per-frame correlation run frame by frame."""
+    rng = np.random.default_rng(1000 * n + 10 * k + y_dim)
+    outs = rng.normal(size=(n, k, y_dim)) * rng.uniform(0.1, 10.0, size=(n, 1, 1))
+    # exactly tied candidates: MEU index 0; with a mean free of roundoff, no joint is defined
+    outs[0] = np.round(4.0 * outs[0, :1]) / 4.0
+    outs[-1] = outs[-1, :1]  # tied, where the candidate mean may round off the candidates
+    gts = rng.normal(size=(n, y_dim))
+    layout = JointLayout.grouped(y_dim, group)
+    distances = (0.5, 1.0, 4.0)
+    rep = metrics_report(outs, gts, layout, distances)
+
+    meu = [meu_predict(o) for o in outs]
+    indices, scores = _frame_scores(outs, gts, meu=True)
+    npt.assert_array_equal(indices, [i for i, _ in meu])
+    preds = np.array([p for _, p in meu])
+    assert meu[0][0] == 0 and meu[-1][0] == 0
+    assert rep.mejee == mejee(preds, gts, layout)
+    assert rep.majee == majee(preds, gts, layout)
+    assert rep.ff == {d: ff(preds, gts, layout, d) for d in distances}
+    if k == 1:
+        assert rep.probloss is None and rep.pearson is None
+        return
+    spec = LossSpec(beta=1.0)
+    frame_scores = [energy_score_sample(o, y, spec) for o, y in zip(outs, gts)]
+    npt.assert_array_equal(scores, frame_scores)  # per frame: a mean can hide a one-ulp shift
+    expected = mean_sem(frame_scores)
+    assert rep.probloss == expected
+    assert probloss(outs, gts) == expected
+    values, defined = _pearson_frame_by_frame(outs, layout)
+    npt.assert_array_equal(rep.pearson[1], defined)
+    npt.assert_array_equal(rep.pearson[0], values)  # NaN where undefined, on both sides
+    if n == 1:
+        assert not defined.any()
+
+
+def test_metrics_report_memory_stays_flat():
+    """The metric pass over 2,000 frames of 32 candidates holds only small
+    blocks at a time: a (64, 32, 32, 42) pair block alone would take 22 MB."""
+    rng = np.random.default_rng(15)
+    outs = rng.normal(size=(2000, 32, 42))
+    gts = rng.normal(size=(2000, 42))
+    layout = JointLayout.grouped(42, 3)
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        metrics_report(outs, gts, layout, (0.5, 1.0, 1.5, 2.0, 3.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 4 * 2**20
