@@ -43,6 +43,7 @@ from .network import (
     init_params,
     predict_rows,
     sample_candidates,
+    sample_frames,
     sample_outputs,
 )
 from .objective import (
@@ -121,6 +122,7 @@ __all__ = [
     "init_params",
     "predict_rows",
     "sample_candidates",
+    "sample_frames",
     "sample_outputs",
     "ObjectiveConfig",
     "disco_objective",

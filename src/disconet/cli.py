@@ -39,7 +39,7 @@ from .network import (
     draw_noise,
     init_params,
     predict_rows,
-    sample_candidates,
+    sample_frames,
     sample_outputs,
 )
 from .objective import GRAD_CHECK_STEP, ObjectiveConfig, grad_check, objective_terms
@@ -331,14 +331,11 @@ def cmd_eval(config, args):
         point = _zero_noise_preds(params, x)
         outs = base_candidates(point, k, float(ev["base_sigma"]), substream(seed, "base-jitter"))
     else:
-        # frame by frame into one array: each frame's encoder runs once for
-        # its K candidates, while a single pass over all N frames would hold
-        # N * K rows of activations and, through BLAS blocking, change the
-        # last bits of the outputs
-        rng = substream(seed, "eval-noise")
-        outs = np.empty((x.shape[0], k, net.y_dim))
-        for i in range(x.shape[0]):
-            outs[i] = sample_candidates(params, x[i], k, rng)
+        # in blocks of frames with one BLAS product per frame matrix, so the
+        # bits are the per-frame loop's and do not depend on N; a single
+        # sample_outputs pass over all N frames would hold N * K rows of
+        # activations and, through BLAS blocking, change the last bits
+        outs = sample_frames(params, x, k, substream(seed, "eval-noise"))
     pointwise = _zero_noise_preds(params, x) if ev["zero_noise"] else None
     report = metrics_report(outs, y, layout, ev["distances"], pointwise_preds=pointwise)
     digest = config_hash(config)

@@ -157,9 +157,13 @@ def pearson_matrix(outs, layout):
     `outs` holds the (N, K, y_dim) candidates. For each input the
     per-candidate deviation from the candidate mean is reduced per joint
     (Euclidean magnitude for multi-coordinate joints, signed value for
-    singleton joints) and correlated across the K candidates. Zero-variance
-    joints are flagged undefined for that input and excluded from the
-    average rather than propagating NaN.
+    singleton joints) and correlated across the K candidates. A joint is
+    live for an input when two of its candidates differ in one of its
+    coordinates, compared exactly (the mean of tied values can round off
+    them, and that offset would read as variance), and its reduced
+    deviations still spread (at K = 2 a grouped joint's two magnitudes are
+    often exactly equal). Other joints are flagged undefined for that input
+    and excluded from the average rather than propagating NaN.
 
     Returns
     -------
@@ -181,7 +185,8 @@ def pearson_matrix(outs, layout):
         e = np.sqrt((dev * dev).sum(axis=3)) if group > 1 else dev[..., 0]
         c = e - e.mean(axis=1, keepdims=True)
         ss = (c * c).sum(axis=1)
-        live = ss > 0.0
+        differ = (o != o[:, :1]).any(axis=1).reshape(o.shape[0], j, group).any(axis=2)
+        live = differ & (ss > 0.0)
         mask = live[:, :, None] & live[:, None, :]
         denom = np.sqrt(ss[:, :, None] * ss[:, None, :])
         with np.errstate(invalid="ignore", divide="ignore"):

@@ -15,7 +15,7 @@ from disconet import (
     ObjectiveConfig,
     TrainConfig,
     gen_conditional_bimodal,
-    sample_candidates,
+    sample_frames,
     substream,
     train,
     train_val_split,
@@ -57,12 +57,9 @@ def train_bimodal(seed, gamma, noise_enabled, epochs=ABLATION_EPOCHS):
 
 
 def sampled_candidates(params, x, seed, num_candidates=ABLATION_K):
-    """(N, K, y_dim) candidates drawn frame by frame from the "abl-eval" stream."""
-    rng = substream(seed, "abl-eval")
-    outs = np.empty((x.shape[0], num_candidates, params.config.y_dim))
-    for i in range(x.shape[0]):
-        outs[i] = sample_candidates(params, x[i], num_candidates, rng)
-    return outs
+    """(N, K, y_dim) candidates from the "abl-eval" stream, sampled as
+    ``disconet eval`` samples them (bitwise the frame-by-frame loop)."""
+    return sample_frames(params, x, num_candidates, substream(seed, "abl-eval"))
 
 
 @pytest.fixture(scope="session")

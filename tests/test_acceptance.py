@@ -262,6 +262,10 @@ def test_criterion_8_metric_invariants():
     values, defined = pearson_matrix(outs, JointLayout.scalar(2))
     diag_ok = values[0, 0] == 1.0 and defined[0, 0]
     undef_ok = not defined[1, 1] and not defined[0, 1] and np.isnan(values[1, 1])
+    # 30 exactly tied candidates of arbitrary values: their mean can round off
+    # them, and that offset is no spread
+    tied = np.repeat(rng.normal(size=(1, 1, 42)), 30, axis=1)
+    undef_ok &= not pearson_matrix(tied, JointLayout.grouped(42, 3))[1].any()
     dt = time.perf_counter() - t0
     ok = ff_monotone and order_ok and diag_ok and undef_ok and dt < 5.0
     _report(8, "metric invariants", ok,

@@ -263,7 +263,9 @@ def test_metrics_report_pointwise_override():
 
 def _pearson_frame_by_frame(outs, layout):
     """The correlation pass one frame at a time: the reference for the
-    blocked pass in ``pearson_matrix``."""
+    blocked pass in ``pearson_matrix``. A joint is live in a frame when two
+    candidates differ in one of its coordinates and its reduced deviations
+    spread."""
     _, k, _ = outs.shape
     j = layout.num_joints
     sums = np.zeros((j, j))
@@ -273,7 +275,8 @@ def _pearson_frame_by_frame(outs, layout):
         e = np.sqrt((dev * dev).sum(axis=2)) if layout.group_size > 1 else dev[:, :, 0]
         c = e - e.mean(axis=0, keepdims=True)
         ss = (c * c).sum(axis=0)
-        mask = np.outer(ss > 0.0, ss > 0.0)
+        live = (o != o[0]).any(axis=0).reshape(j, layout.group_size).any(axis=1) & (ss > 0.0)
+        mask = np.outer(live, live)
         denom = np.sqrt(np.outer(ss, ss))
         with np.errstate(invalid="ignore", divide="ignore"):
             r = np.where(mask, (c.T @ c) / np.where(denom > 0.0, denom, 1.0), 0.0)
@@ -332,6 +335,7 @@ def test_metrics_report_is_frame_by_frame_bitwise(n, k, y_dim, group):
     npt.assert_array_equal(rep.pearson[0], values)  # NaN where undefined, on both sides
     if n == 1:
         assert not defined.any()
+    assert not pearson_matrix(outs[-1:], layout)[1].any()  # arbitrary values, exactly tied
 
 
 def test_metrics_report_memory_stays_flat():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -14,9 +16,10 @@ from disconet import (
     init_params,
     predict_rows,
     sample_candidates,
+    sample_frames,
     sample_outputs,
 )
-from disconet.network import draw_noise, layer_walk
+from disconet.network import FRAME_BLOCK, draw_noise, layer_walk
 
 
 CFG = NetConfig(x_dim=2, y_dim=2, z_dim=3, encoder_widths=(5,), decoder_widths=(4,))
@@ -302,3 +305,57 @@ def test_sample_candidates_shapes_and_noises():
     # one (K, z_dim) block of uniform draws on [-1, 1]
     z = np.random.default_rng(2).uniform(-1.0, 1.0, size=(1, 4, 3))
     npt.assert_array_equal(outs, list(layer_walk(p, np.array([[0.5, -0.5]]), z, 4))[-1][1])
+
+
+_FRAME_NETS = {
+    "full_two_encoders": NetConfig(x_dim=3, y_dim=42, z_dim=200, encoder_widths=(256, 256),
+                                   decoder_widths=(256, 256)),
+    "noise_free": NetConfig(x_dim=3, y_dim=42, z_dim=200, encoder_widths=(64,),
+                            decoder_widths=(64,), noise_enabled=False),
+    "desk": NetConfig(x_dim=1, y_dim=1, z_dim=8, encoder_widths=(32,), decoder_widths=(32, 32)),
+    "join_is_output": NetConfig(x_dim=2, y_dim=3, z_dim=4, encoder_widths=(), decoder_widths=()),
+}
+
+
+@pytest.mark.parametrize("k", [1, 2, 32])
+@pytest.mark.parametrize("name", sorted(_FRAME_NETS))
+def test_sample_frames_matches_per_frame_loop(name, k):
+    """Sampling in blocks of frames gives the bits of sampling one frame at a
+    time, whether N falls below, on or off the block size, and leaves the
+    generator in the same state."""
+    cfg = _FRAME_NETS[name]
+    p = init_params(cfg, seed=4)
+    for n in (1, FRAME_BLOCK, FRAME_BLOCK + 1, 67):
+        x = np.random.default_rng(n).uniform(-1.0, 1.0, size=(n, cfg.x_dim))
+        blocked, looped = np.random.default_rng(8), np.random.default_rng(8)
+        outs = sample_frames(p, x, k, blocked)
+        expected = np.stack([sample_outputs(p, x[i : i + 1], k, looped)[0] for i in range(n)])
+        npt.assert_array_equal(outs, expected)
+        assert blocked.random() == looped.random()
+
+
+def test_sample_frames_memory_stays_flat():
+    """2,000 frames of 32 candidates of the full-scale net hold the output
+    and blocks of FRAME_BLOCK frames: one (2000 * 32, 256) activation array
+    alone would take 131 MB."""
+    full = NetConfig(x_dim=1, y_dim=42, z_dim=200, encoder_widths=(256,), decoder_widths=(256, 256))
+    p = init_params(full, seed=1)
+    x = np.random.default_rng(16).uniform(-1.0, 1.0, size=(2000, 1))
+    rng = np.random.default_rng(17)
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        outs = sample_frames(p, x, 32, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert outs.shape == (2000, 32, 42)
+    assert peak - start < outs.nbytes + 4 * 2**20
+
+
+def test_sample_frames_rejects_bad_input():
+    p = init_params(CFG, seed=9)
+    with pytest.raises(ContractError):
+        sample_frames(p, np.zeros((3, 2)), 0, np.random.default_rng(0))
+    with pytest.raises(DimensionError):
+        sample_frames(p, np.zeros((3, 5)), 2, np.random.default_rng(0))
