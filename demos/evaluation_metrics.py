@@ -9,13 +9,13 @@ trains a small sampler on the bimodal task and walks through the report.
 import numpy as np
 
 from disconet import (
-    JointLayout,
     NetConfig,
     ObjectiveConfig,
     TrainConfig,
     gen_conditional_bimodal,
     metrics_report,
     meu_predict,
+    report_rows,
     sample_outputs,
     substream,
     train,
@@ -41,18 +41,21 @@ outs = sample_outputs(params, x_val, 16, substream(0, "demo-eval-draws"))
 idx, pick = meu_predict(outs[0])
 print(f"input {x_val[0, 0]:+.2f}: MEU picked candidate {idx} at {pick[0]:+.2f}")
 
-layout = JointLayout.scalar(1)
-report = metrics_report(outs, y_val, layout, distances=(0.1, 0.25, 0.5, 1.0))
+# one output coordinate per joint; the report is the plain document that
+# `disconet eval` writes to metrics.json
+report = metrics_report(outs, y_val, 1, distances=(0.1, 0.25, 0.5, 1.0))
 
-print(f"\nProbLoss {report.probloss[0]:.4f} ± {report.probloss[1]:.4f}")
-print(f"MeJEE    {report.mejee[0]:.4f} ± {report.mejee[1]:.4f}")
-print(f"MaJEE    {report.majee[0]:.4f} ± {report.majee[1]:.4f}")
-for d in sorted(report.ff):
-    print(f"FF(d={d:g})  {report.ff[d]:.3f}")
+for name in ("probloss", "mejee", "majee"):
+    print(f"{name:8s} {report[name]['value']:.4f} ± {report[name]['sem']:.4f}")
+for label, fraction in report["ff"].items():
+    print(f"FF(d={label})  {fraction:.3f}")
 
 # On a bimodal target the pointwise errors look large whenever the pick
 # lands on the branch the ground truth did not take; ProbLoss is the
 # number that rewards covering both branches.
-values, defined = report.pearson
-print(f"\npearson diagonal defined: {bool(defined[0, 0])}, value {values[0, 0]}")
-print(f"frames {report.counts['frames']}, K {report.counts['candidates']}")
+print(f"\npearson diagonal: {report['pearson'][0][0]} (None where undefined)")
+print(f"frames {report['counts']['frames']}, K {report['counts']['candidates']}")
+
+# metrics.csv holds the same document flattened into (name, value, sem) rows
+for row in report_rows(report)[:3]:
+    print(",".join(row))

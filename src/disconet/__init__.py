@@ -23,16 +23,16 @@ from .errors import (
     SchemaError,
 )
 from .metrics import (
-    JointLayout,
-    MetricsReport,
     base_candidates,
     ff,
+    joint_count,
     majee,
     mejee,
     metrics_report,
     meu_predict,
     pearson_matrix,
     probloss,
+    report_rows,
 )
 from .network import (
     NetConfig,
@@ -104,16 +104,16 @@ __all__ = [
     "ParameterError",
     "ParseError",
     "SchemaError",
-    "JointLayout",
-    "MetricsReport",
     "base_candidates",
     "ff",
+    "joint_count",
     "majee",
     "mejee",
     "metrics_report",
     "meu_predict",
     "pearson_matrix",
     "probloss",
+    "report_rows",
     "NetConfig",
     "NetworkParams",
     "bind_params",

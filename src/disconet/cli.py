@@ -32,7 +32,7 @@ from .errors import (
     ParseError,
     SchemaError,
 )
-from .metrics import JointLayout, base_candidates, metrics_report
+from .metrics import base_candidates, joint_count, metrics_report, report_rows
 from .network import (
     NetConfig,
     NetworkParams,
@@ -42,7 +42,8 @@ from .network import (
     sample_frames,
     sample_outputs,
 )
-from .objective import GRAD_CHECK_STEP, ObjectiveConfig, grad_check, objective_terms
+from .objective import GRAD_CHECK_STEP, GRAD_CHECK_TOLERANCE, ObjectiveConfig, grad_check_detail
+from .objective import objective_terms
 from .rng import derive_seed, substream
 from .scoring import LossSpec
 from .strictjson import TYPES, dataclass_keys, keyspec, read_json
@@ -94,7 +95,7 @@ _SCHEMA = {
         "num_candidates": keyspec("int", 3),
         "seed": keyspec("int", 0),
         "step": keyspec("number", GRAD_CHECK_STEP),
-        "tolerance": keyspec("number", 1e-4),
+        "tolerance": keyspec("number", GRAD_CHECK_TOLERANCE),
     },
     "sweep": {
         "seeds": keyspec("non-empty list of int", [0, 1, 2]),
@@ -326,7 +327,7 @@ def cmd_eval(config, args):
     params = NetworkParams.load(args.checkpoint)
     net = params.config
     x, y = _load_xy(config, args.data, seed, net.x_dim, net.y_dim)
-    layout = JointLayout.grouped(net.y_dim, ev["group_size"])
+    joint_count(net.y_dim, ev["group_size"])  # a bad grouping fails before the sampling
     if float(ev["base_sigma"]) > 0.0:
         point = _zero_noise_preds(params, x)
         outs = base_candidates(point, k, float(ev["base_sigma"]), substream(seed, "base-jitter"))
@@ -337,10 +338,8 @@ def cmd_eval(config, args):
         # activations and, through BLAS blocking, change the last bits
         outs = sample_frames(params, x, k, substream(seed, "eval-noise"))
     pointwise = _zero_noise_preds(params, x) if ev["zero_noise"] else None
-    report = metrics_report(outs, y, layout, ev["distances"], pointwise_preds=pointwise)
-    digest = config_hash(config)
-    doc = report.to_json_dict()
-    doc["config_sha256"] = digest
+    doc = metrics_report(outs, y, ev["group_size"], ev["distances"], pointwise_preds=pointwise)
+    digest = doc["config_sha256"] = config_hash(config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "metrics.json", doc)
@@ -348,7 +347,7 @@ def cmd_eval(config, args):
         out / "metrics.csv",
         [f"config_sha256={digest}"],
         ["metric", "value", "sem"],
-        report.to_csv_rows(),
+        report_rows(doc),
     )
     print(f"eval: {x.shape[0]} frames, K={k}, report in {out}/metrics.json")
     return 0
@@ -382,9 +381,13 @@ def cmd_gradcheck(config, args):
                 _, _, value, grad = objective_terms(p, x, y, noises, objective)
                 return value, grad
 
-            err = grad_check(f, params.to_flat(), step=float(gc["step"]))
+            err, again = grad_check_detail(f, params.to_flat(), float(gc["step"]),
+                                           float(gc["tolerance"]))
             worst = max(worst, err)
             print(f"gradcheck: gamma={gamma:g} beta={beta:g} max_rel_err={err:.3e}")
+            if again:
+                print(f"gradcheck: gamma={gamma:g} beta={beta:g} measured {again} coordinates "
+                      "again, whose slopes sit below the step's roundoff")
     ok = worst < float(gc["tolerance"])
     print(f"gradcheck: worst {worst:.3e} vs tolerance {gc['tolerance']:g}: "
           + ("PASS" if ok else "FAIL"))

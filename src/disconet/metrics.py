@@ -5,13 +5,14 @@ inputs, as ``network.sample_outputs`` returns them. The pointwise
 prediction is the candidate with maximum expected utility: the one
 minimizing its summed task loss to all candidates of the same input.
 Pointwise metrics follow the hand-pose convention: output coordinates are
-grouped into joints, errors are Euclidean per joint, and a frame is one
-evaluated example. The probabilistic metric is the per-frame sampled
-energy score (unit weights, beta = 1) across candidates, whose pair term
-sums the same K x K candidate distances that MEU row-sums.
+grouped into joints of ``group_size`` consecutive coordinates, errors are
+Euclidean per joint, and a frame is one evaluated example. The
+probabilistic metric is the per-frame sampled energy score (unit weights,
+beta = 1) across candidates, whose pair term sums the same K x K candidate
+distances that MEU row-sums. ``metrics_report`` returns the report as the
+plain document metrics.json holds, and ``report_rows`` flattens that
+document into the rows of metrics.csv.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,46 +25,14 @@ DATA_BLOCK = 16
 PEARSON_BLOCK = 32
 
 
-@dataclass(frozen=True)
-class JointLayout:
-    """Joint names plus how many consecutive coordinates each joint spans."""
-
-    names: tuple
-    group_size: int = 1
-
-    def __post_init__(self):
-        object.__setattr__(self, "names", tuple(str(n) for n in self.names))
-        if not self.names:
-            raise ContractError("layout needs at least one joint")
-        if self.group_size < 1:
-            raise ContractError("group_size must be >= 1")
-
-    @property
-    def num_joints(self):
-        return len(self.names)
-
-    @property
-    def y_dim(self):
-        return self.num_joints * self.group_size
-
-    @classmethod
-    def scalar(cls, y_dim):
-        """Degenerate layout: every output coordinate is its own joint."""
-        return cls(tuple(f"y{i}" for i in range(y_dim)), 1)
-
-    @classmethod
-    def grouped(cls, y_dim, group_size, names=None):
-        if group_size < 1:
-            raise ContractError("group_size must be >= 1")
-        if y_dim % group_size != 0:
-            raise DimensionError(f"y_dim {y_dim} not divisible by group size {group_size}")
-        j = y_dim // group_size
-        if names is None:
-            names = tuple(f"j{i}" for i in range(j))
-        layout = cls(tuple(names), group_size)
-        if layout.num_joints != j:
-            raise DimensionError(f"{len(names)} names for {j} joints")
-        return layout
+def joint_count(y_dim, group_size):
+    """Joints in `y_dim` outputs when each joint spans `group_size`
+    consecutive coordinates."""
+    if group_size < 1:
+        raise ContractError("group_size must be >= 1")
+    if y_dim % group_size != 0:
+        raise DimensionError(f"y_dim {y_dim} not divisible by group size {group_size}")
+    return int(y_dim // group_size)
 
 
 def meu_predict(candidates, task_loss=LossSpec()):
@@ -82,35 +51,33 @@ def meu_predict(candidates, task_loss=LossSpec()):
     return idx, outs[idx].copy()
 
 
-def _frame_errors(preds, gts, layout):
+def _frame_errors(preds, gts, group_size):
     preds = np.asarray(preds, dtype=np.float64)
     gts = np.asarray(gts, dtype=np.float64)
     if preds.shape != gts.shape or preds.ndim != 2:
         raise DimensionError(f"preds {preds.shape} and gts {gts.shape} must be equal matrices")
     if preds.shape[0] == 0:
         raise ContractError("no frames to evaluate")
-    if preds.shape[1] != layout.y_dim:
-        raise DimensionError(f"outputs have dim {preds.shape[1]}, layout expects {layout.y_dim}")
-    d = (preds - gts).reshape(preds.shape[0], layout.num_joints, layout.group_size)
+    d = (preds - gts).reshape(preds.shape[0], joint_count(preds.shape[1], group_size), group_size)
     return np.sqrt((d * d).sum(axis=2))
 
 
-def mejee(preds, gts, layout):
+def mejee(preds, gts, group_size):
     """Mean joint error: per-frame mean over joints, averaged over frames.
 
     Returns ``(value, sem)`` with the standard error over frames.
     """
-    return mean_sem(_frame_errors(preds, gts, layout).mean(axis=1))
+    return mean_sem(_frame_errors(preds, gts, group_size).mean(axis=1))
 
 
-def majee(preds, gts, layout):
+def majee(preds, gts, group_size):
     """Max joint error: per-frame max over joints, averaged over frames."""
-    return mean_sem(_frame_errors(preds, gts, layout).max(axis=1))
+    return mean_sem(_frame_errors(preds, gts, group_size).max(axis=1))
 
 
-def ff(preds, gts, layout, distance):
+def ff(preds, gts, group_size, distance):
     """Fraction of frames whose worst joint error is within `distance`."""
-    worst = _frame_errors(preds, gts, layout).max(axis=1)
+    worst = _frame_errors(preds, gts, group_size).max(axis=1)
     return float((worst <= distance).mean())
 
 
@@ -151,7 +118,7 @@ def probloss(outs, gts):
     return mean_sem(_frame_scores(outs, gts, meu=False)[1])
 
 
-def pearson_matrix(outs, layout):
+def pearson_matrix(outs, group_size):
     """Per-joint deviation correlations across candidates, averaged over inputs.
 
     `outs` holds the (N, K, y_dim) candidates. For each input the
@@ -173,19 +140,17 @@ def pearson_matrix(outs, layout):
     """
     outs = candidate_array(outs)
     _, k, y_dim = outs.shape
-    if y_dim != layout.y_dim:
-        raise DimensionError(f"outputs have dim {y_dim}, layout expects {layout.y_dim}")
+    j = joint_count(y_dim, group_size)
     if k < 2:
         raise EstimatorError("correlations need at least two candidates")
-    j, group = layout.num_joints, layout.group_size
     sums, counts = np.zeros((j, j)), np.zeros((j, j), dtype=np.int64)
     for start in range(0, outs.shape[0], PEARSON_BLOCK):
         o = outs[start:start + PEARSON_BLOCK]
-        dev = (o - o.mean(axis=1, keepdims=True)).reshape(o.shape[0], k, j, group)
-        e = np.sqrt((dev * dev).sum(axis=3)) if group > 1 else dev[..., 0]
+        dev = (o - o.mean(axis=1, keepdims=True)).reshape(o.shape[0], k, j, group_size)
+        e = np.sqrt((dev * dev).sum(axis=3)) if group_size > 1 else dev[..., 0]
         c = e - e.mean(axis=1, keepdims=True)
         ss = (c * c).sum(axis=1)
-        differ = (o != o[:, :1]).any(axis=1).reshape(o.shape[0], j, group).any(axis=2)
+        differ = (o != o[:, :1]).any(axis=1).reshape(o.shape[0], j, group_size).any(axis=2)
         live = differ & (ss > 0.0)
         mask = live[:, :, None] & live[:, None, :]
         denom = np.sqrt(ss[:, :, None] * ss[:, None, :])
@@ -218,81 +183,27 @@ def base_candidates(points, num_candidates, sigma, rng):
     return p[:, None, :] + sigma * rng.standard_normal((n, num_candidates, y_dim))
 
 
-@dataclass
-class MetricsReport:
-    """Evaluation summary: probabilistic and pointwise metrics plus counts.
-
-    ``probloss`` and ``pearson`` are None when only one candidate per
-    input was available (the estimators need K >= 2).
-    """
-
-    probloss: tuple
-    mejee: tuple
-    majee: tuple
-    ff: dict
-    pearson: tuple
-    counts: dict
-
-    def to_json_dict(self):
-        doc = {
-            "probloss": _pair_dict(self.probloss),
-            "mejee": _pair_dict(self.mejee),
-            "majee": _pair_dict(self.majee),
-            "ff": {f"{d:g}": float(v) for d, v in self.ff.items()},
-            "pearson": None,
-            "counts": {k: int(v) for k, v in self.counts.items()},
-        }
-        if self.pearson is not None:
-            values, defined = self.pearson
-            doc["pearson"] = [
-                [float(values[i, j]) if defined[i, j] else None for j in range(values.shape[1])]
-                for i in range(values.shape[0])
-            ]
-        return doc
-
-    def to_csv_rows(self):
-        """Flat (name, value, sem) string triples; blanks for undefined."""
-        rows = []
-        for name, pair in (("probloss", self.probloss), ("mejee", self.mejee), ("majee", self.majee)):
-            if pair is None:
-                rows.append((name, "", ""))
-            else:
-                rows.append((name, repr(float(pair[0])), repr(float(pair[1]))))
-        for d in sorted(self.ff):
-            rows.append((f"ff_{d:g}", repr(float(self.ff[d])), ""))
-        if self.pearson is not None:
-            values, defined = self.pearson
-            for i in range(values.shape[0]):
-                for j in range(values.shape[1]):
-                    val = repr(float(values[i, j])) if defined[i, j] else ""
-                    rows.append((f"pearson_{i}_{j}", val, ""))
-        for key in sorted(self.counts):
-            rows.append((f"count_{key}", str(int(self.counts[key])), ""))
-        return rows
-
-
-def _pair_dict(pair):
-    if pair is None:
-        return None
-    return {"value": float(pair[0]), "sem": float(pair[1])}
-
-
-def metrics_report(outs, gts, layout, distances, pointwise_preds=None):
-    """Assemble the full evaluation report for one dataset.
+def metrics_report(outs, gts, group_size, distances, pointwise_preds=None):
+    """The evaluation report for one dataset, as the document metrics.json
+    holds (less the config hash).
 
     `outs` holds the (N, K, y_dim) candidates. Pointwise predictions
     default to maximum-expected-utility selection per input under the
     default loss; pass `pointwise_preds` to evaluate externally chosen
-    predictions (e.g. the zero-noise forward pass) instead. With a single
-    candidate per input the probabilistic entries are None. Two distinct FF
-    distances that print alike under ``:g`` are a ContractError, since the
-    report keys FF values by that label.
+    predictions (e.g. the zero-noise forward pass) instead. ``probloss``,
+    ``mejee`` and ``majee`` are ``{"value", "sem"}`` pairs, ``ff`` maps each
+    distance's ``:g`` label to its fraction, ``pearson`` holds the
+    correlation rows with None for undefined cells, and ``counts`` the
+    frames, candidates and joints. With a single candidate per input
+    ``probloss`` and ``pearson`` are None. Two distinct FF distances that
+    print alike under ``:g`` are a ContractError, since the report keys FF
+    values by that label.
     """
     outs = candidate_array(outs)
     gts = np.asarray(gts, dtype=np.float64)
     k = outs.shape[1]
     labels = {}
-    for d in map(float, distances):
+    for d in dict.fromkeys(map(float, distances)):  # equal distances are one entry
         seen = labels.setdefault(f"{d:g}", d)
         if seen != d:
             raise ContractError(f"FF distances {seen!r} and {d!r} share the label {d:g}")
@@ -301,16 +212,30 @@ def metrics_report(outs, gts, layout, distances, pointwise_preds=None):
         preds = outs[np.arange(outs.shape[0]), idx]
     else:
         preds = np.asarray(pointwise_preds, dtype=np.float64)
-    report = MetricsReport(
-        probloss=None if scores is None else mean_sem(scores),
-        mejee=mejee(preds, gts, layout),
-        majee=majee(preds, gts, layout),
-        ff={float(d): ff(preds, gts, layout, float(d)) for d in distances},
-        pearson=pearson_matrix(outs, layout) if k >= 2 else None,
-        counts={
-            "frames": gts.shape[0],
-            "candidates": k,
-            "joints": layout.num_joints,
-        },
-    )
-    return report
+    pairs = {"probloss": None if scores is None else mean_sem(scores),
+             "mejee": mejee(preds, gts, group_size), "majee": majee(preds, gts, group_size)}
+    doc = {name: None if pair is None else {"value": float(pair[0]), "sem": float(pair[1])}
+           for name, pair in pairs.items()}
+    doc["ff"] = {label: ff(preds, gts, group_size, d) for label, d in labels.items()}
+    doc["pearson"] = None
+    if k >= 2:
+        values, defined = pearson_matrix(outs, group_size)
+        doc["pearson"] = [[float(v) if ok else None for v, ok in zip(*row)]
+                          for row in zip(values, defined)]
+    doc["counts"] = {"frames": gts.shape[0], "candidates": k,
+                     "joints": joint_count(outs.shape[2], group_size)}
+    return doc
+
+
+def report_rows(doc):
+    """The (name, value, sem) string rows of metrics.csv, flattened from a
+    ``metrics_report`` document: the three pairs, FF by numeric distance,
+    Pearson row-major, then counts by key, with blanks where it holds None."""
+    rows = [(name, "", "") if doc[name] is None
+            else (name, repr(doc[name]["value"]), repr(doc[name]["sem"]))
+            for name in ("probloss", "mejee", "majee")]
+    rows += [(f"ff_{label}", repr(doc["ff"][label]), "") for label in sorted(doc["ff"], key=float)]
+    for i, row in enumerate(doc["pearson"] or ()):
+        rows += [(f"pearson_{i}_{j}", "" if v is None else repr(v), "") for j, v in enumerate(row)]
+    rows += [(f"count_{key}", str(doc["counts"][key]), "") for key in sorted(doc["counts"])]
+    return rows

@@ -382,13 +382,16 @@ def sample_outputs(params, x, num_candidates, rng):
     The noise is one ``draw_noise`` from `rng`, the same stream values that
     N one-row draws in row order would take; one ``layer_walk`` then runs
     the encoder once per row and the layers after the noise join over all
-    N * K rows. A noise-free net draws nothing, and its K candidates
-    coincide.
+    N * K rows. A noise-free net draws nothing and samples one candidate
+    per row, repeated K times: a K-row pass could round identical rows
+    apart.
     """
     if num_candidates < 1:
         raise ContractError("num_candidates must be >= 1")
     x = np.asarray(x, dtype=np.float64)
     n, k = x.shape[0], num_candidates
+    if k > 1 and not params.config.noise_enabled:
+        return np.repeat(sample_outputs(params, x, 1, rng), k, axis=1)
     z = draw_noise(params.config, n, k, rng)
     return _walk_output(params, layer_walk(params, x, z, k)).reshape(n, k, params.config.y_dim)
 
@@ -407,7 +410,8 @@ def sample_frames(params, x, num_candidates, rng):
     encoder part to the noise part, the one-row sum in the other order,
     which rounds the same. The layers after the join write into buffers of
     FRAME_BLOCK frames that every block reuses, so the memory held beside
-    the output does not grow with N.
+    the output does not grow with N. A noise-free net, as in
+    ``sample_outputs``, samples one candidate per frame and repeats it.
     """
     if num_candidates < 1:
         raise ContractError("num_candidates must be >= 1")
@@ -416,6 +420,8 @@ def sample_frames(params, x, num_candidates, rng):
     if x.ndim != 2 or x.shape[1] != cfg.x_dim:
         raise DimensionError(f"x must be (rows, {cfg.x_dim}), got {x.shape}")
     n, k = x.shape[0], num_candidates
+    if k > 1 and not cfg.noise_enabled:
+        return np.repeat(sample_frames(params, x, 1, rng), k, axis=1)
     join = len(cfg.encoder_widths)
     after = params.layers[join:]
     bufs = [np.empty((FRAME_BLOCK, k, w.shape[1])) for w, _ in after[:-1]]

@@ -29,6 +29,9 @@ from .network import NetworkParams, bind_params, candidate_array, forward_rows, 
 from .scoring import LossSpec, data_grad, data_term, pair_grad, pair_term
 
 GRAD_CHECK_STEP = 1e-6
+GRAD_CHECK_TOLERANCE = 1e-4
+# the least gradient magnitude a relative error is taken against
+GRAD_CHECK_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -152,45 +155,56 @@ def objective_terms(params, x, y, z, cfg):
     return pq, qq, value, walk_back(params, inputs, (grad / n).reshape(n * k, net.y_dim))
 
 
-def grad_check(f, params, step=GRAD_CHECK_STEP):
-    """Max relative disagreement between an analytic gradient and central differences.
+def grad_check(f, params, step=GRAD_CHECK_STEP, tolerance=GRAD_CHECK_TOLERANCE):
+    """Max relative disagreement between an analytic gradient and central
+    differences: the error ``grad_check_detail`` returns."""
+    return grad_check_detail(f, params, step, tolerance)[0]
 
-    Parameters
-    ----------
-    f : callable
-        Maps a flat parameter vector to ``(objective value, gradient vector)``.
-        Must be deterministic in its argument; only the value is used at the
-        perturbed points.
-    params : array-like
-        Flat parameter vector at which to check.
-    step : float
-        Absolute central-difference step.
 
-    Returns
-    -------
-    float
-        ``max_i |analytic_i - numeric_i| / max(1e-8, |analytic_i| + |numeric_i|)``.
+def grad_check_detail(f, params, step=GRAD_CHECK_STEP, tolerance=GRAD_CHECK_TOLERANCE):
+    """``max_i |analytic_i - numeric_i| / max(1e-8, |analytic_i| + |numeric_i|)``
+    over central differences of absolute `step`, and how many coordinates
+    were measured again.
+
+    `f` maps a flat parameter vector to ``(objective value, gradient
+    vector)``; it must be deterministic, and only the value is used at the
+    perturbed points. A central difference cannot resolve a slope below its
+    roundoff, about eps |f| / step: an exactly zero analytic slope meets a
+    one-ulp difference, which the 1e-8 floor turns into a large relative
+    error. Where the two disagree by `tolerance` or more and both sit below
+    that bound, the coordinate is measured again with a step whose roundoff
+    is half of `tolerance` times the floor, and that measurement stands: it
+    passes only if it agrees.
     """
     if not step > 0.0:
         raise ParameterError("step must be positive")
     p = np.array(params, dtype=np.float64).reshape(-1)
-    _, grad = f(p.copy())
+    value, grad = f(p.copy())
     grad = np.asarray(grad, dtype=np.float64).reshape(-1)
     if grad.shape != p.shape:
         raise ContractError(f"gradient length {grad.size} does not match {p.size} parameters")
-    numeric = np.empty_like(p)
-    for i in range(p.size):
-        up, down = p.copy(), p.copy()
-        up[i] += step
-        down[i] -= step
-        vp, vm = float(f(up)[0]), float(f(down)[0])
-        if not (np.isfinite(vp) and np.isfinite(vm)):
-            raise NumericError(f"non-finite objective at perturbed coordinate {i}")
-        numeric[i] = (vp - vm) / (2.0 * step)
     if p.size == 0:
-        return 0.0
-    denom = np.maximum(1e-8, np.abs(grad) + np.abs(numeric))
-    return float(np.max(np.abs(grad - numeric) / denom))
+        return 0.0, 0
+    numeric = np.array([_central_difference(f, p, i, step) for i in range(p.size)])
+    err = np.abs(grad - numeric) / np.maximum(GRAD_CHECK_FLOOR, np.abs(grad) + np.abs(numeric))
+    eps_f = np.finfo(np.float64).eps * abs(float(value))
+    wide = 2.0 * eps_f / (tolerance * GRAD_CHECK_FLOOR)  # larger than step wherever `again` holds
+    tiny = np.maximum(np.abs(grad), np.abs(numeric)) <= eps_f / step
+    again = np.flatnonzero((err >= tolerance) & tiny)
+    for i in again:
+        n_i = _central_difference(f, p, i, wide)
+        err[i] = abs(grad[i] - n_i) / max(GRAD_CHECK_FLOOR, abs(grad[i]) + abs(n_i))
+    return float(np.max(err)), int(again.size)
+
+
+def _central_difference(f, p, i, step):
+    up, down = p.copy(), p.copy()
+    up[i] += step
+    down[i] -= step
+    vp, vm = float(f(up)[0]), float(f(down)[0])
+    if not (np.isfinite(vp) and np.isfinite(vm)):
+        raise NumericError(f"non-finite objective at perturbed coordinate {i}")
+    return (vp - vm) / (2.0 * step)
 
 
 def candidate_pair_indices(num_candidates, num_examples):

@@ -14,7 +14,6 @@ import pytest
 
 from disconet import (
     DiscreteDistribution,
-    JointLayout,
     LossSpec,
     NetConfig,
     NetworkParams,
@@ -244,28 +243,28 @@ def test_criterion_8_metric_invariants():
     correlation matrix handles its diagonal and degenerate joints."""
     t0 = time.perf_counter()
     rng = substream(0, "acc8-frames")
-    lay = JointLayout.grouped(6, 2)
+    group = 2  # three joints of two coordinates
     ff_monotone = True
     order_ok = True
     for _ in range(50):
         frames = int(rng.integers(1, 8))
         preds = rng.normal(size=(frames, 6))
         gts = rng.normal(size=(frames, 6))
-        fracs = [ff(preds, gts, lay, d) for d in (0.1, 0.5, 1.0, 2.0, 5.0)]
+        fracs = [ff(preds, gts, group, d) for d in (0.1, 0.5, 1.0, 2.0, 5.0)]
         ff_monotone &= all(a <= b for a, b in zip(fracs, fracs[1:]))
         for fr in range(frames):
-            me = mejee(preds[fr : fr + 1], gts[fr : fr + 1], lay)[0]
-            ma = majee(preds[fr : fr + 1], gts[fr : fr + 1], lay)[0]
+            me = mejee(preds[fr : fr + 1], gts[fr : fr + 1], group)[0]
+            ma = majee(preds[fr : fr + 1], gts[fr : fr + 1], group)[0]
             order_ok &= me <= ma + 1e-15
     # one live joint, one frozen joint
     outs = np.column_stack([np.arange(4.0), np.full(4, 2.0)])[None]
-    values, defined = pearson_matrix(outs, JointLayout.scalar(2))
+    values, defined = pearson_matrix(outs, 1)
     diag_ok = values[0, 0] == 1.0 and defined[0, 0]
     undef_ok = not defined[1, 1] and not defined[0, 1] and np.isnan(values[1, 1])
     # 30 exactly tied candidates of arbitrary values: their mean can round off
     # them, and that offset is no spread
     tied = np.repeat(rng.normal(size=(1, 1, 42)), 30, axis=1)
-    undef_ok &= not pearson_matrix(tied, JointLayout.grouped(42, 3))[1].any()
+    undef_ok &= not pearson_matrix(tied, 3)[1].any()
     dt = time.perf_counter() - t0
     ok = ff_monotone and order_ok and diag_ok and undef_ok and dt < 5.0
     _report(8, "metric invariants", ok,

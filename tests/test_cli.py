@@ -783,6 +783,38 @@ def test_gradcheck_pass_and_corrupt(tmp_path, capsys, monkeypatch):
     assert "FAIL" in out
 
 
+def test_gradcheck_measures_roundoff_slopes_again(tmp_path, capsys, monkeypatch):
+    """The desk net at seed 1, gamma 0.5, beta 1 has 202 slopes below 1e-18
+    whose central differences read one ulp of the objective over two steps.
+    They are measured again with a larger step, so the exact gradient passes
+    and a wrong one still fails."""
+    import disconet.cli as cli
+    import disconet.objective as objective_module
+
+    net = {"x_dim": 1, "y_dim": 1, "z_dim": 8, "encoder_widths": [32], "decoder_widths": [32, 32]}
+    cfg = write_config(tmp_path / "gc.json", {"net": net, "gradcheck": {"gammas": [0.5], "betas": [1.0]}})
+    assert main(["gradcheck", "--config", cfg, "--seed", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "measured 202 coordinates again" in out and "PASS" in out
+
+    exact_terms, exact_pair = cli.objective_terms, objective_module.pair_grad
+
+    def offset(*args):
+        pq, qq, value, grad = exact_terms(*args)
+        return pq, qq, value, grad + 1e-3
+
+    def flipped(g, w, beta):
+        value, grad = exact_pair(g, w, beta)
+        return value, -grad
+
+    for module, name, fault in ((cli, "objective_terms", offset),
+                                (objective_module, "pair_grad", flipped)):
+        with monkeypatch.context() as m:
+            m.setattr(module, name, fault)
+            assert main(["gradcheck", "--config", cfg, "--seed", "1"]) == 1
+        assert "FAIL" in capsys.readouterr().out
+
+
 def test_gradcheck_requires_its_section(tmp_path, capsys):
     cfg = write_config(tmp_path / "gc.json", {"net": {"x_dim": 1, "y_dim": 1}})
     assert main(["gradcheck", "--config", cfg]) == 2

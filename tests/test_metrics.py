@@ -9,52 +9,45 @@ from disconet import (
     ContractError,
     DimensionError,
     EstimatorError,
-    JointLayout,
     LossSpec,
     ParameterError,
     base_candidates,
     energy_score_sample,
     ff,
+    joint_count,
     majee,
     meu_predict,
     mejee,
     metrics_report,
     pearson_matrix,
     probloss,
+    report_rows,
 )
 from disconet.metrics import DATA_BLOCK, PEARSON_BLOCK, _frame_scores
 from disconet.scoring import mean_sem
 
 
-def test_layout_constructors():
-    lay = JointLayout.scalar(3)
-    assert lay.num_joints == 3
-    assert lay.y_dim == 3
-    lay = JointLayout.grouped(6, 3, names=("wrist", "thumb"))
-    assert lay.num_joints == 2
-    assert lay.y_dim == 6
+def test_joint_count():
+    assert joint_count(3, 1) == 3
+    assert joint_count(6, 3) == 2
     with pytest.raises(DimensionError):
-        JointLayout.grouped(5, 3)
-    with pytest.raises(DimensionError):
-        JointLayout.grouped(6, 3, names=("only",))
-    with pytest.raises(ContractError):
-        JointLayout((), 1)
-    with pytest.raises(ContractError):
-        JointLayout(("a",), 0)
+        joint_count(5, 3)
     for size in (0, -1):
         with pytest.raises(ContractError, match="group_size must be >= 1"):
-            JointLayout.grouped(6, size)
+            joint_count(6, size)
 
 
 def test_joint_errors_grouped():
-    lay = JointLayout.grouped(4, 2)
+    group = 2
     # Manually calculated: joint 1 displaced (3, 4) -> 5, joint 2 exact.
     preds, gts = [[3.0, 4.0, 0.0, 0.0]], [[0.0, 0.0, 0.0, 0.0]]
-    assert mejee(preds, gts, lay) == (2.5, 0.0)
-    assert majee(preds, gts, lay) == (5.0, 0.0)
+    assert mejee(preds, gts, group) == (2.5, 0.0)
+    assert majee(preds, gts, group) == (5.0, 0.0)
     for metric in (mejee, majee):
         with pytest.raises(DimensionError):
-            metric([[1.0]], gts, lay)
+            metric([[1.0]], gts, group)
+        with pytest.raises(DimensionError):  # 3 coordinates in joints of 2
+            metric([[1.0, 2.0, 3.0]], [[0.0, 0.0, 0.0]], group)
 
 
 def test_meu_hand_values():
@@ -103,21 +96,21 @@ def test_meu_respects_task_loss():
 
 PREDS = np.array([[1.0, 2.0], [3.0, 4.0]])
 GTS = np.zeros((2, 2))
-LAY = JointLayout.scalar(2)
+GROUP = 1  # one joint per coordinate
 
 
 def test_mejee_majee_ff_hand_values():
     # Manually calculated: frame means 1.5 and 3.5, frame maxes 2 and 4.
-    val, sem = mejee(PREDS, GTS, LAY)
+    val, sem = mejee(PREDS, GTS, GROUP)
     assert val == 2.5
     assert sem == pytest.approx(1.0, abs=1e-12)
-    val, sem = majee(PREDS, GTS, LAY)
+    val, sem = majee(PREDS, GTS, GROUP)
     assert val == 3.0
     assert sem == pytest.approx(1.0, abs=1e-12)
-    assert ff(PREDS, GTS, LAY, 1.0) == 0.0
-    assert ff(PREDS, GTS, LAY, 2.5) == 0.5
-    assert ff(PREDS, GTS, LAY, 5.0) == 1.0
-    assert ff(PREDS, GTS, LAY, 2.0) == 0.5  # boundary counts as within
+    assert ff(PREDS, GTS, GROUP, 1.0) == 0.0
+    assert ff(PREDS, GTS, GROUP, 2.5) == 0.5
+    assert ff(PREDS, GTS, GROUP, 5.0) == 1.0
+    assert ff(PREDS, GTS, GROUP, 2.0) == 0.5  # boundary counts as within
 
 
 def test_mejee_never_exceeds_majee(rng):
@@ -125,10 +118,9 @@ def test_mejee_never_exceeds_majee(rng):
         frames = int(rng.integers(1, 6))
         joints = int(rng.integers(1, 5))
         group = int(rng.integers(1, 3))
-        lay = JointLayout.grouped(joints * group, group)
-        preds = rng.normal(size=(frames, lay.y_dim))
-        gts = rng.normal(size=(frames, lay.y_dim))
-        assert mejee(preds, gts, lay)[0] <= majee(preds, gts, lay)[0] + 1e-15
+        preds = rng.normal(size=(frames, joints * group))
+        gts = rng.normal(size=(frames, joints * group))
+        assert mejee(preds, gts, group)[0] <= majee(preds, gts, group)[0] + 1e-15
 
 
 def test_probloss_hand_value():
@@ -143,18 +135,18 @@ def test_probloss_hand_value():
 def test_pearson_exact_lines():
     # second joint moves at exactly twice the first: correlation 1
     outs = [[[-1.0, -2.0], [0.0, 0.0], [1.0, 2.0]]]
-    values, defined = pearson_matrix(outs, JointLayout.scalar(2))
+    values, defined = pearson_matrix(outs, 1)
     assert defined.all()
     npt.assert_array_equal(values, [[1.0, 1.0], [1.0, 1.0]])
     # opposite direction: correlation -1, diagonal still 1
     outs = [[[-1.0, 2.0], [0.0, 0.0], [1.0, -2.0]]]
-    values, defined = pearson_matrix(outs, JointLayout.scalar(2))
+    values, defined = pearson_matrix(outs, 1)
     npt.assert_array_equal(values, [[1.0, -1.0], [-1.0, 1.0]])
 
 
 def test_pearson_zero_variance_marked_undefined():
     outs = [[[0.0, 5.0], [1.0, 5.0], [2.0, 5.0]]]
-    values, defined = pearson_matrix(outs, JointLayout.scalar(2))
+    values, defined = pearson_matrix(outs, 1)
     assert defined[0, 0]
     assert values[0, 0] == 1.0
     assert not defined[0, 1]
@@ -166,7 +158,7 @@ def test_pearson_zero_variance_marked_undefined():
 def test_pearson_averages_only_defined_inputs():
     live = [[-1.0, -2.0], [0.0, 0.0], [1.0, 2.0]]
     flat = [[0.0, 5.0], [1.0, 5.0], [2.0, 5.0]]
-    values, defined = pearson_matrix([live, flat], JointLayout.scalar(2))
+    values, defined = pearson_matrix([live, flat], 1)
     # the flat input contributes nothing to the (0, 1) cell
     assert defined[0, 1]
     assert values[0, 1] == 1.0
@@ -174,11 +166,11 @@ def test_pearson_averages_only_defined_inputs():
 
 def test_pearson_needs_two_candidates():
     with pytest.raises(EstimatorError):
-        pearson_matrix([[[1.0, 2.0]]], JointLayout.scalar(2))
+        pearson_matrix([[[1.0, 2.0]]], 1)
     with pytest.raises(ContractError):
-        pearson_matrix(np.zeros((0, 2, 2)), JointLayout.scalar(2))
+        pearson_matrix(np.zeros((0, 2, 2)), 1)
     with pytest.raises(DimensionError):
-        pearson_matrix(np.zeros((1, 2, 3)), JointLayout.scalar(2))
+        pearson_matrix(np.zeros((1, 2, 3)), 2)
 
 
 def test_base_candidates(rng):
@@ -210,72 +202,106 @@ def _report_fixture():
 
 def test_metrics_report_assembles():
     outs, gts = _report_fixture()
-    rep = metrics_report(outs, gts, JointLayout.scalar(2), distances=(0.5, 2.0))
-    assert rep.probloss is not None
-    assert rep.pearson is not None
-    assert rep.counts == {"frames": 2, "candidates": 2, "joints": 2}
-    assert set(rep.ff) == {0.5, 2.0}
-    doc = rep.to_json_dict()
-    json.dumps(doc)  # NaN must never leak into the JSON form
-    assert doc["counts"]["frames"] == 2
-    rows = rep.to_csv_rows()
-    names = [r[0] for r in rows]
+    doc = metrics_report(outs, gts, 1, distances=(0.5, 2.0))
+    assert doc["probloss"] is not None
+    assert doc["pearson"] is not None
+    assert doc["counts"] == {"frames": 2, "candidates": 2, "joints": 2}
+    assert set(doc["ff"]) == {"0.5", "2"}
+    json.dumps(doc, allow_nan=False)  # NaN must never leak into the JSON form
+    names = [r[0] for r in report_rows(doc)]
     assert "probloss" in names and "mejee" in names and "ff_0.5" in names
     # one input's (K, y_dim) matrix is not an (N, K, y_dim) candidate array
     with pytest.raises(ContractError):
-        metrics_report(outs[0], gts, JointLayout.scalar(2), distances=(0.5,))
+        metrics_report(outs[0], gts, 1, distances=(0.5,))
 
 
 def test_metrics_report_rejects_colliding_ff_labels():
     """FF values are keyed by the distance's ``:g`` label in metrics.json and
     metrics.csv, so two distinct distances sharing a label would lose one."""
     outs, gts = _report_fixture()
-    layout = JointLayout.scalar(2)
     with pytest.raises(ContractError, match="1.0 and 1.0000001"):
-        metrics_report(outs, gts, layout, distances=(1.0, 1.0000001, 1.5))
+        metrics_report(outs, gts, 1, distances=(1.0, 1.0000001, 1.5))
     # the same distance twice is one entry under one label
-    rep = metrics_report(outs, gts, layout, distances=(1.0, 1.0, 1.5))
-    assert set(rep.to_json_dict()["ff"]) == {"1", "1.5"}
+    doc = metrics_report(outs, gts, 1, distances=(1.0, 1.0, 1.5))
+    assert set(doc["ff"]) == {"1", "1.5"}
 
 
 def test_metrics_report_single_candidate():
     outs = [[[1.0, 0.0]], [[0.0, 2.0]]]
-    rep = metrics_report(outs, np.zeros((2, 2)), JointLayout.scalar(2), distances=(1.0,))
-    assert rep.probloss is None
-    assert rep.pearson is None
-    assert rep.to_json_dict()["probloss"] is None
-    rows = dict((r[0], r[1]) for r in rep.to_csv_rows())
+    doc = metrics_report(outs, np.zeros((2, 2)), 1, distances=(1.0,))
+    assert doc["probloss"] is None
+    assert doc["pearson"] is None
+    rows = dict((r[0], r[1]) for r in report_rows(doc))
     assert rows["probloss"] == ""
 
 
 def test_metrics_report_pointwise_override():
     outs, gts = _report_fixture()
-    rep = metrics_report(
-        outs, gts, JointLayout.scalar(2), distances=(1.0,), pointwise_preds=gts
-    )
+    doc = metrics_report(outs, gts, 1, distances=(1.0,), pointwise_preds=gts)
     # perfect externally supplied predictions zero out the pointwise metrics
-    assert rep.mejee[0] == 0.0
-    assert rep.majee[0] == 0.0
-    assert rep.ff[1.0] == 1.0
+    assert doc["mejee"]["value"] == 0.0
+    assert doc["majee"]["value"] == 0.0
+    assert doc["ff"]["1"] == 1.0
     # while the candidate-based probabilistic entry is untouched
-    assert rep.probloss[0] > 0.0
+    assert doc["probloss"]["value"] > 0.0
 
 
-def _pearson_frame_by_frame(outs, layout):
+_FF_DISTANCES = (0.5, 2.0, 10.0, 1e-05)  # "1e-05" sorts after "0.5" as text, first as a number
+
+
+@pytest.mark.parametrize("candidates, group, expected", [
+    (2, 1, [  # K = 2; the two joints never move in the same frame: off-diagonal undefined
+        ("probloss", "1.5", "0.5"), ("mejee", "0.75", "0.25"), ("majee", "1.5", "0.5"),
+        ("ff_1e-05", "0.0", ""), ("ff_0.5", "0.0", ""), ("ff_2", "1.0", ""), ("ff_10", "1.0", ""),
+        ("pearson_0_0", "1.0", ""), ("pearson_0_1", "", ""),
+        ("pearson_1_0", "", ""), ("pearson_1_1", "1.0", ""),
+        ("count_candidates", "2", ""), ("count_frames", "2", ""), ("count_joints", "2", ""),
+    ]),
+    (1, 1, [  # K = 1: blank ProbLoss, no Pearson rows
+        ("probloss", "", ""), ("mejee", "0.75", "0.25"), ("majee", "1.5", "0.5"),
+        ("ff_1e-05", "0.0", ""), ("ff_0.5", "0.0", ""), ("ff_2", "1.0", ""), ("ff_10", "1.0", ""),
+        ("count_candidates", "1", ""), ("count_frames", "2", ""), ("count_joints", "2", ""),
+    ]),
+    (3, 2, [  # K = 3, joints of two coordinates, every cell defined
+        ("probloss", "1.700066091226812", "0.0036853567979130415"),
+        ("mejee", "1.766123775561495", "0.05901699437494745"),
+        ("majee", "2.118033988749895", "0.1180339887498949"),
+        ("ff_1e-05", "0.0", ""), ("ff_0.5", "0.0", ""), ("ff_2", "0.5", ""), ("ff_10", "1.0", ""),
+        ("pearson_0_0", "1.0", ""), ("pearson_0_1", "0.8156622795031462", ""),
+        ("pearson_1_0", "0.8156622795031462", ""), ("pearson_1_1", "1.0", ""),
+        ("count_candidates", "3", ""), ("count_frames", "2", ""), ("count_joints", "2", ""),
+    ]),
+])
+def test_report_rows_pinned(candidates, group, expected):
+    """The rows of metrics.csv, pinned as the earlier report type wrote them:
+    the three pairs, FF by numeric distance, Pearson row-major, counts by key."""
+    if group == 1:
+        outs, gts = _report_fixture()
+        outs = outs[:, :candidates]
+    else:
+        outs = np.array([
+            [[1.0, 0.0, 2.0, 1.0], [3.0, 0.0, 0.0, 1.0], [2.0, 1.0, 1.0, 1.0]],
+            [[0.0, 2.0, 1.0, 1.0], [0.0, 4.0, 1.0, 0.0], [1.0, 1.0, 1.0, 1.0]],
+        ])
+        gts = np.zeros((2, 4))
+    assert report_rows(metrics_report(outs, gts, group, _FF_DISTANCES)) == expected
+
+
+def _pearson_frame_by_frame(outs, group):
     """The correlation pass one frame at a time: the reference for the
     blocked pass in ``pearson_matrix``. A joint is live in a frame when two
     candidates differ in one of its coordinates and its reduced deviations
     spread."""
     _, k, _ = outs.shape
-    j = layout.num_joints
+    j = outs.shape[2] // group
     sums = np.zeros((j, j))
     counts = np.zeros((j, j), dtype=np.int64)
     for o in outs:
-        dev = (o - o.mean(axis=0, keepdims=True)).reshape(k, j, layout.group_size)
-        e = np.sqrt((dev * dev).sum(axis=2)) if layout.group_size > 1 else dev[:, :, 0]
+        dev = (o - o.mean(axis=0, keepdims=True)).reshape(k, j, group)
+        e = np.sqrt((dev * dev).sum(axis=2)) if group > 1 else dev[:, :, 0]
         c = e - e.mean(axis=0, keepdims=True)
         ss = (c * c).sum(axis=0)
-        live = (o != o[0]).any(axis=0).reshape(j, layout.group_size).any(axis=1) & (ss > 0.0)
+        live = (o != o[0]).any(axis=0).reshape(j, group).any(axis=1) & (ss > 0.0)
         mask = np.outer(live, live)
         denom = np.sqrt(np.outer(ss, ss))
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -309,33 +335,34 @@ def test_metrics_report_is_frame_by_frame_bitwise(n, k, y_dim, group):
     outs[0] = np.round(4.0 * outs[0, :1]) / 4.0
     outs[-1] = outs[-1, :1]  # tied, where the candidate mean may round off the candidates
     gts = rng.normal(size=(n, y_dim))
-    layout = JointLayout.grouped(y_dim, group)
     distances = (0.5, 1.0, 4.0)
-    rep = metrics_report(outs, gts, layout, distances)
+    doc = metrics_report(outs, gts, group, distances)
 
     meu = [meu_predict(o) for o in outs]
     indices, scores = _frame_scores(outs, gts, meu=True)
     npt.assert_array_equal(indices, [i for i, _ in meu])
     preds = np.array([p for _, p in meu])
     assert meu[0][0] == 0 and meu[-1][0] == 0
-    assert rep.mejee == mejee(preds, gts, layout)
-    assert rep.majee == majee(preds, gts, layout)
-    assert rep.ff == {d: ff(preds, gts, layout, d) for d in distances}
+    assert doc["mejee"] == dict(zip(("value", "sem"), mejee(preds, gts, group)))
+    assert doc["majee"] == dict(zip(("value", "sem"), majee(preds, gts, group)))
+    assert doc["ff"] == {f"{d:g}": ff(preds, gts, group, d) for d in distances}
     if k == 1:
-        assert rep.probloss is None and rep.pearson is None
+        assert doc["probloss"] is None and doc["pearson"] is None
         return
     spec = LossSpec(beta=1.0)
     frame_scores = [energy_score_sample(o, y, spec) for o, y in zip(outs, gts)]
     npt.assert_array_equal(scores, frame_scores)  # per frame: a mean can hide a one-ulp shift
     expected = mean_sem(frame_scores)
-    assert rep.probloss == expected
+    assert doc["probloss"] == dict(zip(("value", "sem"), expected))
     assert probloss(outs, gts) == expected
-    values, defined = _pearson_frame_by_frame(outs, layout)
-    npt.assert_array_equal(rep.pearson[1], defined)
-    npt.assert_array_equal(rep.pearson[0], values)  # NaN where undefined, on both sides
+    values, defined = _pearson_frame_by_frame(outs, group)
+    blocked = pearson_matrix(outs, group)
+    npt.assert_array_equal(blocked[1], defined)
+    npt.assert_array_equal(blocked[0], values)  # NaN where undefined, on both sides
+    assert doc["pearson"] == np.where(defined, values, None).tolist()
     if n == 1:
         assert not defined.any()
-    assert not pearson_matrix(outs[-1:], layout)[1].any()  # arbitrary values, exactly tied
+    assert not pearson_matrix(outs[-1:], group)[1].any()  # arbitrary values, exactly tied
 
 
 def test_metrics_report_memory_stays_flat():
@@ -344,11 +371,10 @@ def test_metrics_report_memory_stays_flat():
     rng = np.random.default_rng(15)
     outs = rng.normal(size=(2000, 32, 42))
     gts = rng.normal(size=(2000, 42))
-    layout = JointLayout.grouped(42, 3)
     tracemalloc.start()
     try:
         start, _ = tracemalloc.get_traced_memory()
-        metrics_report(outs, gts, layout, (0.5, 1.0, 1.5, 2.0, 3.0))
+        metrics_report(outs, gts, 3, (0.5, 1.0, 1.5, 2.0, 3.0))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -14,6 +14,7 @@ from disconet import (
     bind_params,
     forward_rows,
     init_params,
+    pearson_matrix,
     predict_rows,
     sample_candidates,
     sample_frames,
@@ -280,9 +281,25 @@ def test_noise_disabled_candidates_constant():
     assert outs.shape == (6, 2)
     assert np.ptp(outs, axis=0).max() == 0.0
     assert rng.bit_generator.state == state_before
-    # replayed through the same K-row walk: one row through BLAS need not
-    # sum in the order K rows do
-    npt.assert_array_equal(outs, list(layer_walk(p, np.array([[0.5, -0.5]]), None, 6))[-1][1])
+    # replayed as the one-candidate walk repeated K times: a K-row walk
+    # can round identical rows apart
+    one = list(layer_walk(p, np.array([[0.5, -0.5]]), None, 1))[-1][1]
+    npt.assert_array_equal(outs, np.repeat(one, 6, axis=0))
+
+
+@pytest.mark.parametrize("k", [5, 30])
+@pytest.mark.parametrize("sampler", [sample_outputs, sample_frames], ids=["outputs", "frames"])
+def test_noise_free_candidates_coincide_at_full_scale(sampler, k):
+    """A noise-free net's K candidates are one output repeated, bitwise, at
+    paper scale too, where a K-row pass through BLAS rounds identical rows
+    apart; so no correlation between joints of 3 coordinates is defined."""
+    cfg = NetConfig(x_dim=1, y_dim=42, z_dim=200, encoder_widths=(256,),
+                    decoder_widths=(256, 256), noise_enabled=False)
+    x = np.random.default_rng(6).uniform(-1.0, 1.0, size=(200, 1))
+    outs = sampler(init_params(cfg, seed=1), x, k, np.random.default_rng(0))
+    assert outs.shape == (200, k, 42)
+    assert not (outs != outs[:, :1]).any()
+    assert not pearson_matrix(outs, 3)[1].any()
 
 
 def test_draw_noise_law_and_zero_width():

@@ -10,6 +10,7 @@ from disconet import (
     Graph,
     LossSpec,
     NetConfig,
+    NetworkParams,
     ObjectiveConfig,
     ParameterError,
     SINGULARITY_EPS,
@@ -25,7 +26,9 @@ from disconet import (
     init_params,
     objective_terms,
     predict_rows,
+    substream,
 )
+import disconet.objective as objective_module
 from disconet.network import layer_walk
 from disconet.objective import _batch_arrays, candidate_pair_indices
 from disconet.scoring import pair_grad, pair_term, pairwise_delta
@@ -208,6 +211,60 @@ def test_graph_objective_gradient_check():
 
         err = grad_check(f, params.to_flat())
         assert err < 1e-5, (gamma, beta, err)
+
+
+def _one_output_worst(seed, fault=None):
+    """Criterion 1's net with one output (targets y[:, :1]), its worst
+    grad_check error over criterion 1's gamma and beta grid."""
+    n, k = 4, 3
+    rng = substream(0, "acc1-data")
+    x = rng.uniform(-1.0, 1.0, size=(n, 2))
+    y = rng.uniform(-1.0, 1.0, size=(n, 2))[:, :1]
+    z = rng.uniform(-1.0, 1.0, size=(n, k, 4))
+    net = NetConfig(x_dim=2, y_dim=1, z_dim=4, encoder_widths=(), decoder_widths=(6,))
+    params = init_params(net, seed=seed)
+    worst = 0.0
+    for gamma in (0.0, 0.25, 0.5):
+        for beta in (0.5, 1.0, 1.5):
+            cfg = ObjectiveConfig(gamma=gamma, num_candidates=k, loss=LossSpec(beta=beta))
+
+            def f(flat):
+                _, _, value, grad = objective_terms(NetworkParams.from_flat(net, flat), x, y, z, cfg)
+                return value, grad + (1e-3 if fault == "offset" else 0.0)
+
+            worst = max(worst, grad_check(f, params.to_flat()))
+    return worst
+
+
+@pytest.mark.parametrize("seed", [2, 3, 5])
+def test_grad_check_exact_zero_slopes(seed, monkeypatch):
+    """At these init seeds some slopes are exactly zero at gamma 0.5, beta 1
+    while their central differences read one ulp of f over 2 steps; those
+    coordinates are measured again with a larger step, and a wrong gradient
+    still fails."""
+    assert _one_output_worst(seed) < 1e-4
+    assert _one_output_worst(seed, fault="offset") > 1e-2
+    exact = objective_module.pair_grad
+
+    def flipped(g, w, beta):
+        value, grad = exact(g, w, beta)
+        return value, -grad
+
+    monkeypatch.setattr(objective_module, "pair_grad", flipped)
+    assert _one_output_worst(seed) > 1e-2
+
+
+def test_grad_check_measures_roundoff_slopes_again():
+    """(0.7 + p) - p has slope 0, yet its central difference at p = 1.3 and
+    the default step reads a few ulps of f over two steps. That coordinate
+    is measured again with a larger step, which agrees with the slope 0 and
+    not with a claimed 1e-11."""
+    def f(p, slope=0.0):
+        return (0.7 + p[0]) - p[0], np.array([slope])
+
+    assert objective_module.grad_check_detail(f, [1.3]) == (0.0, 1)
+    err, again = objective_module.grad_check_detail(lambda p: f(p, 1e-11), [1.3])
+    assert again == 1 and err > 1e-4
 
 
 def test_noise_disabled_objective_ignores_noises():

@@ -20,11 +20,14 @@ from the code. The list covers:
 
 - ``eval`` shaped as the ``eval-full`` benchmark workload (2,000 frames, a
   full-scale checkpoint, K = 32, joints of 3 coordinates): plain, with
-  ``zero_noise``, with ``base_sigma`` 0.3, and on a noise-free checkpoint;
+  ``zero_noise``, with ``base_sigma`` 0.3, and on a noise-free checkpoint,
+  there also at K = 30;
 - ``train`` shaped as the ``train-desk`` and ``train-full`` workloads, and
   ``toy`` as ``toy-grid``;
 - the ``toy``, ``train``, ``eval`` and ``sweep`` configs of acceptance
   criterion 9 (its ``eval`` reads that ``train``'s checkpoint);
+- ``train`` and ``eval`` on configs that hold only the required keys, so
+  every default is used (that ``eval`` reads that ``train``'s checkpoint);
 - ``gradcheck`` on a noisy and on a noise-free desk net.
 
 Every command runs with ``--seed 1``.
@@ -129,6 +132,9 @@ def write_inputs(work):
             "data": no_data, "eval": dict(EVAL, base_sigma=0.3)})] + full + frames),
         ("eval_full_noise_free", ["eval", "--config", str(work / "eval.json"),
                                   "--checkpoint", str(work / "noise_free.txt")] + frames),
+        ("eval_full_noise_free_k30", ["eval", "--config", cfg("eval_k30", {
+            "data": no_data, "eval": dict(EVAL, num_candidates=30)}),
+            "--checkpoint", str(work / "noise_free.txt")] + frames),
         ("train_desk", ["train", "--config", cfg("train_desk", {
             "net": DESK_NET, "objective": objective, "data": no_data,
             "train": dict(train, epochs=6, val_count=256)}), "--data", str(work / "desk.csv")]),
@@ -149,6 +155,10 @@ def write_inputs(work):
             "net": C9_NET, "objective": {"gamma": 0.5, "num_candidates": 3},
             "train": C9_TRAIN, "data": C9_DATA,
             "sweep": {"seeds": [0], "l2_values": [0.0001, 0.01]}})]),
+        ("required_train", ["train", "--config", cfg("required_train", {
+            "net": {"x_dim": 1, "y_dim": 1}, "objective": {}, "train": {}, "data": {}})]),
+        ("required_eval", ["eval", "--config", cfg("required_eval", {"data": {}, "eval": {}}),
+                           "--checkpoint", "{required_train}/checkpoint.txt"]),
         ("gradcheck", ["gradcheck", "--config", cfg("gradcheck", {
             "net": DESK_NET, "gradcheck": gradcheck})]),
         ("gradcheck_noise_free", ["gradcheck", "--config", cfg("gradcheck_noise_free", {
