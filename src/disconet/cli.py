@@ -42,8 +42,13 @@ from .network import (
     sample_frames,
     sample_outputs,
 )
-from .objective import GRAD_CHECK_STEP, GRAD_CHECK_TOLERANCE, ObjectiveConfig, grad_check_detail
-from .objective import objective_terms
+from .objective import (
+    GRAD_CHECK_STEP,
+    GRAD_CHECK_TOLERANCE,
+    ObjectiveConfig,
+    grad_check_detail,
+    objective_terms,
+)
 from .rng import derive_seed, substream
 from .scoring import LossSpec
 from .strictjson import TYPES, dataclass_keys, keyspec, read_json
@@ -372,9 +377,7 @@ def cmd_gradcheck(config, args):
     worst = 0.0
     for gamma in gc["gammas"]:
         for beta in gc["betas"]:
-            objective = ObjectiveConfig(
-                gamma=float(gamma), num_candidates=k, loss=LossSpec(beta=float(beta))
-            )
+            objective = ObjectiveConfig(float(gamma), k, LossSpec(beta=float(beta)))
 
             def f(flat):
                 p = NetworkParams.from_flat(net, flat)

@@ -30,8 +30,7 @@ from .scoring import LossSpec, data_grad, data_term, pair_grad, pair_term
 
 GRAD_CHECK_STEP = 1e-6
 GRAD_CHECK_TOLERANCE = 1e-4
-# the least gradient magnitude a relative error is taken against
-GRAD_CHECK_FLOOR = 1e-8
+GRAD_CHECK_FLOOR = 1e-8  # the least gradient magnitude a relative error is taken against
 
 
 @dataclass(frozen=True)
@@ -155,10 +154,10 @@ def objective_terms(params, x, y, z, cfg):
     return pq, qq, value, walk_back(params, inputs, (grad / n).reshape(n * k, net.y_dim))
 
 
-def grad_check(f, params, step=GRAD_CHECK_STEP, tolerance=GRAD_CHECK_TOLERANCE):
+def grad_check(f, params, step=GRAD_CHECK_STEP):
     """Max relative disagreement between an analytic gradient and central
     differences: the error ``grad_check_detail`` returns."""
-    return grad_check_detail(f, params, step, tolerance)[0]
+    return grad_check_detail(f, params, step)[0]
 
 
 def grad_check_detail(f, params, step=GRAD_CHECK_STEP, tolerance=GRAD_CHECK_TOLERANCE):

@@ -22,8 +22,8 @@ from the code. The list covers:
   full-scale checkpoint, K = 32, joints of 3 coordinates): plain, with
   ``zero_noise``, with ``base_sigma`` 0.3, and on a noise-free checkpoint,
   there also at K = 30;
-- ``train`` shaped as the ``train-desk`` and ``train-full`` workloads, and
-  ``toy`` as ``toy-grid``;
+- ``train`` shaped as the ``train-desk`` and ``train-full`` workloads, the
+  second also on a noise-free net at K = 15, and ``toy`` as ``toy-grid``;
 - the ``toy``, ``train``, ``eval`` and ``sweep`` configs of acceptance
   criterion 9 (its ``eval`` reads that ``train``'s checkpoint);
 - ``train`` and ``eval`` on configs that hold only the required keys, so
@@ -140,6 +140,10 @@ def write_inputs(work):
             "train": dict(train, epochs=6, val_count=256)}), "--data", str(work / "desk.csv")]),
         ("train_full", ["train", "--config", cfg("train_full", {
             "net": FULL_NET, "objective": objective, "data": no_data,
+            "train": dict(train, epochs=1, val_count=64)}), "--data", str(work / "full.csv")]),
+        ("train_full_noise_free", ["train", "--config", cfg("train_full_noise_free", {
+            "net": dict(FULL_NET, noise_enabled=False), "data": no_data,
+            "objective": dict(objective, num_candidates=15),
             "train": dict(train, epochs=1, val_count=64)}), "--data", str(work / "full.csv")]),
         ("toy_grid", ["toy", "--config", cfg("toy_grid", {"toy": toy_grid})]),
         ("c9_toy", ["toy", "--config", cfg("c9_toy", {"toy": {
