@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ContractError, DimensionError, ParseError
-from .strictjson import TYPES, dataclass_keys, json_value, read_json
+from .strictjson import TYPES, dataclass_keys, json_value, plain_text, read_float, read_json
 
 PARAMS_FORMAT = "disconet-params"
 PARAMS_VERSION = 1
@@ -164,7 +164,8 @@ class NetworkParams:
     @classmethod
     def load(cls, path):
         with open(path, "r", encoding="utf8") as fh:
-            raw = fh.read().splitlines()
+            text = fh.read()
+        raw = text.splitlines()
         if not raw:
             raise ParseError(f"{path}: empty checkpoint file")
         try:
@@ -179,7 +180,7 @@ class NetworkParams:
             config = NetConfig.from_dict(header.get("net"))
         except (TypeError, ContractError) as exc:
             raise ParseError(f"{path}: line 1: bad architecture header: {exc}") from exc
-        values = _parse_values(path, raw[1:])
+        values = _parse_values(path, raw[1:], plain_text(text, len(raw[0])))
         if values.size != config.param_count():
             raise ParseError(
                 f"{path}: expected {config.param_count()} values, found {values.size}"
@@ -187,23 +188,25 @@ class NetworkParams:
         return cls.from_flat(config, values)
 
 
-def _parse_values(path, lines):
+def _parse_values(path, lines, plain):
     """The checkpoint lines after the header as a float64 array, one finite
-    float per line; blank lines are skipped. All lines are parsed in one
-    pass; only when that fails are they parsed one at a time, so the
-    ParseError names the first bad line of the file."""
-    try:
-        values = np.fromiter(map(float, lines), dtype=np.float64, count=len(lines))
-        if np.isfinite(values).all():
-            return values
-    except ValueError:
-        pass
+    float per line (``read_float``); blank lines are skipped. When the lines
+    are `plain` (``plain_text``) they are parsed in one pass; only when that
+    fails or they are not are they parsed one at a time, so the ParseError
+    names the first bad line of the file."""
+    if plain:
+        try:
+            values = np.fromiter(map(float, lines), dtype=np.float64, count=len(lines))
+            if np.isfinite(values).all():
+                return values
+        except ValueError:
+            pass
     values = []
     for ln, line in enumerate(lines, start=2):
         if not line.strip():
             continue
         try:
-            value = float(line)
+            value = read_float(line)
         except ValueError as exc:
             raise ParseError(f"{path}: line {ln}: not a number: {line!r}") from exc
         if not math.isfinite(value):

@@ -1,7 +1,8 @@
 """Strict JSON input: the one reader of configs and checkpoint headers, which
 refuses a repeated key where ``json.loads`` keeps its last value, and the one
 table of value types, so a check and the type name its refusal prints cannot
-disagree."""
+disagree. Also the one reader of a numeric field of a data or checkpoint
+line, which refuses what ``float`` reads but no file of ours writes."""
 
 import json
 import math
@@ -21,6 +22,21 @@ def read_json(text):
     """The JSON document in `text`; ValueError (``json.JSONDecodeError`` is
     one) when it is not JSON or an object repeats a key."""
     return json.loads(text, object_pairs_hook=_unique_keys)
+
+
+def plain_text(text, start=0):
+    """Whether `text` is ASCII and holds no '_' from index `start` on: then
+    ``float`` reads each field there exactly as ``read_float`` does."""
+    return text.isascii() and text.find("_", start) < 0
+
+
+def read_float(field):
+    """``float(field)``, except that digit grouping and non-ASCII digits
+    raise ValueError: ``float`` reads '1_5' as 15.0 and '١٢' as 12.0.
+    Whitespace around the number is skipped, as ``float`` skips it."""
+    if not plain_text(field.strip()):
+        raise ValueError(f"could not convert string to float: {field!r}")
+    return float(field)
 
 
 def _int(v):

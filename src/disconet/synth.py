@@ -19,6 +19,7 @@ import numpy as np
 from .errors import ContractError, NumericError, ParameterError, ParseError, SchemaError
 from .rng import substream
 from .scoring import LOSS_DIM1, LOSS_DIM2, axis_sq, data_term, mean_sem, pair_term
+from .strictjson import plain_text, read_float
 
 TOY_GAMMA = 0.5
 TOY_M = 24  # model samples per data point
@@ -173,9 +174,9 @@ def load_csv(path, x_dim, y_dim):
     """Read numeric comma-separated (x, y) rows.
 
     Lines starting with '#' and blank lines are skipped. Every data row
-    must carry exactly x_dim + y_dim finite numeric fields; malformed or
-    non-finite numbers raise ParseError and wrong arity raises SchemaError,
-    both naming the line. An empty file yields empty arrays.
+    must carry exactly x_dim + y_dim finite numeric fields (``read_float``);
+    malformed or non-finite numbers raise ParseError and wrong arity raises
+    SchemaError, both naming the line. An empty file yields empty arrays.
     """
     width = int(x_dim) + int(y_dim)
     with open(path, "r", encoding="utf8") as fh:
@@ -183,11 +184,13 @@ def load_csv(path, x_dim, y_dim):
     rows = [t for t in map(str.strip, lines) if t and not t.startswith("#")]
     if not rows:
         return np.zeros((0, x_dim)), np.zeros((0, y_dim))
-    # every field of every row in one pass; a row of the wrong arity, a
-    # malformed or a non-finite field sends it to the line-by-line loop below
-    if all(t.count(",") == width - 1 for t in rows):
+    # every field of every row in one pass; a row of the wrong arity, text
+    # that is not plain, a malformed or a non-finite field sends it to the
+    # line-by-line loop below
+    text = ",".join(rows)
+    if all(t.count(",") == width - 1 for t in rows) and plain_text(text):
         try:
-            flat = np.fromiter(map(float, ",".join(rows).split(",")), dtype=np.float64,
+            flat = np.fromiter(map(float, text.split(",")), dtype=np.float64,
                                count=len(rows) * width)
             if np.isfinite(flat).all():
                 table = flat.reshape(len(rows), width)
@@ -203,7 +206,7 @@ def load_csv(path, x_dim, y_dim):
         if len(fields) != width:
             raise SchemaError(f"{path}: line {ln}: expected {width} fields, got {len(fields)}")
         try:
-            row = [float(f) for f in fields]
+            row = [read_float(f) for f in fields]
         except ValueError as exc:
             raise ParseError(f"{path}: line {ln}: {exc}") from exc
         if not all(map(math.isfinite, row)):
@@ -251,42 +254,69 @@ def _grid_table(y, grid, w, beta, gamma, eps):
     Returns a C-ordered (mu1, mu2, sigma1, sigma2) array. The squared norm
     of a difference is an axis-1 term, set by (mu1, sigma1), plus an axis-2
     term, set by (mu2, sigma2): the axis-1 terms of all mu1 values are built
-    once per sigma1 and each grid point only adds the two. The diversity
-    term depends on the sigmas alone and is built once per sigma pair.
-    Values match data_term and pair_term to within a few ulp: the two axis
-    terms are added by one `+` where sq_norm's matmul sums them its own way.
+    once per sigma1, those of all mu2 values once per sigma pair, and each
+    grid point only adds the two.
+
+    Reduction order: a point's data term is one sum over its n * m
+    contiguous values, divided by n * m; it is not a mean over m and then
+    over n. The diversity term depends on the sigmas alone. The weighted
+    squared differences w_i (eps_a - eps_b)^2 of each axis are built once
+    per fit, for the candidate pairs a < b only. Each sigma pair scales
+    them by sigma_i^2, adds the two axes and sums the beta/2 powers over
+    all n and all pairs. Doubling that sum counts the pairs a > b. A
+    point's value is its data sum over n * m less gamma times the doubled
+    pair sum over n * m * (m - 1).
+
+    Values match the per-point form, the mean over n of data_term less
+    gamma * pair_term, to a few ulp and not bitwise: the axis terms are
+    added by one `+` where sq_norm's matmul sums them its own way, sigma
+    scales the difference of the draws rather than each sample, and the
+    sums run in another order.
     """
     n, m = eps.shape[:2]
     mu1 = np.asarray(grid.mu1_values)[:, None, None]
-    y1, y2 = y[:, :1], y[:, 1:]
+    mu2 = np.asarray(grid.mu2_values)[:, None, None]
     e1, e2 = np.moveaxis(eps, -1, 0).copy()
     table = np.empty((len(grid.mu1_values), len(grid.mu2_values),
                       len(grid.sigma1_values), len(grid.sigma2_values)))
     half = beta / 2.0
-    sq1 = np.empty((n, m, m))
-    sq = np.empty((n, m, m))
-    point = np.empty((mu1.shape[0], n, m))
-    term2 = np.empty((n, m))
+    if gamma > 0.0:
+        a, b = np.triu_indices(m, 1)
+        pairs1 = axis_sq(e1[:, a] - e1[:, b], w[0])
+        pairs2 = axis_sq(e2[:, a] - e2[:, b], w[1])
+        scaled1 = np.empty_like(pairs1)
+        sq = np.empty_like(pairs2)
+        pair_scale = gamma * 2.0 / (n * m * (m - 1))
+    term1 = np.empty((mu1.shape[0], n, m))
+    term2 = np.empty((mu2.shape[0], n, m))
+    point = np.empty_like(term1)
+    rows = point.reshape(mu1.shape[0], n * m)
+    diversity = 0.0
     for i, s1 in enumerate(grid.sigma1_values):
-        g1 = s1 * e1
-        term1 = axis_sq(y1 - (mu1 + g1), w[0])
+        _axis_terms(y[:, :1], mu1, s1, e1, w[0], term1)
         if gamma > 0.0:
-            axis_sq(np.subtract(g1[:, :, None], g1[:, None, :], out=sq1), w[0], out=sq1)
+            np.multiply(pairs1, s1 * s1, out=scaled1)
         for j, s2 in enumerate(grid.sigma2_values):
-            g2 = s2 * e2
+            _axis_terms(y[:, 1:], mu2, s2, e2, w[1], term2)
             if gamma > 0.0:
-                axis_sq(np.subtract(g2[:, :, None], g2[:, None, :], out=sq), w[1], out=sq)
-                sq += sq1
+                np.multiply(pairs2, s2 * s2, out=sq)
+                sq += scaled1
                 sq **= half
-                diversity = gamma * (sq.sum(axis=(-2, -1)) / (m * (m - 1)))
-            for k, mu2 in enumerate(grid.mu2_values):
-                np.add(term1, axis_sq(y2 - (mu2 + g2), w[1], out=term2), out=point)
+                diversity = pair_scale * sq.sum()
+            for k in range(mu2.shape[0]):
+                np.add(term1, term2[k], out=point)
                 point **= half
-                vals = point.mean(axis=-1)
-                if gamma > 0.0:
-                    vals -= diversity
-                table[:, k, i, j] = vals.mean(axis=-1)
+                table[:, k, i, j] = rows.sum(axis=-1) / (n * m) - diversity
     return table
+
+
+def _axis_terms(y_i, mu, s, e_i, w_i, out):
+    """axis_sq(y_i - (mu + s * e_i), w_i) into `out`, for the (n, 1) data
+    column y_i, the (p, 1, 1) candidate means mu of one axis, its sigma s and
+    the (n, m) draws e_i: the axis terms of all p means, shape (p, n, m)."""
+    np.add(mu, s * e_i, out=out)
+    np.subtract(y_i, out, out=out)
+    return axis_sq(out, w_i, out=out)
 
 
 def fit_gaussian_grid(train, grid, loss, gamma=TOY_GAMMA, m=TOY_M, rng=None):

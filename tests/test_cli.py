@@ -699,6 +699,27 @@ def test_eval_rejects_non_finite_checkpoint(tmp_path, capsys):
     assert not any("NaN" in text for text in written)
 
 
+@pytest.mark.parametrize("target", ["checkpoint", "data"])
+def test_eval_rejects_grouped_digits_exit_3(tmp_path, capsys, target):
+    """float() reads '1_0' as 10.0; in either input file it is a parse
+    error that names its line."""
+    ckpt = tmp_path / "ckpt.txt"
+    init_params(NetConfig(**SMALL_NET), seed=0).save(ckpt)
+    data = tmp_path / "data.csv"
+    data.write_text("0.5,1.5\n0.25,-1.0\n")
+    path = ckpt if target == "checkpoint" else data
+    lines = path.read_text().splitlines()
+    lines[1] = "1_0" if target == "checkpoint" else "0.5,1_0"
+    path.write_text("\n".join(lines) + "\n")
+    doc = {"data": {"generator": None}, "eval": {"num_candidates": 3, "distances": [1.0]}}
+    cfg = write_config(tmp_path / "eval.json", doc)
+    out = tmp_path / "o"
+    assert main(["eval", "--config", cfg, "--out", str(out), "--checkpoint", str(ckpt),
+                 "--data", str(data)]) == 3
+    assert f"{path}: line 2: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 # the header's version key written twice, first with a version no reader takes
 _REPEATED_VERSION = '"version": 9, "version": 1'
 

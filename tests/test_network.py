@@ -155,6 +155,11 @@ def test_load_errors(tmp_path):
     with pytest.raises(ParseError, match="line 3"):
         NetworkParams.load(path)
 
+    # float() reads "1_0" as 10.0
+    path.write_text("\n".join([lines[0], "0.5", "1_0"] + lines[3:]) + "\n")
+    with pytest.raises(ParseError, match="line 3: not a number: '1_0'"):
+        NetworkParams.load(path)
+
     path.write_text("\n".join(lines[:-1]) + "\n")
     with pytest.raises(ParseError, match="expected 61 values, found 60"):
         NetworkParams.load(path)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -24,7 +26,7 @@ from disconet import (
 )
 from disconet.rng import substream
 from disconet.scoring import data_term, pair_term
-from disconet.synth import _grid_table, eval_gaussian
+from disconet.synth import TOY_GAMMA, TOY_LOSSES, TOY_M, TOY_N, _grid_table, eval_gaussian
 
 
 def test_component_and_spec_validation():
@@ -125,6 +127,11 @@ def test_csv_errors(tmp_path):
     path.write_text("1.0,2.0,zap\n")
     with pytest.raises(ParseError, match="line 1"):
         load_csv(path, 2, 1)
+    # float() reads digit grouping and non-ASCII digits: 15.0, 12.0 and 1.5
+    for field in ("1_5", "\u0661\u0662", "\uff11.\uff15"):
+        path.write_text(f"0.5,2.5\n0.5,{field}\n")
+        with pytest.raises(ParseError, match="line 2"):
+            load_csv(path, 1, 1)
 
 
 def test_csv_empty_file(tmp_path):
@@ -241,16 +248,32 @@ SHUFFLED_GRID = GridSpec(
 @pytest.mark.parametrize("gamma", [0.0, 0.5])
 def test_fit_gaussian_grid_matches_point_loop(gamma, loss):
     w = loss.weight_vector(2)
-    for seed in (0, 1, 2):
-        y = gen_gmm2d(TOY_MIXTURE, 60, substream(seed, "toy-data"))
-        eps = substream(seed, "toy-fit").standard_normal((60, 8, 2))
+    # (n, m): the usual case, one candidate pair, an odd m, and one data point
+    for (n, m), seed in itertools.product([(60, 8), (60, 2), (60, 3), (1, 8)], (0, 1, 2)):
+        y = gen_gmm2d(TOY_MIXTURE, n, substream(seed, "toy-data"))
+        eps = substream(seed, "toy-fit").standard_normal((n, m, 2))
         want_table, want_fit = _reference_grid_fit(y, SHUFFLED_GRID, w, loss.beta, gamma, eps)
         table = _grid_table(y, SHUFFLED_GRID, w, loss.beta, gamma, eps)
         assert table.shape == want_table.shape
         npt.assert_allclose(table, want_table, rtol=1e-13, atol=0.0)
-        fit = fit_gaussian_grid(y, SHUFFLED_GRID, loss, gamma, m=8,
+        fit = fit_gaussian_grid(y, SHUFFLED_GRID, loss, gamma, m=m,
                                 rng=substream(seed, "toy-fit"))
         assert fit == want_fit
+
+
+@pytest.mark.parametrize("name, want", [
+    ("dim1", DiagGaussianParams(mu1=0.0, mu2=0.0, sigma1=1.8, sigma2=1.8)),
+    ("dim2", DiagGaussianParams(mu1=0.0, mu2=0.0, sigma1=1.2, sigma2=2.1)),
+], ids=["dim1", "dim2"])
+def test_fit_gaussian_grid_full_size_pinned(name, want):
+    """Criterion 5's first fits, at the default grid, n and m: a change of
+    the kernel's rounding that moves an argmin shows here. The points are
+    literals, so they do not follow the kernel under test."""
+    loss = dict(TOY_LOSSES)[name]
+    train = gen_gmm2d(TOY_MIXTURE, TOY_N, substream(0, "toy-data"))
+    fit = fit_gaussian_grid(train, GridSpec.default(), loss, TOY_GAMMA, TOY_M,
+                            rng=substream(0, "toy-fit", name))
+    assert fit == want
 
 
 def test_fit_gaussian_grid_rejects_overflowing_point():
