@@ -112,11 +112,13 @@ class NetworkParams:
     """All layer weights and biases as one read-only float64 vector, ``flat``.
 
     ``layers`` holds each dense layer's ``(W, b)`` as read-only views into
-    ``flat`` (``layer_views``); optimizers work on the vector itself.
+    ``flat`` (``layer_views``); optimizers work on the vector itself. With
+    `copy` False, ``flat`` views the caller's vector, which training updates.
     """
 
-    def __init__(self, config, flat):
-        flat = np.asarray(flat, dtype=np.float64).reshape(-1).copy()
+    def __init__(self, config, flat, copy=True):
+        flat = np.asarray(flat, dtype=np.float64).reshape(-1)
+        flat = flat.copy() if copy else flat.view()
         if flat.size != config.param_count():
             raise DimensionError(f"expected {config.param_count()} values, got {flat.size}")
         flat.setflags(write=False)
@@ -290,7 +292,22 @@ def draw_noise(config, n, k, rng):
     return rng.uniform(-1.0, 1.0, size=(n, k, config.noise_dim))
 
 
-def layer_walk(params, x, z=None, k=1):
+def _held(work, key, make):
+    """``work[key]``, made by ``make()`` on first use, or a fresh ``make()``
+    when `work`, the dict of arrays a caller holds across walks, is None."""
+    if work is None:
+        return make()
+    if key not in work:
+        work[key] = make()
+    return work[key]
+
+
+def _view(buf, shape):
+    """The first prod(shape) values of the vector `buf`, in that shape."""
+    return buf[: math.prod(shape)].reshape(shape)
+
+
+def layer_walk(params, x, z=None, k=1, work=None):
     """The generator pass for K candidates of each of n inputs, yielding
     each dense layer's (input, pre-activation) in forward order.
 
@@ -302,8 +319,13 @@ def layer_walk(params, x, z=None, k=1):
     plus ``z @ W[h_w:]``, once per candidate (all zeros at width zero), and
     its input is the pair ``(h, z)``: h with n rows, z with n K rows. Every
     later layer runs on the n K rows, example-major, and its input is the
-    ReLU of the previous pre-activation. The last pre-activation is the
-    (n K, y_dim) output. Training keeps every input for ``walk_back``.
+    ReLU of the previous pre-activation, taken in place: a yielded
+    pre-activation holds until the walk goes on. The last pre-activation is
+    the (n K, y_dim) output. Training keeps every input for ``walk_back``.
+
+    Each layer writes into an array of its own, and the join's per-input
+    part into one more, kept by batch shape (n, K) in `work` when given: a
+    walk over a shape seen before allocates none and overwrites them.
     """
     cfg = params.config
     h = np.asarray(x, dtype=np.float64)
@@ -319,29 +341,39 @@ def layer_walk(params, x, z=None, k=1):
         raise DimensionError(f"z must be ({n}, {k}, {cfg.noise_dim}), got {z.shape}")
     z = z.reshape(n * k, cfg.noise_dim)
     join = len(cfg.encoder_widths)
-    for li, (w, b) in enumerate(params.layers):
-        if li:
-            h = np.maximum(pre, 0.0)
-            del pre  # a caller that drops each pair frees it here, as a plain loop would
+    shapes = [(n if li < join else n * k, w.shape[1]) for li, (w, _) in enumerate(params.layers)]
+    *outs, part = _held(work, (n, k), lambda: [np.empty(s) for s in shapes + [(n, shapes[join][1])]])
+    pre = None
+    for li, ((w, b), out) in enumerate(zip(params.layers, outs)):
+        if pre is not None:
+            h = np.maximum(pre, 0.0, out=pre)
+        pre = out
         if li == join:
             h_w = h.shape[1]
-            pre = (h @ w[:h_w] + b)[:, None, :] + (z @ w[h_w:]).reshape(n, k, -1)
-            pre = pre.reshape(n * k, -1)
+            np.add(np.matmul(h, w[:h_w], out=part), b, out=part)
+            candidates = np.matmul(z, w[h_w:], out=pre).reshape(n, k, -1)
+            candidates += part[:, None, :]
             yield (h, z), pre
         else:
-            pre = h @ w + b.reshape(1, -1)
+            np.matmul(h, w, out=pre)
+            pre += b
             yield h, pre
 
 
-def walk_back(params, inputs, delta):
+def walk_back(params, inputs, delta, work=None):
     """The gradient of sum(delta * output) as one vector in
     ``NetworkParams.flat`` order, for the layer inputs one ``layer_walk``
     yielded and a `delta` shaped like its output. ReLU has derivative 0 at
     0, and its input is positive exactly where its output is. At the join
     layer the gradient is summed over each input's K candidates, so the
-    layers before it run on n rows."""
+    layers before it run on n rows. The gradient vector, two delta arrays
+    used in turn and one ReLU mask are kept in `work` as in ``layer_walk``."""
     join = len(params.config.encoder_widths)
-    grad = np.empty(params.size)
+    n = inputs[join][0].shape[0]
+    most = max([h[0].size if li == join else h.size for li, h in enumerate(inputs)][1:], default=0)
+    size = max(most, n * params.layers[join][0].shape[1])  # or the join's sum over K
+    grad, spare, other, mask = _held(work, (n, delta.shape[0] // n, "back"), lambda: (
+        np.empty(params.size), np.empty(size), np.empty(size), np.empty(most, dtype=bool)))
     views = layer_views(params.config, grad)
     for li in range(len(inputs) - 1, -1, -1):
         h, w = inputs[li], params.layers[li][0]
@@ -351,20 +383,22 @@ def walk_back(params, inputs, delta):
             # h is shared by an input's K candidates, z is drawn per candidate
             h, zj = h
             h_w = h.shape[1]
-            ds = delta.reshape(h.shape[0], -1, delta.shape[1]).sum(axis=1)
+            ds = _view(spare, (n, delta.shape[1]))
+            np.sum(delta.reshape(n, -1, delta.shape[1]), axis=1, out=ds)
             np.matmul(h.T, ds, out=gw[:h_w])
             np.matmul(zj.T, delta, out=gw[h_w:])
-            delta, w = ds, w[:h_w]
+            delta, w, spare, other = ds, w[:h_w], other, spare
         else:
             np.matmul(h.T, delta, out=gw)
         if li > 0:
-            delta = (delta @ w.T) * (h > 0.0)
+            nxt = np.matmul(delta, w.T, out=_view(spare, h.shape))
+            delta = np.multiply(nxt, np.greater(h, 0.0, out=_view(mask, h.shape)), out=nxt)
+            spare, other = other, spare
     return grad
 
 
 def _walk_output(params, walk):
-    """The last pre-activation of a ``layer_walk``; every earlier pair is
-    dropped at once, so only one layer's arrays are held at a time."""
+    """The last pre-activation of a ``layer_walk``."""
     for _ in params.layers[1:]:
         next(walk)
     return next(walk)[1]
@@ -379,24 +413,26 @@ def predict_rows(params, x, z=None):
     return _walk_output(params, layer_walk(params, x, z))
 
 
-def sample_outputs(params, x, num_candidates, rng):
+def sample_outputs(params, x, num_candidates, rng, work=None):
     """K sampled outputs for every row of `x`, as an (N, K, y_dim) array.
 
     The noise is one ``draw_noise`` from `rng`, the same stream values that
     N one-row draws in row order would take; one ``layer_walk`` then runs
     the encoder once per row and the layers after the noise join over all
-    N * K rows. A noise-free net draws nothing and samples one candidate
-    per row, repeated K times: a K-row pass could round identical rows
-    apart.
+    N * K rows, into the arrays of `work` when given, so that the outputs
+    hold until its next walk over their shape. A noise-free net draws
+    nothing and samples one candidate per row, repeated K times: a K-row
+    pass could round identical rows apart.
     """
     if num_candidates < 1:
         raise ContractError("num_candidates must be >= 1")
     x = np.asarray(x, dtype=np.float64)
     n, k = x.shape[0], num_candidates
     if k > 1 and not params.config.noise_enabled:
-        return np.repeat(sample_outputs(params, x, 1, rng), k, axis=1)
+        return np.repeat(sample_outputs(params, x, 1, rng, work), k, axis=1)
     z = draw_noise(params.config, n, k, rng)
-    return _walk_output(params, layer_walk(params, x, z, k)).reshape(n, k, params.config.y_dim)
+    walk = layer_walk(params, x, z, k, work)
+    return _walk_output(params, walk).reshape(n, k, params.config.y_dim)
 
 
 def sample_frames(params, x, num_candidates, rng):

@@ -104,7 +104,7 @@ def disco_objective(y, outs, config):
     return pq - config.gamma * div_qq_hat(outs, config.loss)
 
 
-def objective_terms(params, x, y, z, cfg):
+def objective_terms(params, x, y, z, cfg, work=None):
     """The sampled objective of one minibatch, its two terms and its gradient.
 
     Parameters
@@ -116,6 +116,8 @@ def objective_terms(params, x, y, z, cfg):
         the network has its noise channel enabled; a noise-free net ignores
         it and walks with noise of width zero.
     cfg : ObjectiveConfig
+    work : dict, optional
+        The walks' arrays (``network.layer_walk``), gradient included.
 
     Returns
     -------
@@ -137,7 +139,7 @@ def objective_terms(params, x, y, z, cfg):
         raise DimensionError(f"y has dim {y.shape[1]}, the net outputs {net.y_dim}")
     n, k = x.shape[0], cfg.num_candidates
     inputs = []
-    for h, out in layer_walk(params, x, z, k):
+    for h, out in layer_walk(params, x, z, k, work):
         inputs.append(h)
     g = out.reshape(n, k, net.y_dim)
     w, beta = cfg.loss.weight_vector(net.y_dim), cfg.loss.beta
@@ -151,7 +153,8 @@ def objective_terms(params, x, y, z, cfg):
         grad = grad - cfg.gamma * qq_grad
     elif k >= 2:
         qq = float(np.mean(pair_term(g, w, beta)))
-    return pq, qq, value, walk_back(params, inputs, (grad / n).reshape(n * k, net.y_dim))
+    grad /= n
+    return pq, qq, value, walk_back(params, inputs, grad.reshape(n * k, net.y_dim), work)
 
 
 def grad_check(f, params, step=GRAD_CHECK_STEP):

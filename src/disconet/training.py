@@ -80,11 +80,14 @@ def train_val_split(data, val_count, seed):
     return (x[train_idx], y[train_idx]), (x[val_idx], y[val_idx])
 
 
-def sgd_momentum_step(params, grads, velocity, lr, momentum, l2=0.0, weight_mask=None):
+def sgd_momentum_step(params, grads, velocity, lr, momentum, l2=0.0, weight_mask=None,
+                      scratch=None):
     """One update: v <- momentum v - lr (g + l2 theta); theta <- theta + v.
 
     With a weight mask the L2 term applies only where the mask is True
-    (weights yes, biases no). Returns ``(new_params, new_velocity)``.
+    (weights yes, biases no). Returns ``(new_params, new_velocity)``: new
+    arrays, or with `scratch`, an array like `params` that takes the step,
+    `params` and `velocity` themselves, updated in place.
     """
     p = np.asarray(params, dtype=np.float64)
     g = np.asarray(grads, dtype=np.float64)
@@ -93,17 +96,24 @@ def sgd_momentum_step(params, grads, velocity, lr, momentum, l2=0.0, weight_mask
         raise DimensionError(
             f"params {p.shape}, grads {g.shape}, velocity {v.shape} must share a shape"
         )
-    reg = l2 * p
+    if scratch is None:
+        p, v, scratch = p.copy(), v.copy(), np.empty_like(p)
+    step = np.multiply(p, l2, out=scratch)
     if weight_mask is not None:
-        reg = reg * weight_mask
-    v_new = momentum * v - lr * (g + reg)
-    return p + v_new, v_new
+        step *= weight_mask
+    step += g
+    step *= lr
+    v *= momentum
+    v -= step
+    p += v
+    return p, v
 
 
-def validation_objective(params, data, objective, rng):
-    """The sampled objective on a held-out set with fresh noise draws."""
+def validation_objective(params, data, objective, rng, work=None):
+    """The sampled objective on a held-out set with fresh noise draws,
+    sampled into the arrays of `work` when given (``network.layer_walk``)."""
     x, y = _batch_arrays(data)
-    outs = sample_outputs(params, x, objective.num_candidates, rng)
+    outs = sample_outputs(params, x, objective.num_candidates, rng, work)
     return disco_objective(y, outs, objective)
 
 
@@ -134,8 +144,11 @@ def train(net_config, train_config, data, checkpoint_dir=None):
         raise ContractError("no training examples left after the split")
     k = cfg.objective.num_candidates
     params = init_params(net_config, derive_seed(cfg.seed, "init"))
-    velocity = np.zeros(params.size)
     mask = params.weight_mask()
+    # the steps update `flat` and `velocity` in place; `params` views `flat`
+    flat, velocity, scratch = params.to_flat(), np.zeros(params.size), np.empty(params.size)
+    params = NetworkParams(net_config, flat, copy=False)
+    work = {}  # the walks' arrays, by batch shape
     shuffle_rng = substream(cfg.seed, "shuffle")
     noise_rng = substream(cfg.seed, "noise")
     val_rng = substream(cfg.seed, "val-noise")
@@ -148,17 +161,14 @@ def train(net_config, train_config, data, checkpoint_dir=None):
             idx = perm[start : start + cfg.batch_size]
             xb, yb = x_train[idx], y_train[idx]
             noises = draw_noise(net_config, len(idx), k, noise_rng)
-            pq, qq, value, grads = objective_terms(params, xb, yb, noises, cfg.objective)
+            pq, qq, value, grads = objective_terms(params, xb, yb, noises, cfg.objective, work)
             if not (math.isfinite(value) and np.all(np.isfinite(grads))):
                 raise NumericError(f"epoch {epoch}, batch {bi}: non-finite objective or gradient")
-            flat, velocity = sgd_momentum_step(
-                params.flat, grads, velocity, cfg.lr, cfg.momentum, cfg.l2, mask
-            )
-            params = NetworkParams.from_flat(net_config, flat)
+            sgd_momentum_step(flat, grads, velocity, cfg.lr, cfg.momentum, cfg.l2, mask, scratch)
             sums += np.array([value, pq, qq]) * len(idx)
         train_obj, train_pq, train_qq = (float(v) for v in sums / n)
         if x_val is not None:
-            val_obj = validation_objective(params, (x_val, y_val), cfg.objective, val_rng)
+            val_obj = validation_objective(params, (x_val, y_val), cfg.objective, val_rng, work)
         else:
             val_obj = float("nan")
         epochs.append(
@@ -168,4 +178,4 @@ def train(net_config, train_config, data, checkpoint_dir=None):
             if epoch % cfg.checkpoint_every == 0:
                 Path(checkpoint_dir).mkdir(parents=True, exist_ok=True)
                 params.save(Path(checkpoint_dir) / f"checkpoint_epoch_{epoch}.txt")
-    return params, epochs
+    return NetworkParams(net_config, flat), epochs

@@ -10,6 +10,9 @@ from disconet import (
     DimensionError,
     EstimatorError,
     LossSpec,
+    NetConfig,
+    NetworkParams,
+    ObjectiveConfig,
     ParameterError,
     base_candidates,
     energy_score_sample,
@@ -18,12 +21,17 @@ from disconet import (
     majee,
     meu_predict,
     mejee,
+    gen_conditional_bimodal,
+    init_params,
     metrics_report,
+    objective_terms,
     pearson_matrix,
     probloss,
     report_rows,
+    sgd_momentum_step,
 )
 from disconet.metrics import DATA_BLOCK, PEARSON_BLOCK, _frame_scores
+from disconet.network import draw_noise
 from disconet.scoring import mean_sem
 
 
@@ -379,3 +387,36 @@ def test_metrics_report_memory_stays_flat():
     finally:
         tracemalloc.stop()
     assert peak - start < 4 * 2**20
+
+
+def test_warm_training_step_allocates_no_batch_array():
+    """A warm desk-shape training step (n = 64, K = 16: the walk forward, the
+    two terms, the walk back and the momentum update) writes into the arrays
+    of its workspace and of the update, so it allocates less than one
+    (n K, 32) activation, 256 KB. What it does allocate is numpy's ufunc
+    buffers, up to 8192 values (64 KB) per broadcast operand whatever the
+    batch, two of them for the pair term's (n, K, K) comparisons."""
+    net = NetConfig(x_dim=1, y_dim=1, z_dim=8, encoder_widths=(32,), decoder_widths=(32, 32))
+    objective = ObjectiveConfig(gamma=0.5, num_candidates=16)
+    rng = np.random.default_rng(19)
+    x, y = gen_conditional_bimodal(64, rng)
+    z = draw_noise(net, 64, 16, rng)
+    start_params = init_params(net, seed=19)
+    mask, flat = start_params.weight_mask(), start_params.to_flat()
+    velocity, scratch = np.zeros(flat.size), np.empty(flat.size)
+    params, work = NetworkParams(net, flat, copy=False), {}
+
+    def step():
+        _, _, value, grads = objective_terms(params, x, y, z, objective, work)
+        assert np.isfinite(value) and np.all(np.isfinite(grads))
+        sgd_momentum_step(flat, grads, velocity, 0.01, 0.9, 1e-4, mask, scratch)
+
+    step()  # the first step fills the workspace
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        step()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 64 * 32 * 16 * 8

@@ -192,12 +192,15 @@ def test_layer_walk_pairs():
     """One (input, pre-activation) pair per dense layer: the join layer's
     input is the pair (h, z) and its pre-activation is [h, z] @ W + b, every
     later input is the ReLU of the previous pre-activation, and the last
-    pre-activation is the output predict_rows returns."""
+    pre-activation is the output predict_rows returns. The ReLU is taken in
+    place, so each pre-activation is read before the walk goes on."""
     p = init_params(CFG, seed=7)
     rng = np.random.default_rng(1)
     x = rng.normal(size=(4, 2))
     z = rng.normal(size=(4, 3))
-    pairs = list(layer_walk(p, x, z[:, None, :]))
+    walk = list(layer_walk(p, x, z[:, None, :]))
+    pairs = [(h, pre.copy()) for h, pre in layer_walk(p, x, z[:, None, :])]
+    assert walk[2][0] is walk[1][1]  # the next input is the pre-activation's own array
     (h, zj), pre = pairs[1]
     assert [h.shape[1] + zj.shape[1], pre.shape[1]] == list(CFG.layer_dims()[1])
     assert [(h.shape[1], pre.shape[1]) for h, pre in pairs[::2]] == CFG.layer_dims()[::2]

@@ -5,6 +5,7 @@ import pytest
 from disconet import (
     ContractError,
     NetConfig,
+    NetworkParams,
     NumericError,
     ObjectiveConfig,
     ParameterError,
@@ -12,11 +13,14 @@ from disconet import (
     div_qq_hat,
     gen_conditional_bimodal,
     init_params,
+    objective_terms,
     sgd_momentum_step,
     train,
     train_val_split,
 )
-from disconet.rng import substream
+from disconet import training
+from disconet.network import draw_noise
+from disconet.rng import derive_seed, substream
 from disconet.training import validation_objective
 
 
@@ -154,6 +158,69 @@ def test_epoch_terms_recombine_to_objective(gamma):
     for e in epochs:
         assert e.train_pq - gamma * e.train_qq == pytest.approx(e.train_objective, rel=1e-12, abs=1e-12)
         assert e.train_qq > 0.0
+
+
+def _reference_train(net, cfg, data):
+    """``train`` as a plain loop: fresh arrays in every step, a new
+    NetworkParams after every update. Returns the final flat vector and
+    every epoch's fields but its seconds."""
+    (x, y), val = train_val_split(data, cfg.val_count, cfg.seed)
+    params = init_params(net, derive_seed(cfg.seed, "init"))
+    velocity, mask = np.zeros(params.size), params.weight_mask()
+    shuffle_rng, noise_rng, val_rng = (substream(cfg.seed, s) for s in ("shuffle", "noise", "val-noise"))
+    stats = []
+    for epoch in range(1, cfg.epochs + 1):
+        perm = shuffle_rng.permutation(x.shape[0])
+        sums = np.zeros(3)
+        for start in range(0, x.shape[0], cfg.batch_size):
+            idx = perm[start : start + cfg.batch_size]
+            z = draw_noise(net, len(idx), cfg.objective.num_candidates, noise_rng)
+            pq, qq, value, grads = objective_terms(params, x[idx], y[idx], z, cfg.objective)
+            flat, velocity = sgd_momentum_step(params.flat, grads, velocity, cfg.lr, cfg.momentum,
+                                               cfg.l2, mask)
+            params = NetworkParams.from_flat(net, flat)
+            sums += np.array([value, pq, qq]) * len(idx)
+        obj, pq, qq = (float(v) for v in sums / x.shape[0])
+        stats.append((epoch, obj, validation_objective(params, val, cfg.objective, val_rng), pq, qq))
+    return params.flat, stats
+
+
+@pytest.mark.parametrize("noise_enabled", [True, False], ids=["noise", "noise-free"])
+def test_train_is_bitwise_the_reference_loop(monkeypatch, noise_enabled):
+    """``train``, whose steps write into held arrays and update one
+    parameter vector in place, gives bitwise what the plain loop gives:
+    over 3 epochs, with a short last minibatch (44 training rows in batches
+    of 20, so two batch shapes), a validation set as large as a batch, which
+    samples into the step's arrays, and L2 on the weights. The parameters it
+    returns are read-only and share memory with none of its arrays."""
+    net = NetConfig(**{**NET.to_dict(), "noise_enabled": noise_enabled})
+    cfg = _small_cfg(batch_size=20, val_count=20, l2=1e-3)
+    data = _small_data()
+    held = []
+    terms, step = training.objective_terms, training.sgd_momentum_step
+
+    def held_terms(*args):
+        held.append(args[-1])
+        return terms(*args)
+
+    def held_step(*args):
+        held.extend(a for a in args if isinstance(a, np.ndarray))
+        return step(*args)
+
+    monkeypatch.setattr(training, "objective_terms", held_terms)
+    monkeypatch.setattr(training, "sgd_momentum_step", held_step)
+    params, epochs = train(net, cfg, data)
+    want_flat, want_stats = _reference_train(net, cfg, data)
+    assert (params.flat == want_flat).all()
+    assert [(e.epoch, e.train_objective, e.val_objective, e.train_pq, e.train_qq)
+            for e in epochs] == want_stats
+    assert not params.flat.flags.writeable
+    work = held[0]  # by (n, K); a noise-free net samples one candidate per input
+    assert sorted(k[:2] for k in work) == sorted([(4, 4)] * 2 + [(20, 4)] * 2
+                                                 + [(20, 1)] * (not noise_enabled))
+    for arrays in work.values():
+        held.extend(arrays)
+    assert not any(np.shares_memory(params.flat, a) for a in held if isinstance(a, np.ndarray))
 
 
 def test_train_no_validation_gives_nan_val():

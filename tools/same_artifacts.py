@@ -24,6 +24,10 @@ from the code. The list covers:
   there also at K = 30;
 - ``train`` shaped as the ``train-desk`` and ``train-full`` workloads, the
   second also on a noise-free net at K = 15, and ``toy`` as ``toy-grid``;
+- ``train`` on the desk net with ``checkpoint_every`` 1 over 3 epochs, L2 on
+  the weights, a short last minibatch (924 training rows in batches of 100)
+  and a validation set as large as a batch, so every epoch's checkpoint is
+  compared;
 - the ``toy``, ``train``, ``eval`` and ``sweep`` configs of acceptance
   criterion 9 (its ``eval`` reads that ``train``'s checkpoint);
 - ``train`` and ``eval`` on configs that hold only the required keys, so
@@ -145,6 +149,10 @@ def write_inputs(work):
             "net": dict(FULL_NET, noise_enabled=False), "data": no_data,
             "objective": dict(objective, num_candidates=15),
             "train": dict(train, epochs=1, val_count=64)}), "--data", str(work / "full.csv")]),
+        ("train_checkpoints", ["train", "--config", cfg("train_checkpoints", {
+            "net": DESK_NET, "objective": objective, "data": no_data,
+            "train": dict(train, epochs=3, batch_size=100, val_count=100, l2=0.001,
+                          checkpoint_every=1)}), "--data", str(work / "desk.csv")]),
         ("toy_grid", ["toy", "--config", cfg("toy_grid", {"toy": toy_grid})]),
         ("c9_toy", ["toy", "--config", cfg("c9_toy", {"toy": {
             "seeds": [0], "n_train": 40, "n_test": 40, "m": 8,
