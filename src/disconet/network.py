@@ -324,8 +324,8 @@ def layer_walk(params, x, z=None, k=1, work=None):
     the (n K, y_dim) output. Training keeps every input for ``walk_back``.
 
     Each layer writes into an array of its own, and the join's per-input
-    part into one more, kept by batch shape (n, K) in `work` when given: a
-    walk over a shape seen before allocates none and overwrites them.
+    part into one more, made as the layer runs or kept by batch shape (n, K)
+    in `work`: a walk over a shape seen before allocates none.
     """
     cfg = params.config
     h = np.asarray(x, dtype=np.float64)
@@ -341,15 +341,14 @@ def layer_walk(params, x, z=None, k=1, work=None):
         raise DimensionError(f"z must be ({n}, {k}, {cfg.noise_dim}), got {z.shape}")
     z = z.reshape(n * k, cfg.noise_dim)
     join = len(cfg.encoder_widths)
-    shapes = [(n if li < join else n * k, w.shape[1]) for li, (w, _) in enumerate(params.layers)]
-    *outs, part = _held(work, (n, k), lambda: [np.empty(s) for s in shapes + [(n, shapes[join][1])]])
     pre = None
-    for li, ((w, b), out) in enumerate(zip(params.layers, outs)):
+    for li, (w, b) in enumerate(params.layers):
         if pre is not None:
             h = np.maximum(pre, 0.0, out=pre)
-        pre = out
+        pre = _held(work, (n, k, li), lambda: np.empty((n if li < join else n * k, w.shape[1])))
         if li == join:
             h_w = h.shape[1]
+            part = _held(work, (n, k, "part"), lambda: np.empty((n, w.shape[1])))
             np.add(np.matmul(h, w[:h_w], out=part), b, out=part)
             candidates = np.matmul(z, w[h_w:], out=pre).reshape(n, k, -1)
             candidates += part[:, None, :]
@@ -398,7 +397,8 @@ def walk_back(params, inputs, delta, work=None):
 
 
 def _walk_output(params, walk):
-    """The last pre-activation of a ``layer_walk``."""
+    """The last pre-activation of a ``layer_walk``; every earlier pair is
+    dropped at once, so without `work` two layers' arrays are held at a time."""
     for _ in params.layers[1:]:
         next(walk)
     return next(walk)[1]

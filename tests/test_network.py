@@ -229,7 +229,8 @@ def test_layer_walk_row_counts(noise_enabled):
     n, k = 3, 4
     x = np.random.default_rng(0).normal(size=(n, 2))
     z = np.random.default_rng(5).uniform(-1.0, 1.0, size=(n, k, 3))
-    pairs = list(layer_walk(p, x, z, k))
+    # the ReLU is taken in place, so each pre-activation is copied as it is yielded
+    pairs = [(h, pre.copy()) for h, pre in layer_walk(p, x, z, k)]
     assert len(pairs) == len(cfg.layer_dims())
     for h, pre in pairs[:2]:
         assert h.shape[0] == pre.shape[0] == n
