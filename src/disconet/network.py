@@ -150,7 +150,8 @@ class NetworkParams:
 
         Line 1 is a JSON header carrying the format name, version, and the
         architecture; every following line is one flat-view value printed
-        with ``repr``, which round-trips float64 exactly.
+        with 17 significant digits (``%.17g``), which round-trip every
+        float64 exactly.
         """
         header = {
             "format": PARAMS_FORMAT,
@@ -159,9 +160,11 @@ class NetworkParams:
         }
         with open(path, "w", encoding="utf8") as fh:
             fh.write(json.dumps(header, sort_keys=True) + "\n")
-            # in blocks: a full-scale checkpoint's lines are some 20 MB of Python objects
+            # in blocks: a full-scale checkpoint's lines are some 20 MB of Python
+            # objects; one format call per block keeps the per-value work in C
             for i in range(0, self.size, 8192):
-                fh.write("\n".join(map(repr, self.flat[i : i + 8192].tolist())) + "\n")
+                block = self.flat[i : i + 8192].tolist()
+                fh.write(("%.17g\n" * len(block)) % tuple(block))
 
     @classmethod
     def load(cls, path):

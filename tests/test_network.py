@@ -129,6 +129,45 @@ def test_save_load_round_trip(tmp_path):
     path.write_text("\n".join(lines[:3] + ["", "  "] + lines[3:]) + "\n\n")
     npt.assert_array_equal(NetworkParams.load(path).to_flat(), p.to_flat())
 
+    # every value line is 17 significant digits, and the edge values come back
+    # bit for bit: the sign of -0.0, subnormals, the extremes, inexact decimals
+    edges = np.resize(EDGE_VALUES, CFG.param_count())
+    NetworkParams(CFG, edges).save(path)
+    assert path.read_text().splitlines()[1:] == ["%.17g" % v for v in edges.tolist()]
+    assert_bitwise(NetworkParams.load(path).flat, edges)
+
+
+EDGE_VALUES = [
+    -0.0,
+    5e-324,
+    2.2250738585072014e-308,
+    0.1,
+    1 / 3,
+    1e-5,
+    1e16,
+    123456789.0,
+    1.7976931348623157e308,
+    -1.7976931348623157e308,
+]
+
+
+def assert_bitwise(a, b):
+    assert np.asarray(a).view(np.uint64).tolist() == np.asarray(b).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("values", ["init", "edges"])
+def test_load_reads_repr_checkpoints(tmp_path, values):
+    # a version-1 checkpoint whose values were written with repr, one per line
+    p = init_params(CFG, seed=5)
+    flat = p.flat if values == "init" else np.resize(EDGE_VALUES, CFG.param_count())
+    path = tmp_path / "params.txt"
+    p.save(path)
+    header = path.read_text().splitlines()[0]
+    path.write_text(header + "\n" + "\n".join(map(repr, flat.tolist())) + "\n")
+    q = NetworkParams.load(path)
+    assert q.config == CFG
+    assert_bitwise(q.flat, flat)
+
 
 def test_load_errors(tmp_path):
     path = tmp_path / "bad.txt"
