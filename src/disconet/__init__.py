@@ -43,7 +43,6 @@ from .network import (
     init_params,
     predict_rows,
     sample_candidates,
-    sample_frames,
     sample_outputs,
 )
 from .objective import (
@@ -122,7 +121,6 @@ __all__ = [
     "init_params",
     "predict_rows",
     "sample_candidates",
-    "sample_frames",
     "sample_outputs",
     "ObjectiveConfig",
     "disco_objective",

@@ -11,10 +11,8 @@ only the noise's part once per candidate. A net with noise disabled takes
 the same pass with noise of width zero: its K candidates coincide and it is
 an ordinary deterministic regressor.
 
-Eval samples its frames in blocks (``sample_frames``): each layer is one
-stacked product over a block's frames, which numpy runs as one BLAS product
-per frame, so the outputs are bitwise those of sampling one frame at a
-time, whatever the number of frames.
+``layer_walk`` is the one forward pass: training, prediction and every
+sampler run through it, eval's blocks of frames (``cli.eval_candidates``) too.
 """
 
 import json
@@ -28,9 +26,6 @@ from .strictjson import TYPES, dataclass_keys, json_value, plain_text, read_floa
 
 PARAMS_FORMAT = "disconet-params"
 PARAMS_VERSION = 1
-# frames per block in ``sample_frames``: enough to spread the per-call cost,
-# few enough that each buffer stays under 1 MB at K = 32 and width 256
-FRAME_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -436,55 +431,6 @@ def sample_outputs(params, x, num_candidates, rng, work=None):
     z = draw_noise(params.config, n, k, rng)
     walk = layer_walk(params, x, z, k, work)
     return _walk_output(params, walk).reshape(n, k, params.config.y_dim)
-
-
-def sample_frames(params, x, num_candidates, rng):
-    """K sampled outputs for every row of `x`, as an (N, K, y_dim) array
-    computed FRAME_BLOCK rows ("frames") at a time.
-
-    Bitwise the per-frame loop ``sample_outputs(params, x[i:i+1], K,
-    rng)[0]`` over i in order, and `rng` ends in the same state. Each
-    block takes one ``draw_noise``, the stream values of its frames'
-    one-row draws, and each layer is one stacked ``np.matmul`` over
-    (frames, rows, fan_in) arrays: numpy issues one BLAS product per frame
-    matrix, the product the one-row pass makes, where one product over all
-    of a block's rows would round differently. The join layer adds the
-    encoder part to the noise part, the one-row sum in the other order,
-    which rounds the same. The layers after the join write into buffers of
-    FRAME_BLOCK frames that every block reuses, so the memory held beside
-    the output does not grow with N. A noise-free net, as in
-    ``sample_outputs``, samples one candidate per frame and repeats it.
-    """
-    if num_candidates < 1:
-        raise ContractError("num_candidates must be >= 1")
-    cfg = params.config
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != cfg.x_dim:
-        raise DimensionError(f"x must be (rows, {cfg.x_dim}), got {x.shape}")
-    n, k = x.shape[0], num_candidates
-    if k > 1 and not cfg.noise_enabled:
-        return np.repeat(sample_frames(params, x, 1, rng), k, axis=1)
-    join = len(cfg.encoder_widths)
-    after = params.layers[join:]
-    bufs = [np.empty((FRAME_BLOCK, k, w.shape[1])) for w, _ in after[:-1]]
-    out = np.empty((n, k, cfg.y_dim))
-    for s in range(0, n, FRAME_BLOCK):
-        m = min(FRAME_BLOCK, n - s)
-        z = draw_noise(cfg, m, k, rng)
-        h = x[s : s + m].reshape(m, 1, cfg.x_dim)
-        for w, b in params.layers[:join]:
-            h = np.maximum(np.matmul(h, w) + b, 0.0)
-        targets = [buf[:m] for buf in bufs] + [out[s : s + m]]
-        (w, b), pre = after[0], targets[0]
-        h_w = h.shape[2]
-        np.matmul(z, w[h_w:], out=pre)
-        pre += np.matmul(h, w[:h_w]) + b
-        for (w, b), t in zip(after[1:], targets[1:]):
-            np.maximum(pre, 0.0, out=pre)
-            np.matmul(pre, w, out=t)
-            t += b
-            pre = t
-    return out
 
 
 def sample_candidates(params, x, num_candidates, rng):

@@ -114,7 +114,7 @@ def objective_terms(params, x, y, z, cfg, work=None):
     z : array of shape (n, K, z_dim), or None
         Pre-drawn noise (``network.draw_noise``), held fixed. Required when
         the network has its noise channel enabled; a noise-free net ignores
-        it and walks with noise of width zero.
+        it and walks one candidate per input, repeated K times.
     cfg : ObjectiveConfig
     work : dict, optional
         The walks' arrays (``network.layer_walk``), gradient included.
@@ -138,10 +138,13 @@ def objective_terms(params, x, y, z, cfg, work=None):
     if y.shape[1] != net.y_dim:
         raise DimensionError(f"y has dim {y.shape[1]}, the net outputs {net.y_dim}")
     n, k = x.shape[0], cfg.num_candidates
+    walked = k if net.noise_enabled else 1
     inputs = []
-    for h, out in layer_walk(params, x, z, k, work):
+    for h, out in layer_walk(params, x, z, walked, work):
         inputs.append(h)
-    g = out.reshape(n, k, net.y_dim)
+    g = out.reshape(n, walked, net.y_dim)
+    if walked < k:  # K walked rows would cost K times as much and could round apart
+        g = np.broadcast_to(g, (n, k, net.y_dim))
     w, beta = cfg.loss.weight_vector(net.y_dim), cfg.loss.beta
     pq_rows, grad = data_grad(y, g, w, beta)
     pq = value = float(np.mean(pq_rows))
@@ -154,7 +157,9 @@ def objective_terms(params, x, y, z, cfg, work=None):
     elif k >= 2:
         qq = float(np.mean(pair_term(g, w, beta)))
     grad /= n
-    return pq, qq, value, walk_back(params, inputs, grad.reshape(n * k, net.y_dim), work)
+    if walked < k:
+        grad = grad.sum(axis=1)
+    return pq, qq, value, walk_back(params, inputs, grad.reshape(n * walked, net.y_dim), work)
 
 
 def grad_check(f, params, step=GRAD_CHECK_STEP):

@@ -15,11 +15,11 @@ from disconet import (
     ObjectiveConfig,
     TrainConfig,
     gen_conditional_bimodal,
-    sample_frames,
     substream,
     train,
     train_val_split,
 )
+from disconet.cli import eval_candidates
 
 ABLATION_SEEDS = (0, 1, 2)
 ABLATION_K = 16
@@ -58,8 +58,8 @@ def train_bimodal(seed, gamma, noise_enabled, epochs=ABLATION_EPOCHS):
 
 def sampled_candidates(params, x, seed, num_candidates=ABLATION_K):
     """(N, K, y_dim) candidates from the "abl-eval" stream, sampled as
-    ``disconet eval`` samples them (bitwise the frame-by-frame loop)."""
-    return sample_frames(params, x, num_candidates, substream(seed, "abl-eval"))
+    ``disconet eval`` samples them."""
+    return eval_candidates(params, x, num_candidates, substream(seed, "abl-eval"))
 
 
 @pytest.fixture(scope="session")

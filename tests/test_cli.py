@@ -27,6 +27,7 @@ from disconet import (
 from disconet.cli import (
     _COMMANDS,
     _SCHEMA,
+    EVAL_BLOCK,
     SCHEMA_VERSION,
     _write_json,
     config_hash,
@@ -608,13 +609,14 @@ def test_eval_negative_ranges_exit_2(tmp_path, capsys, key, value):
 def test_eval_probloss_replays_draw_order(tmp_path, base_sigma):
     """ProbLoss in metrics.json is the mean and sem of per-frame energy
     scores, with each frame's candidates drawn in frame order: K noise rows
-    from "eval-noise", or K jitter rows from "base-jitter" around the
-    zero-noise prediction."""
+    from "eval-noise", sampled EVAL_BLOCK frames at a time (40 frames make
+    two full blocks and a short one), or K jitter rows from "base-jitter"
+    around the zero-noise prediction."""
     net = NetConfig(x_dim=1, y_dim=2, z_dim=3, encoder_widths=(4,), decoder_widths=(4,))
     ckpt = tmp_path / "ckpt.txt"
     init_params(net, seed=5).save(ckpt)
     params = NetworkParams.load(ckpt)
-    x, y1 = gen_conditional_bimodal(12, substream(11, "cli-test-data"))
+    x, y1 = gen_conditional_bimodal(40, substream(11, "cli-test-data"))
     y = np.hstack([y1, -y1])
     data = tmp_path / "frames.csv"
     save_csv(data, x, y)
@@ -631,12 +633,14 @@ def test_eval_probloss_replays_draw_order(tmp_path, base_sigma):
         point = predict_rows(params, x, np.zeros((x.shape[0], net.z_dim)))
     else:
         rng = substream(seed, "eval-noise")
+        sampled = np.concatenate([sample_outputs(params, x[s : s + EVAL_BLOCK], k, rng)
+                                  for s in range(0, x.shape[0], EVAL_BLOCK)])
     scores = []
     for i in range(x.shape[0]):
         if base_sigma > 0.0:
             outs = point[i] + base_sigma * rng.standard_normal((k, net.y_dim))
         else:
-            outs = sample_outputs(params, x[i : i + 1], k, rng)[0]
+            outs = sampled[i]
         scores.append(energy_score_sample(outs, y[i], LossSpec(beta=1.0)))
     scores = np.asarray(scores)
     got = json.loads((out / "metrics.json").read_text())["probloss"]

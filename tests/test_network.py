@@ -17,10 +17,11 @@ from disconet import (
     pearson_matrix,
     predict_rows,
     sample_candidates,
-    sample_frames,
     sample_outputs,
 )
-from disconet.network import FRAME_BLOCK, draw_noise, layer_walk
+from disconet import cli
+from disconet.cli import EVAL_BLOCK, eval_candidates
+from disconet.network import draw_noise, layer_walk
 
 
 CFG = NetConfig(x_dim=2, y_dim=2, z_dim=3, encoder_widths=(5,), decoder_widths=(4,))
@@ -336,7 +337,7 @@ def test_noise_disabled_candidates_constant():
 
 
 @pytest.mark.parametrize("k", [5, 30])
-@pytest.mark.parametrize("sampler", [sample_outputs, sample_frames], ids=["outputs", "frames"])
+@pytest.mark.parametrize("sampler", [sample_outputs, eval_candidates], ids=["outputs", "frames"])
 def test_noise_free_candidates_coincide_at_full_scale(sampler, k):
     """A noise-free net's K candidates are one output repeated, bitwise, at
     paper scale too, where a K-row pass through BLAS rounds identical rows
@@ -382,26 +383,62 @@ _FRAME_NETS = {
 }
 
 
-@pytest.mark.parametrize("k", [1, 2, 32])
-@pytest.mark.parametrize("name", sorted(_FRAME_NETS))
-def test_sample_frames_matches_per_frame_loop(name, k):
-    """Sampling in blocks of frames gives the bits of sampling one frame at a
-    time, whether N falls below, on or off the block size, and leaves the
-    generator in the same state."""
+def _rng_after_blocks(cfg, n, k, block, seed):
+    """A generator seeded `seed` after one ``draw_noise`` per block."""
+    rng = np.random.default_rng(seed)
+    for s in range(0, n, block):
+        draw_noise(cfg, min(block, n - s), k, rng)
+    return rng
+
+
+@pytest.mark.parametrize("name", sorted(set(_FRAME_NETS) - {"noise_free"}))
+def test_eval_candidates_at_k32_do_not_depend_on_the_block(monkeypatch, name):
+    """At K = 32 a frame's 32 rows round alike in blocks of eval's size, of
+    larger sizes and of all 67 frames at once (tails of 3 and 16 frames
+    included), and `rng` ends where one noise draw per block leaves it. A
+    tail of one or two frames can round apart, as measured on OpenBLAS: a
+    one-row encoder product takes the matrix-vector path, and the full-scale
+    output layer rounds 64 rows apart from the same rows in a taller
+    product. So eval's block size is a constant."""
     cfg = _FRAME_NETS[name]
     p = init_params(cfg, seed=4)
-    for n in (1, FRAME_BLOCK, FRAME_BLOCK + 1, 67):
+    n, k = 67, 32
+    x = np.random.default_rng(n).uniform(-1.0, 1.0, size=(n, cfg.x_dim))
+    rng = np.random.default_rng(8)
+    outs = eval_candidates(p, x, k, rng)
+    assert rng.random() == _rng_after_blocks(cfg, n, k, EVAL_BLOCK, 8).random()
+    for block in (EVAL_BLOCK + 1, 2 * EVAL_BLOCK, 64, n):
+        monkeypatch.setattr(cli, "EVAL_BLOCK", block)
+        rng = np.random.default_rng(8)
+        npt.assert_array_equal(eval_candidates(p, x, k, rng), outs)
+        assert rng.random() == _rng_after_blocks(cfg, n, k, block, 8).random()
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 32])
+@pytest.mark.parametrize("name", sorted(_FRAME_NETS))
+def test_eval_candidates_replay_the_per_frame_loop(name, k):
+    """Eval's candidates are deterministic and agree with sampling one
+    frame at a time to 1e-12 relative, whether N falls below, on or off the
+    block size, and `rng` ends where one noise draw per block leaves it.
+    They are not bitwise the loop's: a block walks its frames' rows in one
+    product per layer, and BLAS rounds a row by the product it falls in. At
+    K = 7, and on the noise-free net, which walks one row per frame, the
+    bits change with the block size as well, unlike at K = 32 (above)."""
+    cfg = _FRAME_NETS[name]
+    p = init_params(cfg, seed=4)
+    for n in (1, EVAL_BLOCK, EVAL_BLOCK + 1, 67):
         x = np.random.default_rng(n).uniform(-1.0, 1.0, size=(n, cfg.x_dim))
-        blocked, looped = np.random.default_rng(8), np.random.default_rng(8)
-        outs = sample_frames(p, x, k, blocked)
+        rng, looped = np.random.default_rng(8), np.random.default_rng(8)
+        outs = eval_candidates(p, x, k, rng)
+        assert rng.random() == _rng_after_blocks(cfg, n, k, EVAL_BLOCK, 8).random()
+        npt.assert_array_equal(eval_candidates(p, x, k, np.random.default_rng(8)), outs)
         expected = np.stack([sample_outputs(p, x[i : i + 1], k, looped)[0] for i in range(n)])
-        npt.assert_array_equal(outs, expected)
-        assert blocked.random() == looped.random()
+        assert np.abs(outs - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
-def test_sample_frames_memory_stays_flat():
+def test_eval_candidates_memory_stays_flat():
     """2,000 frames of 32 candidates of the full-scale net hold the output
-    and blocks of FRAME_BLOCK frames: one (2000 * 32, 256) activation array
+    and blocks of EVAL_BLOCK frames: one (2000 * 32, 256) activation array
     alone would take 131 MB."""
     full = NetConfig(x_dim=1, y_dim=42, z_dim=200, encoder_widths=(256,), decoder_widths=(256, 256))
     p = init_params(full, seed=1)
@@ -410,7 +447,7 @@ def test_sample_frames_memory_stays_flat():
     tracemalloc.start()
     try:
         start, _ = tracemalloc.get_traced_memory()
-        outs = sample_frames(p, x, 32, rng)
+        outs = eval_candidates(p, x, 32, rng)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -418,9 +455,9 @@ def test_sample_frames_memory_stays_flat():
     assert peak - start < outs.nbytes + 4 * 2**20
 
 
-def test_sample_frames_rejects_bad_input():
+def test_eval_candidates_rejects_bad_input():
     p = init_params(CFG, seed=9)
     with pytest.raises(ContractError):
-        sample_frames(p, np.zeros((3, 2)), 0, np.random.default_rng(0))
+        eval_candidates(p, np.zeros((3, 2)), 0, np.random.default_rng(0))
     with pytest.raises(DimensionError):
-        sample_frames(p, np.zeros((3, 5)), 2, np.random.default_rng(0))
+        eval_candidates(p, np.zeros((3, 5)), 2, np.random.default_rng(0))

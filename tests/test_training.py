@@ -18,6 +18,7 @@ from disconet import (
     train,
     train_val_split,
 )
+from disconet import objective as objective_module
 from disconet import training
 from disconet.network import draw_noise
 from disconet.rng import derive_seed, substream
@@ -215,12 +216,37 @@ def test_train_is_bitwise_the_reference_loop(monkeypatch, noise_enabled):
     assert [(e.epoch, e.train_objective, e.val_objective, e.train_pq, e.train_qq)
             for e in epochs] == want_stats
     assert not params.flat.flags.writeable
-    work = held[0]  # by (n, K); a noise-free net samples one candidate per input
-    shapes = {(4, 4), (20, 4)} | (set() if noise_enabled else {(20, 1)})
+    work = held[0]  # by (n, K); a noise-free net walks one candidate per input
+    shapes = {(4, 4), (20, 4)} if noise_enabled else {(4, 1), (20, 1)}
     assert {key[:2] for key in work} == shapes
     for arrays in work.values():
         held.extend(arrays if isinstance(arrays, tuple) else [arrays])
     assert not any(np.shares_memory(params.flat, a) for a in held if isinstance(a, np.ndarray))
+
+
+def test_noise_free_train_walks_one_candidate(monkeypatch):
+    """A noise-free net's K = 4 candidates are one walked candidate
+    repeated, as the samplers repeat it: every step walks one row per input,
+    DIVhat(Q,Q) is exactly 0 and gamma 0.5 changes nothing, and the run
+    follows the K = 1 run, whose data term is the same, up to the last bits
+    of adding up the four copies' gradients."""
+    net = NetConfig(**{**NET.to_dict(), "noise_enabled": False})
+    data = _small_data()
+    walked, walk = [], objective_module.layer_walk
+
+    def spy(params, x, z=None, k=1, work=None):
+        walked.append(k)
+        return walk(params, x, z, k, work)
+
+    monkeypatch.setattr(objective_module, "layer_walk", spy)
+    runs = {k: train(net, _small_cfg(objective=ObjectiveConfig(gamma=gamma, num_candidates=k)), data)
+            for k, gamma in ((4, 0.5), (1, 0.0))}
+    assert set(walked) == {1}
+    (p4, e4), (p1, e1) = runs[4], runs[1]
+    assert [e.train_qq for e in e4] == [0.0] * len(e4)
+    npt.assert_allclose(p4.flat, p1.flat, rtol=1e-12, atol=1e-15)
+    npt.assert_allclose([e.train_pq for e in e4], [e.train_pq for e in e1], rtol=1e-12)
+    npt.assert_allclose([e.train_objective for e in e4], [e.train_pq for e in e4], rtol=0)
 
 
 def test_train_no_validation_gives_nan_val():

@@ -12,8 +12,9 @@ BLAS thread, and compares their artifacts: every file a command writes to
 ``--out``, and the standard output of ``gradcheck``. For each artifact it
 prints ``identical``, or how many of its numbers differ with the largest
 absolute and relative difference, or where its text differs apart from the
-numbers. The exit status is 0 when every artifact and exit code is the
-same, else 1.
+numbers. Numbers are compared by their float64 bits, so a zero whose sign
+changes and a NaN or infinity on either side count as changes, each named.
+The exit status is 0 when every artifact and exit code is the same, else 1.
 
 Both trees run on one machine with the same BLAS, so any difference comes
 from the code. The list covers:
@@ -62,8 +63,10 @@ C9_TRAIN = {"epochs": 2, "batch_size": 16, "seed": 0, "val_count": 8}
 C9_DATA = {"generator": "conditional_bimodal", "n": 48}
 EVAL = {"num_candidates": 32, "group_size": 3, "distances": [0.5, 1.0, 1.5, 2.0, 3.0]}
 
-# A number standing alone: not part of a word such as a hex digest.
-NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?(?![\w.])")
+# A number standing alone: not part of a word such as a hex digest. NaN and
+# infinity count as numbers, as Python and JSON spell them.
+NUMBER = re.compile(r"(?<![\w.])[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
+                    r"|(?i:nan|inf(?:inity)?))(?![\w.])")
 
 
 def bimodal(n, rng):
@@ -200,7 +203,9 @@ def run_tree(tree, commands, outs):
 
 
 def compare(a, b):
-    """One line on how file `b` differs from file `a`."""
+    """One line on how file `b` differs from file `a`. Numbers are compared
+    by their float64 bits, so a zero that changes sign and a change to or
+    from a NaN (or an infinity) are changes, and each kind is named."""
     ta, tb = a.read_text(), b.read_text()
     if ta == tb:
         return "identical"
@@ -208,15 +213,24 @@ def compare(a, b):
         first = next((i for i, (x, y) in enumerate(zip(ta.splitlines(), tb.splitlines()), 1)
                       if NUMBER.split(x) != NUMBER.split(y)), None)
         return f"text differs beyond its numbers, first at {f'line {first}' if first else 'the end'}"
-    na = np.array([float(v) for v in NUMBER.findall(ta)])
-    nb = np.array([float(v) for v in NUMBER.findall(tb)])
-    moved = na != nb
+    na = np.array([float(v) for v in NUMBER.findall(ta)], dtype=np.float64)
+    nb = np.array([float(v) for v in NUMBER.findall(tb)], dtype=np.float64)
+    moved = na.view(np.uint64) != nb.view(np.uint64)
     if not moved.any():
         return "the same numbers, written differently"
-    diff = np.abs(na - nb)[moved]
-    rel = diff / np.maximum(np.abs(na), np.abs(nb))[moved]
-    return (f"{moved.sum()} of {na.size} numbers differ, largest absolute {diff.max():.3g}, "
-            f"largest relative {rel.max():.3g}")
+    special = moved & ~(np.isfinite(na) & np.isfinite(nb))
+    zero = moved & (na == 0.0) & (nb == 0.0)
+    value = moved & ~special & ~zero
+    parts = [f"{moved.sum()} of {na.size} numbers differ"]
+    if value.any():
+        diff = np.abs(na - nb)[value]
+        rel = diff / np.maximum(np.abs(na), np.abs(nb))[value]
+        parts.append(f"largest absolute {diff.max():.3g}, largest relative {rel.max():.3g}")
+    if zero.any():
+        parts.append(f"{zero.sum()} only in the sign of zero")
+    if special.any():
+        parts.append(f"{special.sum()} in a NaN or an infinity")
+    return ", ".join(parts)
 
 
 def main():
