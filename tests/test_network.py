@@ -416,10 +416,11 @@ def test_eval_candidates_at_k32_do_not_depend_on_the_block(monkeypatch, name):
 
 @pytest.mark.parametrize("k", [1, 2, 7, 32])
 @pytest.mark.parametrize("name", sorted(_FRAME_NETS))
-def test_eval_candidates_replay_the_per_frame_loop(name, k):
-    """Eval's candidates are deterministic and agree with sampling one
-    frame at a time to 1e-12 relative, whether N falls below, on or off the
-    block size, and `rng` ends where one noise draw per block leaves it.
+def test_sample_frames_matches_per_frame_loop(name, k):
+    """Eval's frame sampler (`cli.eval_candidates`) is deterministic, and
+    its candidates agree with sampling one frame at a time to 1e-12
+    relative, whether N falls below, on or off the block size, and `rng`
+    ends where one noise draw per block leaves it.
     They are not bitwise the loop's: a block walks its frames' rows in one
     product per layer, and BLAS rounds a row by the product it falls in. At
     K = 7, and on the noise-free net, which walks one row per frame, the
@@ -436,10 +437,10 @@ def test_eval_candidates_replay_the_per_frame_loop(name, k):
         assert np.abs(outs - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
-def test_eval_candidates_memory_stays_flat():
-    """2,000 frames of 32 candidates of the full-scale net hold the output
-    and blocks of EVAL_BLOCK frames: one (2000 * 32, 256) activation array
-    alone would take 131 MB."""
+def test_sample_frames_memory_stays_flat():
+    """Eval's frame sampler, on 2,000 frames of 32 candidates of the
+    full-scale net, holds the output and blocks of EVAL_BLOCK frames: one
+    (2000 * 32, 256) activation array alone would take 131 MB."""
     full = NetConfig(x_dim=1, y_dim=42, z_dim=200, encoder_widths=(256,), decoder_widths=(256, 256))
     p = init_params(full, seed=1)
     x = np.random.default_rng(16).uniform(-1.0, 1.0, size=(2000, 1))
@@ -455,7 +456,8 @@ def test_eval_candidates_memory_stays_flat():
     assert peak - start < outs.nbytes + 4 * 2**20
 
 
-def test_eval_candidates_rejects_bad_input():
+def test_sample_frames_rejects_bad_input():
+    """Eval's frame sampler rejects K = 0 and a wrong `x_dim`."""
     p = init_params(CFG, seed=9)
     with pytest.raises(ContractError):
         eval_candidates(p, np.zeros((3, 2)), 0, np.random.default_rng(0))
