@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ContractError, DimensionError, ParseError
-from .strictjson import TYPES, dataclass_keys, json_value, plain_text, read_float, read_json
+from .strictjson import TYPES, dataclass_keys, json_value, read_json, read_lines, read_rows
 
 PARAMS_FORMAT = "disconet-params"
 PARAMS_VERSION = 1
@@ -163,13 +163,11 @@ class NetworkParams:
 
     @classmethod
     def load(cls, path):
-        with open(path, "r", encoding="utf8") as fh:
-            text = fh.read()
-        raw = text.splitlines()
-        if not raw:
+        lines = read_lines(path)
+        if not lines:
             raise ParseError(f"{path}: empty checkpoint file")
         try:
-            header = read_json(raw[0])
+            header = read_json(lines.pop(0))  # a shift in place: no copy of every line
         except ValueError as exc:
             raise ParseError(f"{path}: line 1: bad header: {exc}") from exc
         if not isinstance(header, dict) or header.get("format") != PARAMS_FORMAT:
@@ -180,39 +178,10 @@ class NetworkParams:
             config = NetConfig.from_dict(header.get("net"))
         except (TypeError, ContractError) as exc:
             raise ParseError(f"{path}: line 1: bad architecture header: {exc}") from exc
-        values = _parse_values(path, raw[1:], plain_text(text, len(raw[0])))
+        values = read_rows(path, lines, 1, first=2)
         if values.size != config.param_count():
-            raise ParseError(
-                f"{path}: expected {config.param_count()} values, found {values.size}"
-            )
-        return cls.from_flat(config, values)
-
-
-def _parse_values(path, lines, plain):
-    """The checkpoint lines after the header as a float64 array, one finite
-    float per line (``read_float``); blank lines are skipped. When the lines
-    are `plain` (``plain_text``) they are parsed in one pass; only when that
-    fails or they are not are they parsed one at a time, so the ParseError
-    names the first bad line of the file."""
-    if plain:
-        try:
-            values = np.fromiter(map(float, lines), dtype=np.float64, count=len(lines))
-            if np.isfinite(values).all():
-                return values
-        except ValueError:
-            pass
-    values = []
-    for ln, line in enumerate(lines, start=2):
-        if not line.strip():
-            continue
-        try:
-            value = read_float(line)
-        except ValueError as exc:
-            raise ParseError(f"{path}: line {ln}: not a number: {line!r}") from exc
-        if not math.isfinite(value):
-            raise ParseError(f"{path}: line {ln}: not a finite number: {line!r}")
-        values.append(value)
-    return np.asarray(values, dtype=np.float64)
+            raise ParseError(f"{path}: expected {config.param_count()} values, found {values.size}")
+        return cls(config, values, copy=False)
 
 
 def init_params(config, seed):

@@ -1,12 +1,35 @@
-"""Strict JSON input: the one reader of configs and checkpoint headers, which
-refuses a repeated key where ``json.loads`` keeps its last value, and the one
-table of value types, so a check and the type name its refusal prints cannot
-disagree. Also the one reader of a numeric field of a data or checkpoint
-line, which refuses what ``float`` reads but no file of ours writes."""
+"""Strict input, the one reader of every file the package reads: ``read_lines``
+splits a UTF-8 file into lines, ``read_json`` refuses a repeated key where
+``json.loads`` keeps its last value, and ``read_rows`` reads rows of numbers.
+Also the one table of value types, so a check and its refusal agree."""
 
 import json
 import math
 from dataclasses import MISSING, fields
+
+import numpy as np
+
+from .errors import ParseError, SchemaError
+
+
+def read_lines(path, error=ParseError):
+    """The lines of the UTF-8 file at `path`, without their ends: a line ends
+    at '\\n', '\\r\\n' or a lone '\\r', as Python's text mode reads it (not at a
+    form feed, as ``str.splitlines`` would), and an empty last line is none.
+    A byte that is not UTF-8 raises `error` naming the file and its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if b"\r" in data:  # no byte of a multi-byte UTF-8 character is '\r' or '\n'
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        data = data.decode("utf8")  # the bytes go: one copy of the file during the split
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}: line {line}: not UTF-8: {exc.reason}") from None
+    lines = data.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
 
 
 def _unique_keys(pairs):
@@ -24,19 +47,52 @@ def read_json(text):
     return json.loads(text, object_pairs_hook=_unique_keys)
 
 
-def plain_text(text, start=0):
-    """Whether `text` is ASCII and holds no '_' from index `start` on: then
-    ``float`` reads each field there exactly as ``read_float`` does."""
-    return text.isascii() and text.find("_", start) < 0
+def plain_text(text):
+    return text.isascii() and "_" not in text
 
 
-def read_float(field):
-    """``float(field)``, except that digit grouping and non-ASCII digits
-    raise ValueError: ``float`` reads '1_5' as 15.0 and '١٢' as 12.0.
-    Whitespace around the number is skipped, as ``float`` skips it."""
-    if not plain_text(field.strip()):
-        raise ValueError(f"could not convert string to float: {field!r}")
-    return float(field)
+def _table(rows, width):
+    """`rows` as a (rows, width) array in one pass; None if one is no row."""
+    text = ",".join(rows)
+    # float refuses a field that holds a ',', so rows of one field need no count
+    if not plain_text(text) or width > 1 and any(t.count(",") != width - 1 for t in rows):
+        return None
+    try:
+        flat = np.fromiter(map(float, rows if width == 1 else text.split(",")),
+                           dtype=np.float64, count=len(rows) * width)
+    except ValueError:
+        return None
+    return flat.reshape(len(rows), width) if np.isfinite(flat).all() else None
+
+
+def read_rows(path, lines, width, first=1, comments=False):
+    """The rows of numbers in `lines`, the lines of file `path` numbered from
+    `first`, as a (rows, width) float64 array. Blank lines and, with
+    `comments`, lines whose first non-blank character is '#' are skipped.
+    Every other line is `width` finite numbers split at ',', each as ``float``
+    reads it but in ASCII without '_'. The first line that is not raises
+    SchemaError (its width) or ParseError; only once the one-pass parse has
+    failed are the lines walked one at a time, by the same rule, to find it."""
+    # a file seldom has a line to skip, so its lines are first read as they are
+    table = _table(lines, width)
+    if table is None:
+        numbered = [(ln, t) for ln, t in enumerate(lines, start=first)
+                    if t.strip() and not (comments and t.lstrip().startswith("#"))]
+        table = _table([t for _, t in numbered], width)
+    if table is not None:
+        return table
+    for ln, line in numbered:
+        cells = line.split(",")
+        if len(cells) != width:
+            raise SchemaError(f"{path}: line {ln}: expected {width} fields, got {len(cells)}")
+        for field in cells:
+            try:  # a field that is not plain text is read as '', which float refuses
+                value = float(field if plain_text(field) else "")
+            except ValueError:
+                raise ParseError(f"{path}: line {ln}: not a number: {field!r}") from None
+            if not math.isfinite(value):
+                raise ParseError(f"{path}: line {ln}: not a finite number: {field!r}")
+    raise AssertionError(f"{path}: the one-pass parse refused rows that hold no fault")
 
 
 def _int(v):

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, NumericError, ParameterError, ParseError, SchemaError
+from .errors import ContractError, NumericError, ParameterError
 from .rng import substream
 from .scoring import LOSS_DIM1, LOSS_DIM2, axis_sq, data_term, mean_sem, pair_term
-from .strictjson import plain_text, read_float
+from .strictjson import read_lines, read_rows
 
 TOY_GAMMA = 0.5
 TOY_M = 24  # model samples per data point
@@ -171,49 +171,9 @@ def gen_conditional_bimodal(n, rng, noise_sigma=BIMODAL_NOISE_SIGMA):
 
 
 def load_csv(path, x_dim, y_dim):
-    """Read numeric comma-separated (x, y) rows.
-
-    Lines starting with '#' and blank lines are skipped. Every data row
-    must carry exactly x_dim + y_dim finite numeric fields (``read_float``);
-    malformed or non-finite numbers raise ParseError and wrong arity raises
-    SchemaError, both naming the line. An empty file yields empty arrays.
-    """
-    width = int(x_dim) + int(y_dim)
-    with open(path, "r", encoding="utf8") as fh:
-        lines = fh.read().split("\n")
-    rows = [t for t in map(str.strip, lines) if t and not t.startswith("#")]
-    if not rows:
-        return np.zeros((0, x_dim)), np.zeros((0, y_dim))
-    # every field of every row in one pass; a row of the wrong arity, text
-    # that is not plain, a malformed or a non-finite field sends it to the
-    # line-by-line loop below
-    text = ",".join(rows)
-    if all(t.count(",") == width - 1 for t in rows) and plain_text(text):
-        try:
-            flat = np.fromiter(map(float, text.split(",")), dtype=np.float64,
-                               count=len(rows) * width)
-            if np.isfinite(flat).all():
-                table = flat.reshape(len(rows), width)
-                return table[:, :x_dim].copy(), table[:, x_dim:].copy()
-        except ValueError:
-            pass
-    xs, ys = [], []
-    for ln, line in enumerate(lines, start=1):
-        text = line.strip()
-        if not text or text.startswith("#"):
-            continue
-        fields = [f.strip() for f in text.split(",")]
-        if len(fields) != width:
-            raise SchemaError(f"{path}: line {ln}: expected {width} fields, got {len(fields)}")
-        try:
-            row = [read_float(f) for f in fields]
-        except ValueError as exc:
-            raise ParseError(f"{path}: line {ln}: {exc}") from exc
-        if not all(map(math.isfinite, row)):
-            raise ParseError(f"{path}: line {ln}: non-finite value in {text!r}")
-        xs.append(row[:x_dim])
-        ys.append(row[x_dim:])
-    return np.asarray(xs), np.asarray(ys)
+    """The x and y columns of a CSV, x_dim + y_dim numbers a row, '#' lines skipped."""
+    table = read_rows(path, read_lines(path), int(x_dim) + int(y_dim), comments=True)
+    return table[:, :x_dim].copy(), table[:, x_dim:].copy()
 
 
 def save_csv(path, x, y, comments=()):

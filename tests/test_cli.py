@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -20,6 +21,7 @@ from disconet import (
     TrainConfig,
     energy_score_sample,
     init_params,
+    load_csv,
     predict_rows,
     sample_outputs,
     save_csv,
@@ -724,6 +726,48 @@ def test_eval_rejects_grouped_digits_exit_3(tmp_path, capsys, target):
     assert not out.exists()
 
 
+def _eval_inputs(tmp_path):
+    """A valid eval config, checkpoint and --data CSV, and the eval argv."""
+    ckpt = tmp_path / "ckpt.txt"
+    init_params(NetConfig(**SMALL_NET), seed=0).save(ckpt)
+    data = tmp_path / "data.csv"
+    data.write_text("0.5,1.5\n0.25,-1.0\n")
+    doc = {"data": {"generator": None}, "eval": {"num_candidates": 3, "distances": [1.0]}}
+    cfg = Path(write_config(tmp_path / "eval.json", doc))
+    argv = ["eval", "--config", str(cfg), "--out", str(tmp_path / "o"), "--checkpoint",
+            str(ckpt), "--data", str(data)]
+    return {"config": cfg, "checkpoint": ckpt, "data": data}, argv
+
+
+@pytest.mark.parametrize("target, code", [("config", 2), ("data", 3), ("checkpoint", 3)])
+def test_eval_rejects_bytes_that_are_not_utf8(tmp_path, capsys, target, code):
+    """A byte that is not UTF-8 is an error of the file that holds it: exit 2
+    for the config, 3 for the data or the checkpoint, naming the file and the
+    line, not a traceback and exit 1, which means a checked result failed."""
+    paths, argv = _eval_inputs(tmp_path)
+    path = paths[target]
+    lines = path.read_bytes().split(b"\n")
+    lines[1] += b"\xff"
+    path.write_bytes(b"\r\n".join(lines))
+    assert main(argv) == code
+    assert capsys.readouterr().err == f"error: {path}: line 2: not UTF-8: invalid start byte\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("target", ["checkpoint", "data"])
+def test_eval_rejects_no_break_space_exit_3(tmp_path, capsys, target):
+    """float() skips a no-break space around a number, as it skips ' '; in
+    either input file it is a parse error that names its line."""
+    paths, argv = _eval_inputs(tmp_path)
+    path = paths[target]
+    lines = path.read_text().splitlines()
+    lines[1] = "\u00a0" + lines[1] if target == "checkpoint" else "0.5,\u00a01.0"
+    path.write_text("\n".join(lines) + "\n", encoding="utf8")
+    assert main(argv) == 3
+    assert f"{path}: line 2: not a number: " in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 # the header's version key written twice, first with a version no reader takes
 _REPEATED_VERSION = '"version": 9, "version": 1'
 
@@ -946,6 +990,43 @@ def test_every_command_runs_on_its_required_sections(tmp_path, command):
         argv += ["--checkpoint", str(ckpt)]
     # toy's 1 is its verdict on diagonal dominance, not a failure to run
     assert main(argv) in ((0, 1) if command == "toy" else (0,))
+
+
+def test_bench_inputs_read_back_bitwise(tmp_path):
+    """The files the benchmark writes (``bench/inputs.py``, loaded as a file,
+    not edited) read back bit for bit: a checkpoint of repr values, one a
+    line, and a CSV that opens with a '#' line. Were either refused or
+    changed, ``eval-full`` and the training workloads would fail to run."""
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("bench_inputs", root / "bench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+
+    class Draws:
+        """The generator ``write_checkpoint`` draws from, keeping each draw."""
+
+        def __init__(self, rng):
+            self.rng, self.kept = rng, []
+
+        def uniform(self, *args, **kwargs):
+            self.kept.append(self.rng.uniform(*args, **kwargs))
+            return self.kept[-1]
+
+    net = {"x_dim": 2, "y_dim": 3, "z_dim": 4, "encoder_widths": [8],
+           "decoder_widths": [8, 6], "noise_enabled": True}
+    draws = Draws(inputs.rng_for(7, "checkpoint"))
+    inputs.write_checkpoint(tmp_path / "ckpt.txt", net, draws)
+    params = NetworkParams.load(tmp_path / "ckpt.txt")
+    assert params.config == NetConfig.from_dict(net)
+    written = np.concatenate(draws.kept)
+    assert params.flat.view(np.uint64).tolist() == written.view(np.uint64).tolist()
+
+    x, y = inputs.pose(40, inputs.rng_for(7, "data"))
+    inputs.write_csv(tmp_path / "data.csv", x, y)
+    assert (tmp_path / "data.csv").read_text().startswith("#")
+    x2, y2 = load_csv(tmp_path / "data.csv", 1, inputs.POSE_DIM)
+    assert x2.view(np.uint64).tolist() == x.view(np.uint64).tolist()
+    assert y2.view(np.uint64).tolist() == y.view(np.uint64).tolist()
 
 
 def test_bench_trace_targets_resolve():

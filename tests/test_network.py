@@ -205,6 +205,24 @@ def test_load_errors(tmp_path):
         NetworkParams.load(path)
 
 
+def test_load_counts_lines_as_text_mode_does(tmp_path):
+    """A form feed at the end of a value line is white space around its
+    number, not a line end: ``str.splitlines`` would end a line there and
+    name the bad value on line 5 as line 6."""
+    p = init_params(CFG, seed=5)
+    good = tmp_path / "good.txt"
+    p.save(good)
+    lines = good.read_text().splitlines()
+    path = tmp_path / "ff.txt"
+    lines[1] += "\x0c"
+    path.write_text("\n".join(lines) + "\n")
+    assert_bitwise(NetworkParams.load(path).flat, p.flat)
+    lines[4] = "oops"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match="line 5: not a number: 'oops'"):
+        NetworkParams.load(path)
+
+
 def dict_replace(s, old, new):
     assert old in s
     return s.replace(old, new)

@@ -64,3 +64,41 @@ def test_json_is_read_in_one_place():
             if isinstance(node, ast.ImportFrom) and node.module == "json":
                 callers.append(path.name)
     assert callers == ["strictjson.py"]
+
+
+def _opens_for_reading(call):
+    """Whether `call` is ``open(...)`` or ``<path>.open(...)`` in a mode that
+    reads: one with 'r' or '+', or one that is not a literal."""
+    func = call.func
+    if isinstance(func, ast.Name) and func.id == "open":
+        position = 1
+    elif isinstance(func, ast.Attribute) and func.attr == "open":
+        position = 0
+    else:
+        return False
+    modes = [k.value for k in call.keywords if k.arg == "mode"] + call.args[position:position + 1]
+    if not modes:
+        return True
+    mode = modes[0]
+    return not (isinstance(mode, ast.Constant) and set(mode.value).isdisjoint("r+"))
+
+
+# the number rule and the one-pass parse of a row file, and the file readers
+_INPUT_NAMES = {"read_float", "plain_text", "fromiter", "read_text", "read_bytes"}
+
+
+def test_input_is_read_in_one_place():
+    """Every file the package reads, a config, a data CSV or a checkpoint,
+    is read by ``strictjson``: no other ``src/`` module opens a file for
+    reading, calls ``read_text`` or ``read_bytes``, or names the rule for a
+    number in text (``read_float``, ``plain_text``) or ``np.fromiter``, with
+    which a second parse of rows would begin."""
+    readers = []
+    for path in sorted(Path(disconet.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf8"))):
+            name = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else
+                    node.name if isinstance(node, ast.alias) else None)
+            if name in _INPUT_NAMES or isinstance(node, ast.Call) and _opens_for_reading(node):
+                readers.append(path.name)
+    assert sorted(set(readers)) == ["strictjson.py"]

@@ -127,11 +127,21 @@ def test_csv_errors(tmp_path):
     path.write_text("1.0,2.0,zap\n")
     with pytest.raises(ParseError, match="line 1"):
         load_csv(path, 2, 1)
-    # float() reads digit grouping and non-ASCII digits: 15.0, 12.0 and 1.5
-    for field in ("1_5", "\u0661\u0662", "\uff11.\uff15"):
+    # float() reads digit grouping and non-ASCII digits: 15.0, 12.0 and 1.5,
+    # and skips a no-break space
+    for field in ("1_5", "\u0661\u0662", "\uff11.\uff15", "\u00a01.0"):
         path.write_text(f"0.5,2.5\n0.5,{field}\n")
         with pytest.raises(ParseError, match="line 2"):
             load_csv(path, 1, 1)
+
+
+def test_csv_width_is_checked_row_by_row(tmp_path):
+    """Rows of 3 and 1 fields hold 2 x 2 fields in all; the one-pass parse
+    counts each row, so the first is refused by its own width."""
+    path = tmp_path / "bad.csv"
+    path.write_text("1,2,3\n4\n")
+    with pytest.raises(SchemaError, match="line 1: expected 2 fields, got 3"):
+        load_csv(path, 1, 1)
 
 
 def test_csv_empty_file(tmp_path):
