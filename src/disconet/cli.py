@@ -50,7 +50,7 @@ from .objective import (
 )
 from .rng import derive_seed, substream
 from .scoring import LossSpec
-from .strictjson import TYPES, dataclass_keys, keyspec, read_json, read_lines
+from .strictjson import TYPES, dataclass_keys, keyspec, read_file, read_json
 from .synth import BIMODAL_NOISE_SIGMA, TOY_GAMMA, TOY_M, TOY_N
 from .synth import GridSpec, gen_conditional_bimodal, load_csv, toy_cross_table
 from .training import TrainConfig, train, train_val_split
@@ -121,11 +121,11 @@ def load_config(path, required_sections, seed_override=None):
     ConfigError. Defaults are filled so callers see complete sections.
     """
     try:
-        lines = read_lines(path, ConfigError)
+        text = read_file(path, ConfigError)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        doc = read_json("\n".join(lines))
+        doc = read_json(text)
     except ValueError as exc:
         raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):

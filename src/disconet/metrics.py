@@ -18,9 +18,10 @@ import numpy as np
 
 from .errors import ContractError, DimensionError, EstimatorError, ParameterError
 from .network import candidate_array
-from .scoring import LossSpec, beta_norm, data_term, mean_sem, pair_term, pairwise_delta, sorted_pairs
+from .scoring import (LossSpec, data_term, mean_sem, pair_sq_norms, pair_term, pairwise_delta,
+                      sorted_pairs)
 
-# Frames per block of the data term and of the correlations: small, to bound peak memory.
+# Frames per block of the MEU/ProbLoss pass and of the correlations: small, to bound peak memory.
 DATA_BLOCK = 16
 PEARSON_BLOCK = 32
 
@@ -84,8 +85,8 @@ def ff(preds, gts, group_size, distance):
 def _frame_scores(outs, gts, meu):
     """MEU indices (None unless `meu`) and energy scores (None for K = 1) of
     (N, K, y_dim) candidates, bitwise ``meu_predict`` and ``energy_score_sample``
-    frame by frame: one ``pairwise_delta`` broadcast per frame, not mirrored from
-    its upper triangle, as BLAS may round a row's last K mod 4 entries apart."""
+    frame by frame: all three take the pair kernel's distances (``pair_sq_norms``),
+    which do not depend on the frames blocked with a frame."""
     n, k, y_dim = outs.shape
     gts = np.asarray(gts, dtype=np.float64)
     if gts.shape[0] != n:
@@ -95,10 +96,11 @@ def _frame_scores(outs, gts, meu):
     w, sort = np.ones(y_dim), sorted_pairs(y_dim, 1.0)
     rows, totals = np.empty((n, k)), np.empty(n)
     if meu or not sort:
-        diff = np.empty((k, k, y_dim))
-        for i, g in enumerate(outs):
-            dist = beta_norm(np.subtract(g[:, None, :], g[None, :, :], out=diff), w, 1.0)
-            rows[i], totals[i] = dist.sum(axis=1), dist.sum(axis=(0, 1))
+        held = np.empty((min(n, DATA_BLOCK), k, k))
+        for s in range(0, n, DATA_BLOCK):
+            dist = np.sqrt(pair_sq_norms(outs[s:s + DATA_BLOCK], w, held[:n - s]), out=held[:n - s])
+            dist.sum(axis=2, out=rows[s:s + DATA_BLOCK])
+            dist.sum(axis=(1, 2), out=totals[s:s + DATA_BLOCK])
     idx = rows.argmin(axis=1) if meu else None  # argmin keeps the lowest index on ties
     if k < 2:
         return idx, None

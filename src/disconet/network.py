@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ContractError, DimensionError, ParseError
-from .strictjson import TYPES, dataclass_keys, json_value, read_json, read_lines, read_rows
+from .strictjson import TYPES, dataclass_keys, json_value, read_file, read_json, read_rows
 
 PARAMS_FORMAT = "disconet-params"
 PARAMS_VERSION = 1
@@ -163,11 +163,11 @@ class NetworkParams:
 
     @classmethod
     def load(cls, path):
-        lines = read_lines(path)
-        if not lines:
+        first, end, text = read_file(path).partition("\n")
+        if not (first or end):
             raise ParseError(f"{path}: empty checkpoint file")
         try:
-            header = read_json(lines.pop(0))  # a shift in place: no copy of every line
+            header = read_json(first)
         except ValueError as exc:
             raise ParseError(f"{path}: line 1: bad header: {exc}") from exc
         if not isinstance(header, dict) or header.get("format") != PARAMS_FORMAT:
@@ -178,7 +178,7 @@ class NetworkParams:
             config = NetConfig.from_dict(header.get("net"))
         except (TypeError, ContractError) as exc:
             raise ParseError(f"{path}: line 1: bad architecture header: {exc}") from exc
-        values = read_rows(path, lines, 1, first=2)
+        values = read_rows(path, text, 1, first=2)
         if values.size != config.param_count():
             raise ParseError(f"{path}: expected {config.param_count()} values, found {values.size}")
         return cls(config, values, copy=False)
@@ -252,11 +252,14 @@ def forward_rows(g, params, x, z=None):
     return g.add(g.matmul(h, wid), bid)
 
 
-def draw_noise(config, n, k, rng):
+def draw_noise(config, n, k, rng, work=None):
     """The (n, K, noise_dim) noise for K candidates of each of n inputs:
-    i.i.d. uniform on [-1, 1], in row order. A noise-free net's draw is
-    empty and takes nothing from `rng`."""
-    return rng.uniform(-1.0, 1.0, size=(n, k, config.noise_dim))
+    i.i.d. uniform on [-1, 1] in row order, bitwise ``rng.uniform(-1, 1)``, in
+    an array kept in `work` as in ``layer_walk`` until the next draw of its
+    shape. A noise-free net's draw is empty, kept nowhere, and draws nothing."""
+    z = rng.random(out=_held(work if config.noise_enabled else None, (n, k, "noise"),
+                             lambda: np.empty((n, k, config.noise_dim))))
+    return np.subtract(np.multiply(z, 2.0, out=z), 1.0, out=z)  # -1 + 2 u, as uniform computes it
 
 
 def _held(work, key, make):
@@ -397,7 +400,7 @@ def sample_outputs(params, x, num_candidates, rng, work=None):
     n, k = x.shape[0], num_candidates
     if k > 1 and not params.config.noise_enabled:
         return np.repeat(sample_outputs(params, x, 1, rng, work), k, axis=1)
-    z = draw_noise(params.config, n, k, rng)
+    z = draw_noise(params.config, n, k, rng, work)
     walk = layer_walk(params, x, z, k, work)
     return _walk_output(params, walk).reshape(n, k, params.config.y_dim)
 

@@ -148,13 +148,13 @@ def objective_terms(params, x, y, z, cfg, work=None):
     w, beta = cfg.loss.weight_vector(net.y_dim), cfg.loss.beta
     pq_rows, grad = data_grad(y, g, w, beta)
     pq = value = float(np.mean(pq_rows))
-    qq = float("nan")
-    if k >= 2 and cfg.gamma > 0.0:
+    qq = float("nan") if k < 2 else 0.0  # K copies of one candidate: every pair has zero slope
+    if walked >= 2 and cfg.gamma > 0.0:
         qq_rows, qq_grad = pair_grad(g, w, beta)
         qq = float(np.mean(qq_rows))
         value = pq - cfg.gamma * qq
         grad = grad - cfg.gamma * qq_grad
-    elif k >= 2:
+    elif walked >= 2:
         qq = float(np.mean(pair_term(g, w, beta)))
     grad /= n
     if walked < k:

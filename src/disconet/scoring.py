@@ -9,7 +9,8 @@ estimator unbiasedness can be verified by brute force.
 
 The loss kernel, its two sampled estimators (the data term and the pair
 term) and their gradients live here only; the objective, the graph op, the
-metrics and the toy grid fit all call them.
+metrics and the toy grid fit all call them. The one pair kernel,
+``_pair_shifts``, gives every distance between the candidates of one set.
 """
 
 from dataclasses import dataclass
@@ -132,11 +133,32 @@ def _sorted_pair_sum(g, w):
     return (2.0 * np.sqrt(w)) * (gaps * (j * (k - j))).sum(axis=-1) / (k * (k - 1))
 
 
-def _pair_sq_norms(g, w):
-    """diff[..., a, b, :] = g_a - g_b for g of shape (..., K, y_dim), and
-    the (..., K, K) squared norms of those differences."""
-    diff = g[..., :, None, :] - g[..., None, :, :]
-    return diff, sq_norm(diff, w)
+def _pair_shifts(g, w, s):
+    """The pair kernel: for each shift t = 1 .. K//2, one subtraction gives
+    d_a = g_a - g_b, b = a + t mod K, for the candidates g (..., K, y_dim);
+    its squared norms v_a (one gemv per K-row slab) go to s[..., a, b] and
+    s[..., b, a] of the (..., K, K) `s`; it yields (t, m, d, v), and d may be
+    overwritten. At t = K/2 only the m = K/2 rows a < K/2 are written: each
+    unordered pair is computed once, so s is exactly symmetric."""
+    k = g.shape[-2]
+    a = np.arange(k)
+    s[..., a, a] = 0.0
+    ring, d = np.concatenate([g, g[..., :k // 2, :]], axis=-2), np.empty(g.shape)
+    for t in range(1, k // 2 + 1):
+        v = sq_norm(np.subtract(g, ring[..., t:t + k, :], out=d), w)
+        m = k - t if 2 * t == k else k
+        b = (a[:m] + t) % k
+        s[..., a[:m], b] = s[..., b, a[:m]] = v[..., :m]
+        yield t, m, d, v
+
+
+def pair_sq_norms(g, w, out=None):
+    """The (..., K, K) squared norms sum_i w_i (g_a - g_b)_i^2 of candidates
+    g (..., K, y_dim) from the pair kernel, into `out` when given."""
+    s = np.empty(g.shape[:-1] + g.shape[-2:-1]) if out is None else out
+    for _ in _pair_shifts(g, w, s):
+        pass
+    return s
 
 
 def _broadcast_pair_sum(s, beta):
@@ -150,10 +172,10 @@ def pair_term(g, w, beta):
     """Sum over k != k' of Delta(g_k, g_k') / (K (K-1)) for g of shape
     (..., K, y_dim); needs K >= 2. When ``sorted_pairs(y_dim, beta)``
     holds the sum is rank arithmetic on sorted candidates; otherwise it is
-    one (..., K, K) broadcast."""
+    summed over ``pair_sq_norms``."""
     if sorted_pairs(g.shape[-1], beta):
         return _sorted_pair_sum(g[..., 0], w[0])
-    return _broadcast_pair_sum(_pair_sq_norms(g, w)[1], beta)
+    return _broadcast_pair_sum(pair_sq_norms(g, w), beta)
 
 
 def pair_grad(g, w, beta):
@@ -171,9 +193,13 @@ def pair_grad(g, w, beta):
         above = (g1[..., None, :] > (g1 + t)[..., :, None]).sum(axis=-1)
         grad = (2.0 * np.sqrt(w1) / (k * (k - 1))) * (below - above)
         return _sorted_pair_sum(g1, w1), grad[..., None]
-    diff, s = _pair_sq_norms(g, w)
-    # one (1, K) @ (K, y_dim) product per candidate: no further (..., K, K, y_dim) array
-    grad = (_slope(s, beta)[..., None, :] @ diff)[..., 0, :]
+    s, grad = np.empty(g.shape[:-1] + (k,)), np.zeros(g.shape)
+    for t, m, d, v in _pair_shifts(g, w, s):
+        # slope_ab (g_a - g_b) is added to a and taken from b = a + t mod K
+        c = np.multiply(d[..., :m, :], _slope(v[..., :m], beta)[..., None], out=d[..., :m, :])
+        grad[..., :m, :] += c
+        grad[..., t:, :] -= c[..., :k - t, :]
+        grad[..., :m + t - k, :] -= c[..., k - t:, :]
     return _broadcast_pair_sum(s, beta), (2.0 / (k * (k - 1))) * (w * grad)
 
 
@@ -210,7 +236,7 @@ def pairwise_delta(spec, outputs):
     o = np.asarray(outputs, dtype=np.float64)
     if o.ndim != 2:
         raise DimensionError(f"pairwise_delta needs a matrix, got shape {o.shape}")
-    return beta_norm(o[:, None, :] - o[None, :, :], spec.weight_vector(o.shape[1]), spec.beta)
+    return pair_sq_norms(o, spec.weight_vector(o.shape[1])) ** (spec.beta / 2.0)
 
 
 def energy_score_sample(candidates, y_true, spec=LossSpec()):

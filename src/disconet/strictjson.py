@@ -1,7 +1,8 @@
-"""Strict input, the one reader of every file the package reads: ``read_lines``
-splits a UTF-8 file into lines, ``read_json`` refuses a repeated key where
-``json.loads`` keeps its last value, and ``read_rows`` reads rows of numbers.
-Also the one table of value types, so a check and its refusal agree."""
+"""Strict input, the one reader of every file the package reads: ``read_file``
+reads a UTF-8 file as text whose lines end at '\\n', ``read_json`` refuses a
+repeated key where ``json.loads`` keeps its last value, and ``read_rows``
+reads rows of numbers. Also the one table of value types, so a check and its
+refusal agree."""
 
 import json
 import math
@@ -12,24 +13,20 @@ import numpy as np
 from .errors import ParseError, SchemaError
 
 
-def read_lines(path, error=ParseError):
-    """The lines of the UTF-8 file at `path`, without their ends: a line ends
-    at '\\n', '\\r\\n' or a lone '\\r', as Python's text mode reads it (not at a
-    form feed, as ``str.splitlines`` would), and an empty last line is none.
-    A byte that is not UTF-8 raises `error` naming the file and its line."""
+def read_file(path, error=ParseError):
+    """The text of the UTF-8 file at `path` with every line end made '\\n': a
+    line ends at '\\n', '\\r\\n' or a lone '\\r', as Python's text mode reads it
+    (not at a form feed, as ``str.splitlines`` would). A byte that is not
+    UTF-8 raises `error` naming the file and its line."""
     with open(path, "rb") as fh:
         data = fh.read()
     if b"\r" in data:  # no byte of a multi-byte UTF-8 character is '\r' or '\n'
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     try:
-        data = data.decode("utf8")  # the bytes go: one copy of the file during the split
+        return data.decode("utf8")
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise error(f"{path}: line {line}: not UTF-8: {exc.reason}") from None
-    lines = data.split("\n")
-    if not lines[-1]:
-        lines.pop()
-    return lines
 
 
 def _unique_keys(pairs):
@@ -51,34 +48,38 @@ def plain_text(text):
     return text.isascii() and "_" not in text
 
 
-def _table(rows, width):
-    """`rows` as a (rows, width) array in one pass; None if one is no row."""
-    text = ",".join(rows)
+def _table(rows, width, text):
+    """`rows`, the lines of `text`, as a (rows, width) array in one pass; None if one is no row."""
     # float refuses a field that holds a ',', so rows of one field need no count
     if not plain_text(text) or width > 1 and any(t.count(",") != width - 1 for t in rows):
         return None
     try:
-        flat = np.fromiter(map(float, rows if width == 1 else text.split(",")),
+        flat = np.fromiter(map(float, rows if width == 1 else ",".join(rows).split(",")),
                            dtype=np.float64, count=len(rows) * width)
     except ValueError:
         return None
     return flat.reshape(len(rows), width) if np.isfinite(flat).all() else None
 
 
-def read_rows(path, lines, width, first=1, comments=False):
-    """The rows of numbers in `lines`, the lines of file `path` numbered from
-    `first`, as a (rows, width) float64 array. Blank lines and, with
-    `comments`, lines whose first non-blank character is '#' are skipped.
-    Every other line is `width` finite numbers split at ',', each as ``float``
-    reads it but in ASCII without '_'. The first line that is not raises
-    SchemaError (its width) or ParseError; only once the one-pass parse has
-    failed are the lines walked one at a time, by the same rule, to find it."""
+def read_rows(path, text, width, first=1, comments=False):
+    """The rows of numbers in `text`, ``read_file`` text of file `path` whose
+    lines are numbered from `first`, as a (rows, width) float64 array. Blank
+    lines and, with `comments`, lines whose first non-blank character is '#'
+    are skipped. Every other line is `width` finite numbers split at ',',
+    each as ``float`` reads it but in ASCII without '_'. The first line that
+    is not raises SchemaError (its width) or ParseError; only once the
+    one-pass parse has failed are the lines walked one at a time, by the
+    same rule, to find it."""
     # a file seldom has a line to skip, so its lines are first read as they are
-    table = _table(lines, width)
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()  # the end of the last line: an empty last line is none
+    table = _table(lines, width, text)
     if table is None:
         numbered = [(ln, t) for ln, t in enumerate(lines, start=first)
                     if t.strip() and not (comments and t.lstrip().startswith("#"))]
-        table = _table([t for _, t in numbered], width)
+        rows = [t for _, t in numbered]
+        table = _table(rows, width, "\n".join(rows))
     if table is not None:
         return table
     for ln, line in numbered:

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ContractError, NumericError, ParameterError
 from .rng import substream
 from .scoring import LOSS_DIM1, LOSS_DIM2, axis_sq, data_term, mean_sem, pair_term
-from .strictjson import read_lines, read_rows
+from .strictjson import read_file, read_rows
 
 TOY_GAMMA = 0.5
 TOY_M = 24  # model samples per data point
@@ -172,7 +172,7 @@ def gen_conditional_bimodal(n, rng, noise_sigma=BIMODAL_NOISE_SIGMA):
 
 def load_csv(path, x_dim, y_dim):
     """The x and y columns of a CSV, x_dim + y_dim numbers a row, '#' lines skipped."""
-    table = read_rows(path, read_lines(path), int(x_dim) + int(y_dim), comments=True)
+    table = read_rows(path, read_file(path), int(x_dim) + int(y_dim), comments=True)
     return table[:, :x_dim].copy(), table[:, x_dim:].copy()
 
 

@@ -160,7 +160,7 @@ def train(net_config, train_config, data, checkpoint_dir=None):
         for bi, start in enumerate(range(0, n, cfg.batch_size), start=1):
             idx = perm[start : start + cfg.batch_size]
             xb, yb = x_train[idx], y_train[idx]
-            noises = draw_noise(net_config, len(idx), k, noise_rng)
+            noises = draw_noise(net_config, len(idx), k, noise_rng, work)
             pq, qq, value, grads = objective_terms(params, xb, yb, noises, cfg.objective, work)
             if not (math.isfinite(value) and np.all(np.isfinite(grads))):
                 raise NumericError(f"epoch {epoch}, batch {bi}: non-finite objective or gradient")

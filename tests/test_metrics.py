@@ -32,7 +32,7 @@ from disconet import (
 )
 from disconet.metrics import DATA_BLOCK, PEARSON_BLOCK, _frame_scores
 from disconet.network import draw_noise
-from disconet.scoring import mean_sem
+from disconet.scoring import mean_sem, pair_grad
 
 
 def test_joint_count():
@@ -328,7 +328,7 @@ _FRAME_COUNTS = (1, DATA_BLOCK - 1, DATA_BLOCK, PEARSON_BLOCK, 2 * PEARSON_BLOCK
 
 @pytest.mark.parametrize("n", _FRAME_COUNTS)
 @pytest.mark.parametrize("k, y_dim, group", [
-    (30, 42, 3),  # K mod 4 = 2: the BLAS product rounds a row's last entries apart
+    (30, 42, 3),  # K mod 4 = 2: the pair kernel's gemv rounds a slab's last 2 rows apart
     (7, 2, 1),    # signed singleton joints
     (5, 1, 1),    # the sorted pair term
     (2, 42, 3),   # one pair per frame
@@ -420,3 +420,21 @@ def test_warm_training_step_allocates_no_batch_array():
     finally:
         tracemalloc.stop()
     assert peak - start < 64 * 32 * 16 * 8
+
+
+def test_full_scale_pair_gradient_builds_no_pair_difference_array():
+    """One pair gradient at full scale (n 64, K 16, 42 outputs) takes each
+    shift's differences in turn: it peaks under 2 MB above its start, where
+    one (n, K, K, y_dim) difference array alone would take 5.5 MB."""
+    rng = np.random.default_rng(21)
+    g = rng.normal(size=(64, 16, 42))
+    w = np.ones(42)
+    pair_grad(g, w, 1.0)
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        pair_grad(g, w, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 2 * 2**20

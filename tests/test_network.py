@@ -370,15 +370,28 @@ def test_noise_free_candidates_coincide_at_full_scale(sampler, k):
 
 
 def test_draw_noise_law_and_zero_width():
-    """The noise law: i.i.d. uniform on [-1, 1] in row order; a noise-free
-    net's draw has width zero and leaves the stream where it was."""
+    """The noise law: i.i.d. uniform on [-1, 1] in row order, bitwise
+    ``rng.uniform(-1, 1)`` with the stream left where it leaves it, with or
+    without a workspace, whose array holds until the next draw of its
+    shape; a noise-free net's draw has width zero, leaves the stream where
+    it was and holds nothing."""
     rng = np.random.default_rng(3)
     z = draw_noise(CFG, 2, 4, rng)
     npt.assert_array_equal(z, np.random.default_rng(3).uniform(-1.0, 1.0, size=(2, 4, 3)))
+    work = {}
+    for n, k, z_dim in ((16, 32, 200), (3, 7, 8), (16, 32, 200), (4, 0, 3)):
+        net = NetConfig(**{**CFG.to_dict(), "z_dim": z_dim})
+        for held in (None, work):
+            rng, ref = np.random.default_rng(n + k), np.random.default_rng(n + k)
+            z = draw_noise(net, n, k, rng, held)
+            npt.assert_array_equal(z, ref.uniform(-1.0, 1.0, size=(n, k, z_dim)))
+            assert rng.bit_generator.state == ref.bit_generator.state
+        assert work[(n, k, "noise")] is z
     plain = NetConfig(**{**CFG.to_dict(), "noise_enabled": False})
     state = rng.bit_generator.state
-    assert draw_noise(plain, 2, 4, rng).shape == (2, 4, 0)
+    assert draw_noise(plain, 2, 4, rng, work).shape == (2, 4, 0)
     assert rng.bit_generator.state == state
+    assert (2, 4, "noise") not in work
 
 
 def test_sample_candidates_shapes_and_noises():

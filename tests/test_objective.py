@@ -381,6 +381,39 @@ def test_objective_terms_share_the_sampled_estimators(y_dim, noise):
             assert value == disco_objective(y, outs, cfg), (beta, gamma)
 
 
+@pytest.mark.parametrize("y_dim", [1, 2])
+def test_noise_free_objective_skips_the_pair_kernel(monkeypatch, y_dim):
+    """A noise-free net's K candidates are one candidate repeated, and the
+    zero rule gives every pair of them zero loss and zero slope. So
+    objective_terms sets DIVhat(Q,Q) to 0.0 and adds no pair gradient
+    without calling the pair term or its gradient, at gamma 0.5 as at gamma
+    0; a noisy net still calls them."""
+    calls = []
+    for name in ("pair_grad", "pair_term"):
+        def counted(*args, _name=name, _real=getattr(objective_module, name)):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(objective_module, name, counted)
+    n, k = 5, 4
+    rng = np.random.default_rng(29)
+    x, y = rng.normal(size=(n, 2)), rng.normal(size=(n, y_dim))
+    z = rng.uniform(-1.0, 1.0, size=(n, k, 3))
+    for noise in (False, True):
+        net = NetConfig(x_dim=2, y_dim=y_dim, z_dim=3, encoder_widths=(4,), decoder_widths=(5, 4),
+                        noise_enabled=noise)
+        params = init_params(net, seed=29)
+        for beta in (0.5, 1.0):
+            terms = [objective_terms(params, x, y, z, ObjectiveConfig(gamma, k, LossSpec(beta=beta)))
+                     for gamma in (0.0, 0.5)]
+            if noise:
+                continue
+            assert calls == []
+            for pq, qq, value, _ in terms:
+                assert qq == 0.0 and value == pq
+            npt.assert_array_equal(terms[1][3], terms[0][3])
+    assert calls == ["pair_term", "pair_grad"] * 2
+
+
 def _pair_values(kind, n=4, k=6, w=2.7):
     """(n, K) values of one output; "tied" makes candidates 1 and 4 equal
     and the first row constant, "near-tied" puts candidate 4 half the

@@ -17,7 +17,7 @@ from disconet import (
     divergence_discrete,
     energy_score_sample,
 )
-from disconet.scoring import delta_rows, pairwise_delta, sorted_pairs
+from disconet.scoring import delta_rows, pair_sq_norms, pairwise_delta, sorted_pairs
 from disconet.synth import DiagGaussianParams, eval_gaussian
 
 
@@ -300,3 +300,59 @@ def test_loss_entry_points_match_loop_oracle(entry):
         w = [1.0] * dim if weights is None else list(weights)
         got, want = ORACLE_CASES[entry](rng, dim, spec, w)
         npt.assert_allclose(got, want, **ORACLE_TOL)
+
+
+_PAIR_KS = (1, 2, 3, 5, 7, 30, 32)
+
+
+def _broadcast_sq_norms(g, w):
+    """The pair kernel's oracle: every ordered pair's difference from one
+    (..., K, K, y_dim) broadcast, and its squared norms from one gemv per
+    K-row slab."""
+    diff = g[..., :, None, :] - g[..., None, :, :]
+    return (diff * diff) @ w
+
+
+@pytest.mark.parametrize("k", _PAIR_KS)
+def test_pair_sq_norms_symmetric_and_blockwise(k):
+    """The pair kernel computes each unordered pair once: its matrix is
+    bitwise symmetric with a zero diagonal, and a frame's norms are the same
+    bits in blocks of 1, 16 and 17 frames and all 40 at once."""
+    rng = np.random.default_rng(k)
+    g = rng.normal(size=(40, k, 42)) * rng.uniform(0.1, 10.0, size=(40, 1, 1))
+    g[3] = g[3, :1]  # tied candidates
+    w = rng.uniform(0.1, 3.0, size=42)
+    s = pair_sq_norms(g, w)
+    assert s.shape == (40, k, k)
+    npt.assert_array_equal(s, np.swapaxes(s, -1, -2))
+    npt.assert_array_equal(np.diagonal(s, axis1=-2, axis2=-1), 0.0)
+    assert not s[3].any()
+    for block in (1, 16, 17):
+        out = np.empty((block, k, k))
+        for start in range(0, 40, block):
+            got = pair_sq_norms(g[start:start + block], w, out[:40 - start])
+            npt.assert_array_equal(got, s[start:start + block])
+    npt.assert_allclose(s, _broadcast_sq_norms(g, w), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("k", [16, 32])
+def test_pair_sq_norms_is_the_broadcast_at_k_multiple_of_4(k):
+    """At K a multiple of 4 every row of a K-row slab takes the same BLAS
+    kernel, so each pair's norm is bitwise the broadcast form's: eval's K =
+    32 and training's K = 16 metrics do not move."""
+    rng = np.random.default_rng(100 + k)
+    for y_dim in (2, 3, 42):
+        g = rng.normal(size=(9, k, y_dim))
+        w = rng.uniform(0.1, 3.0, size=y_dim)
+        npt.assert_array_equal(pair_sq_norms(g, w), _broadcast_sq_norms(g, w))
+        npt.assert_array_equal(pair_sq_norms(g[0], w), _broadcast_sq_norms(g[0], w))
+
+
+@pytest.mark.parametrize("k", _PAIR_KS)
+def test_pairwise_delta_matches_per_pair_delta(k):
+    rng = np.random.default_rng(200 + k)
+    for y_dim, beta in ((1, 0.5), (3, 1.0), (42, 1.5)):
+        spec = LossSpec(beta=beta, weights=tuple(rng.uniform(0.1, 3.0, size=y_dim)))
+        o = rng.normal(size=(k, y_dim))
+        want = [[delta(spec, a, b) for b in o] for a in o]
+        npt.assert_allclose(pairwise_delta(spec, o), want, rtol=1e-12, atol=1e-12)

@@ -1,6 +1,6 @@
-"""The input boundary: ``read_lines`` splits a file into lines and
-``read_rows`` reads rows of numbers from them, by one rule in both of its
-passes."""
+"""The input boundary: ``read_file`` reads a file as text whose lines end at
+'\\n' and ``read_rows`` reads rows of numbers from such text, by one rule in
+both of its passes."""
 
 import math
 import random
@@ -10,7 +10,14 @@ import numpy as np
 import pytest
 
 from disconet import ConfigError, ParseError, SchemaError
-from disconet.strictjson import read_lines, read_rows
+from disconet.strictjson import read_file, read_rows
+
+
+def read_lines(path, error=ParseError):
+    """The lines of the file at `path` as ``read_rows`` takes them: the text
+    of ``read_file`` split at '\\n', where an empty last line is none."""
+    lines = read_file(path, error).split("\n")
+    return lines[:-1] if not lines[-1] else lines
 
 
 def test_read_lines_ends_lines_as_text_mode_does(tmp_path):
@@ -39,7 +46,7 @@ def test_read_lines_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, error):
 def _write_and_read(tmp_path, lines, width, comments=False):
     path = tmp_path / "rows.txt"
     path.write_text("\n".join(lines) + "\n", encoding="utf8")
-    return read_rows(path, read_lines(path), width, comments=comments)
+    return read_rows(path, read_file(path), width, comments=comments)
 
 
 @pytest.mark.parametrize("lines, width, comments, error, message", [
@@ -115,9 +122,9 @@ def test_read_rows_is_the_documented_rule(tmp_path):
         if isinstance(expected, tuple):
             error, ln = expected
             with pytest.raises(error, match=f": line {ln}: "):
-                read_rows(path, read_lines(path), width, comments=comments)
+                read_rows(path, read_file(path), width, comments=comments)
         else:
-            got = read_rows(path, read_lines(path), width, comments=comments)
+            got = read_rows(path, read_file(path), width, comments=comments)
             assert got.shape == (len(expected), width), (seed, lines)
             assert got.tolist() == expected, (seed, lines)
 
@@ -126,5 +133,5 @@ def test_read_rows_numbers_lines_from_first(tmp_path):
     path = tmp_path / "ckpt.txt"
     path.write_text("header\n0.5\n\noops\n", encoding="utf8")
     with pytest.raises(ParseError, match="line 4: not a number: 'oops'"):
-        read_rows(path, read_lines(path)[1:], 1, first=2)
-    assert np.array_equal(read_rows(path, ["0.5", "0.25"], 1, first=2), [[0.5], [0.25]])
+        read_rows(path, read_file(path).partition("\n")[2], 1, first=2)
+    assert np.array_equal(read_rows(path, "0.5\n0.25", 1, first=2), [[0.5], [0.25]])
