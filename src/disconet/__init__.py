@@ -68,15 +68,11 @@ from .scoring import (
 )
 from .synth import (
     TOY_MIXTURE,
-    DiagGaussianParams,
-    GmmComponent,
-    GmmSpec,
     GridSpec,
     fit_gaussian_grid,
     gen_conditional_bimodal,
     gen_gmm2d,
     load_csv,
-    save_csv,
     toy_cross_table,
 )
 from .training import (
@@ -139,15 +135,11 @@ __all__ = [
     "divergence_discrete",
     "energy_score_sample",
     "TOY_MIXTURE",
-    "DiagGaussianParams",
-    "GmmComponent",
-    "GmmSpec",
     "GridSpec",
     "fit_gaussian_grid",
     "gen_conditional_bimodal",
     "gen_gmm2d",
     "load_csv",
-    "save_csv",
     "toy_cross_table",
     "EpochStats",
     "TrainConfig",

@@ -332,12 +332,15 @@ def cmd_eval(config, args):
     net = params.config
     x, y = _load_xy(config, args.data, seed, net.x_dim, net.y_dim)
     joint_count(net.y_dim, ev["group_size"])  # a bad grouping fails before the sampling
-    if float(ev["base_sigma"]) > 0.0:
-        point = _zero_noise_preds(params, x)
-        outs = base_candidates(point, k, float(ev["base_sigma"]), substream(seed, "base-jitter"))
+    base_sigma = float(ev["base_sigma"])
+    point = None  # the zero-noise prediction, one pass for the baseline and zero_noise
+    if base_sigma > 0.0 or ev["zero_noise"]:
+        point = predict_rows(params, x, np.zeros((x.shape[0], net.noise_dim)))
+    if base_sigma > 0.0:
+        outs = base_candidates(point, k, base_sigma, substream(seed, "base-jitter"))
     else:
         outs = eval_candidates(params, x, k, substream(seed, "eval-noise"))
-    pointwise = _zero_noise_preds(params, x) if ev["zero_noise"] else None
+    pointwise = point if ev["zero_noise"] else None
     doc = metrics_report(outs, y, ev["group_size"], ev["distances"], pointwise_preds=pointwise)
     digest = doc["config_sha256"] = config_hash(config)
     out = Path(args.out)
@@ -367,10 +370,6 @@ def eval_candidates(params, x, k, rng):
     for s in range(0, x.shape[0], EVAL_BLOCK):
         out[s : s + EVAL_BLOCK] = sample_outputs(params, x[s : s + EVAL_BLOCK], k, rng, work)
     return out
-
-
-def _zero_noise_preds(params, x):
-    return predict_rows(params, x, np.zeros((x.shape[0], params.config.noise_dim)))
 
 
 def cmd_gradcheck(config, args):

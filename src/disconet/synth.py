@@ -27,85 +27,24 @@ TOY_N = 400  # train and test points per seed
 BIMODAL_NOISE_SIGMA = 0.1
 
 
-@dataclass(frozen=True)
-class GmmComponent:
-    mean: tuple
-    stddev: tuple
-    weight: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "mean", tuple(float(m) for m in self.mean))
-        object.__setattr__(self, "stddev", tuple(float(s) for s in self.stddev))
-        if len(self.mean) != 2 or len(self.stddev) != 2:
-            raise ContractError("components are 2-D: mean and stddev need two entries")
-        if not (all(map(math.isfinite, self.mean + self.stddev)) and min(self.stddev) > 0.0):
-            raise ContractError(f"finite mean and stddev > 0 needed: {self.mean}, {self.stddev}")
-        if not 0.0 < self.weight < 1.0:
-            raise ContractError("component weight must lie strictly inside (0, 1)")
-
-
-@dataclass(frozen=True)
-class GmmSpec:
-    """Two-component diagonal Gaussian mixture in two dimensions."""
-
-    components: tuple
-
-    def __post_init__(self):
-        comps = tuple(self.components)
-        object.__setattr__(self, "components", comps)
-        if len(comps) != 2:
-            raise ContractError("the mixture has exactly two components")
-        total = sum(c.weight for c in comps)
-        if abs(total - 1.0) > 1e-12:
-            raise ContractError(f"component weights sum to {total!r}, not 1")
-
-    def means(self):
-        return np.asarray([c.mean for c in self.components])
-
-    def stddevs(self):
-        return np.asarray([c.stddev for c in self.components])
-
-    def weights(self):
-        return np.asarray([c.weight for c in self.components])
+def _read_only(values):
+    a = np.array(values, dtype=np.float64)
+    a.setflags(write=False)
+    return a
 
 
 # Mixture separated along the diagonal, anisotropic within components, so
 # the two weighted losses produce visibly different single-Gaussian fits.
-TOY_MIXTURE = GmmSpec(
-    (
-        GmmComponent(mean=(-1.4, -1.4), stddev=(0.5, 1.5), weight=0.5),
-        GmmComponent(mean=(1.4, 1.4), stddev=(0.5, 1.5), weight=0.5),
-    )
+# The component means (2, 2), per-axis stddevs (2, 2) and weights (2,).
+TOY_MIXTURE = (
+    _read_only([[-1.4, -1.4], [1.4, 1.4]]),
+    _read_only([[0.5, 1.5], [0.5, 1.5]]),
+    _read_only([0.5, 0.5]),
 )
 
-
-@dataclass(frozen=True)
-class DiagGaussianParams:
-    """Single diagonal Gaussian: per-axis mean and stddev."""
-
-    mu1: float
-    mu2: float
-    sigma1: float
-    sigma2: float
-
-    def __post_init__(self):
-        values = (self.mu1, self.mu2, self.sigma1, self.sigma2)
-        if not (all(map(math.isfinite, values)) and min(self.sigma1, self.sigma2) > 0.0):
-            raise ContractError(f"finite means and sigmas > 0 needed: {self.to_dict()}")
-
-    def mean(self):
-        return np.asarray([self.mu1, self.mu2])
-
-    def stddev(self):
-        return np.asarray([self.sigma1, self.sigma2])
-
-    def to_dict(self):
-        return {
-            "mu1": self.mu1,
-            "mu2": self.mu2,
-            "sigma1": self.sigma1,
-            "sigma2": self.sigma2,
-        }
+# A fitted diagonal Gaussian is the plain dict of these keys, as
+# fitted_params.json holds it: per-axis mean and stddev.
+FIT_KEYS = ("mu1", "mu2", "sigma1", "sigma2")
 
 
 @dataclass(frozen=True)
@@ -143,13 +82,15 @@ class GridSpec:
         )
 
 
-def gen_gmm2d(spec, n, rng):
-    """Draw n points from the mixture; shape (n, 2)."""
+def gen_gmm2d(mixture, n, rng):
+    """Draw n points, shape (n, 2), from the mixture of diagonal Gaussians
+    given as (means, stddevs, weights) arrays, one row per component."""
     if n < 1:
         raise ContractError("n must be >= 1")
-    which = rng.choice(len(spec.components), size=n, p=spec.weights())
+    means, stddevs, weights = mixture
+    which = rng.choice(len(weights), size=n, p=weights)
     eps = rng.standard_normal((n, 2))
-    return spec.means()[which] + spec.stddevs()[which] * eps
+    return means[which] + stddevs[which] * eps
 
 
 def gen_conditional_bimodal(n, rng, noise_sigma=BIMODAL_NOISE_SIGMA):
@@ -174,19 +115,6 @@ def load_csv(path, x_dim, y_dim):
     """The x and y columns of a CSV, x_dim + y_dim numbers a row, '#' lines skipped."""
     table = read_rows(path, read_file(path), int(x_dim) + int(y_dim), comments=True)
     return table[:, :x_dim].copy(), table[:, x_dim:].copy()
-
-
-def save_csv(path, x, y, comments=()):
-    """Write (x, y) rows in the format load_csv reads, values via repr."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.ndim != 2 or y.ndim != 2 or x.shape[0] != y.shape[0]:
-        raise ContractError(f"x {x.shape} and y {y.shape} must be matrices with equal rows")
-    lines = [f"# {c}" for c in comments]
-    for xi, yi in zip(x, y):
-        lines.append(",".join(repr(float(v)) for v in np.concatenate([xi, yi])))
-    with open(path, "w", encoding="utf8") as fh:
-        fh.write("\n".join(lines) + ("\n" if lines else ""))
 
 
 def _toy_inputs(name, data, loss, gamma, m, rng):
@@ -294,10 +222,11 @@ def fit_gaussian_grid(train, grid, loss, gamma=TOY_GAMMA, m=TOY_M, rng=None):
     rng : numpy Generator
         Source of the standard-normal draws shared by all grid points.
 
-    Ties keep the earliest grid point in iteration order: the first
-    minimum of the C-ordered (mu1, mu2, sigma1, sigma2) table, the last
-    axis fastest. A grid point whose objective is not finite (a sigma so
-    large that the samples overflow) raises NumericError naming it.
+    Returns the fitted point as a dict of the FIT_KEYS. Ties keep the
+    earliest grid point in iteration order: the first minimum of the
+    C-ordered (mu1, mu2, sigma1, sigma2) table, the last axis fastest. A
+    grid point whose objective is not finite (a sigma so large that the
+    samples overflow) raises NumericError naming it.
     """
     y, eps, w = _toy_inputs("train", train, loss, gamma, m, rng)
     # overflow is reported below as a NumericError, not as numpy warnings
@@ -307,31 +236,34 @@ def fit_gaussian_grid(train, grid, loss, gamma=TOY_GAMMA, m=TOY_M, rng=None):
     flat = bad[0] if bad.size else np.argmin(table)
     axes = (grid.mu1_values, grid.mu2_values, grid.sigma1_values, grid.sigma2_values)
     index = np.unravel_index(flat, table.shape)
-    point = DiagGaussianParams(*(vals[i] for vals, i in zip(axes, index)))
+    point = {key: vals[i] for key, vals, i in zip(FIT_KEYS, axes, index)}
     if bad.size:
         raise NumericError(
-            f"toy grid point {point.to_dict()} gives a non-finite objective "
+            f"toy grid point {point} gives a non-finite objective "
             f"({table.flat[flat]}) under loss weights {w.tolist()}"
         )
     return point
 
 
-def eval_gaussian(params, test, loss, gamma=TOY_GAMMA, m=TOY_M, rng=None):
-    """Sampled dissimilarity of a fitted Gaussian on held-out points.
+def eval_gaussian(fit, test, loss, gamma=TOY_GAMMA, m=TOY_M, rng=None):
+    """Sampled dissimilarity of a fitted Gaussian (the FIT_KEYS dict that
+    ``fit_gaussian_grid`` returns) on held-out points.
 
-    Returns ``(mean, sem)`` over the test points. A non-finite value (a
-    sigma so large that the samples overflow) raises NumericError.
+    Returns ``(mean, sem)`` over the test points. A non-finite value (a NaN
+    or infinity in the fit, or a sigma so large that the samples overflow)
+    raises NumericError naming the fit.
     """
     y, eps, w = _toy_inputs("test", test, loss, gamma, m, rng)
     # overflow is reported below as a NumericError, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        q = params.mean()[None, None, :] + params.stddev()[None, None, :] * eps
+        mu1, mu2, sigma1, sigma2 = (fit[key] for key in FIT_KEYS)
+        q = np.array([mu1, mu2]) + np.array([sigma1, sigma2]) * eps
         vals = data_term(y, q, w, loss.beta)
         if gamma > 0.0:
             vals = vals - gamma * pair_term(q, w, loss.beta)
     if not np.all(np.isfinite(vals)):
         raise NumericError(
-            f"fitted Gaussian {params.to_dict()} gives a non-finite test objective "
+            f"fitted Gaussian {fit} gives a non-finite test objective "
             f"under loss weights {w.tolist()}"
         )
     return mean_sem(vals)
@@ -377,7 +309,7 @@ def toy_cross_table(seeds, grid=None, n_train=TOY_N, n_test=TOY_N, gamma=TOY_GAM
         per_seed.append(
             {
                 "seed": int(seed),
-                "fits": {name: fits[name].to_dict() for name in names},
+                "fits": fits,
                 "table": table,
             }
         )

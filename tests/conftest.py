@@ -56,6 +56,18 @@ def train_bimodal(seed, gamma, noise_enabled, epochs=ABLATION_EPOCHS):
     return params, val, epochs
 
 
+def save_csv(path, x, y, comments=()):
+    """Write (x, y) rows in the format ``load_csv`` reads, values via repr."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    assert x.ndim == y.ndim == 2 and x.shape[0] == y.shape[0], (x.shape, y.shape)
+    lines = [f"# {c}" for c in comments]
+    for xi, yi in zip(x, y):
+        lines.append(",".join(repr(float(v)) for v in np.concatenate([xi, yi])))
+    with open(path, "w", encoding="utf8") as fh:
+        fh.write("\n".join(lines) + ("\n" if lines else ""))
+
+
 def sampled_candidates(params, x, seed, num_candidates=ABLATION_K):
     """(N, K, y_dim) candidates from the "abl-eval" stream, sampled as
     ``disconet eval`` samples them."""

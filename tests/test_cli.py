@@ -24,7 +24,6 @@ from disconet import (
     load_csv,
     predict_rows,
     sample_outputs,
-    save_csv,
 )
 from disconet.cli import (
     _COMMANDS,
@@ -39,6 +38,7 @@ from disconet.cli import (
 from disconet.objective import GRAD_CHECK_STEP
 from disconet.rng import substream
 from disconet.synth import BIMODAL_NOISE_SIGMA, TOY_GAMMA, TOY_M, TOY_N, gen_conditional_bimodal
+from tests.conftest import save_csv
 
 
 def write_config(path, doc):
@@ -566,6 +566,27 @@ def test_eval_zero_noise_and_base(tmp_path):
     # a missing checkpoint is an I/O failure, not a config failure
     assert main(["eval", "--config", cfg, "--out", str(out_base),
                  "--checkpoint", str(tmp_path / "nope.txt")]) == 3
+
+
+def test_eval_runs_the_zero_noise_pass_once(tmp_path, monkeypatch):
+    """With base_sigma > 0 and zero_noise both set, the baseline's jitter
+    centres and the pointwise predictions are one zero-noise pass."""
+    import disconet.cli as cli
+
+    ckpt = _trained_checkpoint(tmp_path)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return predict_rows(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "predict_rows", counted)
+    doc = {"data": dict(SMALL_DATA), "eval": {"num_candidates": 3, "distances": [1.0],
+                                              "zero_noise": True, "base_sigma": 0.25}}
+    cfg = write_config(tmp_path / "eval.json", doc)
+    assert main(["eval", "--config", cfg, "--out", str(tmp_path / "ev"),
+                 "--checkpoint", str(ckpt)]) == 0
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("key, value, message", [

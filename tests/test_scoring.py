@@ -18,7 +18,7 @@ from disconet import (
     energy_score_sample,
 )
 from disconet.scoring import delta_rows, pair_grad, pair_sq_norms, pair_term, pairwise_delta, sorted_pairs
-from disconet.synth import DiagGaussianParams, eval_gaussian
+from disconet.synth import FIT_KEYS, eval_gaussian
 
 
 def test_loss_spec_validation():
@@ -270,10 +270,11 @@ def _oracle_toy_point_values(rng, dim, spec, w):
     w = rng.uniform(0.1, 3.0, size=2)
     loss = LossSpec(beta=spec.beta, weights=tuple(w))
     y = rng.normal(size=(3, 2))
-    params = DiagGaussianParams(*rng.normal(size=2), *rng.uniform(0.2, 2.0, size=2))
+    mean, stddev = rng.normal(size=2), rng.uniform(0.2, 2.0, size=2)
     seed = int(rng.integers(2**31))
-    got = eval_gaussian(params, y, loss, gamma=0.5, m=4, rng=np.random.default_rng(seed))
-    q = params.mean() + params.stddev() * np.random.default_rng(seed).standard_normal((3, 4, 2))
+    fit = dict(zip(FIT_KEYS, [*mean, *stddev]))
+    got = eval_gaussian(fit, y, loss, gamma=0.5, m=4, rng=np.random.default_rng(seed))
+    q = mean + stddev * np.random.default_rng(seed).standard_normal((3, 4, 2))
     vals = [_loop_energy(w, spec.beta, yn, qn, 0.5) for yn, qn in zip(y, q)]
     return got, [np.mean(vals), np.std(vals, ddof=1) / np.sqrt(len(vals))]
 

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -6,9 +8,6 @@ import pytest
 
 from disconet import (
     ContractError,
-    DiagGaussianParams,
-    GmmComponent,
-    GmmSpec,
     GridSpec,
     LOSS_DIM1,
     LOSS_DIM2,
@@ -21,50 +20,42 @@ from disconet import (
     gen_conditional_bimodal,
     gen_gmm2d,
     load_csv,
-    save_csv,
     toy_cross_table,
 )
 from disconet.rng import substream
 from disconet.scoring import data_term, pair_term
-from disconet.synth import TOY_GAMMA, TOY_LOSSES, TOY_M, TOY_N, _grid_table, eval_gaussian
-
-
-def test_component_and_spec_validation():
-    with pytest.raises(ContractError):
-        GmmComponent(mean=(0.0,), stddev=(1.0, 1.0), weight=0.5)
-    with pytest.raises(ContractError):
-        GmmComponent(mean=(0.0, 0.0), stddev=(1.0, 0.0), weight=0.5)
-    with pytest.raises(ContractError):
-        GmmComponent(mean=(0.0, 0.0), stddev=(1.0, 1.0), weight=1.0)
-    good = GmmComponent(mean=(0.0, 0.0), stddev=(1.0, 1.0), weight=0.5)
-    with pytest.raises(ContractError):
-        GmmSpec((good,))
-    with pytest.raises(ContractError):
-        GmmSpec((good, GmmComponent((1.0, 1.0), (1.0, 1.0), 0.4)))
+from disconet.synth import (
+    FIT_KEYS,
+    TOY_GAMMA,
+    TOY_LOSSES,
+    TOY_M,
+    TOY_N,
+    _grid_table,
+    eval_gaussian,
+)
+from tests.conftest import save_csv
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_gaussian_parameters_must_be_finite(bad):
-    """A NaN slips through a plain `s <= 0` check; NaN and inf in a mean or
-    a stddev are rejected at construction."""
-    for mean, stddev in (((bad, 0.0), (1.0, 1.0)), ((0.0, 0.0), (1.0, bad))):
-        with pytest.raises(ContractError):
-            GmmComponent(mean=mean, stddev=stddev, weight=0.5)
-        with pytest.raises(ContractError):
-            DiagGaussianParams(*mean, *stddev)
+    """A fit dict is plain data, checked where it is used: a NaN or an
+    infinity in a mean or a stddev makes eval_gaussian raise NumericError
+    naming the fit."""
+    test = gen_gmm2d(TOY_MIXTURE, 20, substream(0, "toy-data"))
+    for values in ((bad, 0.0, 1.0, 1.0), (0.0, 0.0, 1.0, bad)):
+        fit = dict(zip(FIT_KEYS, values))
+        with pytest.raises(NumericError, match=re.escape(str(fit))):
+            eval_gaussian(fit, test, LOSS_DIM1, m=4, rng=substream(0, "e"))
 
 
 def test_gen_gmm2d_degenerate_components(rng):
     """With vanishing spreads every sample sits on a component mean, and
     the split between means is binomial in the weights."""
-    spec = GmmSpec(
-        (
-            GmmComponent(mean=(-3.0, 0.0), stddev=(1e-9, 1e-9), weight=0.3),
-            GmmComponent(mean=(2.0, 5.0), stddev=(1e-9, 1e-9), weight=0.7),
-        )
-    )
+    means = np.array([[-3.0, 0.0], [2.0, 5.0]])
+    stddevs = np.full((2, 2), 1e-9)
+    weights = np.array([0.3, 0.7])
     n = 10_000
-    pts = gen_gmm2d(spec, n, rng)
+    pts = gen_gmm2d((means, stddevs, weights), n, rng)
     assert pts.shape == (n, 2)
     near_a = np.abs(pts - [-3.0, 0.0]).max(axis=1) < 1e-6
     near_b = np.abs(pts - [2.0, 5.0]).max(axis=1) < 1e-6
@@ -72,6 +63,21 @@ def test_gen_gmm2d_degenerate_components(rng):
     # binomial count check, three sigma
     sd = np.sqrt(n * 0.3 * 0.7)
     assert abs(near_a.sum() - 0.3 * n) < 3 * sd
+
+
+def test_gen_gmm2d_toy_draw_pinned():
+    """Criterion 5's first training set, bit for bit: one choice of
+    component per point with the weights, then one (n, 2) standard-normal
+    draw. The digest is a literal, so it does not follow the code."""
+    train = gen_gmm2d(TOY_MIXTURE, TOY_N, substream(0, "toy-data"))
+    assert hashlib.sha256(train.tobytes()).hexdigest() == (
+        "41cf12fef2017fd878b37b22d4576ee78cce6af5424ff060b64f8205b9d5685a")
+
+
+def test_toy_mixture_is_read_only():
+    for values in TOY_MIXTURE:
+        with pytest.raises(ValueError):
+            values[0] = 0.0
 
 
 def test_gen_gmm2d_mean_clt(rng):
@@ -164,10 +170,7 @@ def test_fit_gaussian_grid_point_mass():
     )
     fit = fit_gaussian_grid(train, grid, LossSpec(), gamma=0.5, m=24,
                             rng=substream(0, "fit"))
-    assert fit.mu1 == 1.0
-    assert fit.mu2 == -0.5
-    assert fit.sigma1 == 0.3
-    assert fit.sigma2 == 0.3
+    assert fit == {"mu1": 1.0, "mu2": -0.5, "sigma1": 0.3, "sigma2": 0.3}
 
 
 def test_fit_gaussian_grid_contracts():
@@ -190,7 +193,7 @@ def test_toy_data_must_be_finite(bad):
     with pytest.raises(ContractError, match="train"):
         fit_gaussian_grid(data, grid, LossSpec(), rng=substream(0, "f"))
     with pytest.raises(ContractError, match="test"):
-        eval_gaussian(DiagGaussianParams(0.0, 0.0, 1.0, 1.0), data, LossSpec(),
+        eval_gaussian(dict(zip(FIT_KEYS, (0.0, 0.0, 1.0, 1.0))), data, LossSpec(),
                       rng=substream(0, "e"))
 
 
@@ -198,11 +201,11 @@ def test_eval_gaussian_near_point_mass():
     """A tight model on tight data scores near zero under the energy
     criterion; a displaced model scores near the displacement."""
     test = np.tile([0.0, 0.0], (50, 1))
-    tight = DiagGaussianParams(0.0, 0.0, 1e-6, 1e-6)
+    tight = {"mu1": 0.0, "mu2": 0.0, "sigma1": 1e-6, "sigma2": 1e-6}
     mean, sem = eval_gaussian(tight, test, LossSpec(), gamma=0.5, m=24,
                               rng=substream(1, "eval"))
     assert abs(mean) < 1e-4
-    off = DiagGaussianParams(1.0, 0.0, 1e-6, 1e-6)
+    off = dict(tight, mu1=1.0)
     mean, _ = eval_gaussian(off, test, LossSpec(), gamma=0.5, m=24,
                             rng=substream(1, "eval"))
     assert abs(mean - 1.0) < 1e-4
@@ -241,7 +244,7 @@ def _reference_grid_fit(y, grid, w, beta, gamma, eps):
         table[idx] = vals.mean()
         if best is None or table[idx] < table[best]:
             best = idx
-    return table, DiagGaussianParams(*(a[i] for a, i in zip(axes, best)))
+    return table, {key: a[i] for key, a, i in zip(FIT_KEYS, axes, best)}
 
 
 # Axes of different lengths, out of order, so a transposed or mis-raveled
@@ -272,8 +275,8 @@ def test_fit_gaussian_grid_matches_point_loop(gamma, loss):
 
 
 @pytest.mark.parametrize("name, want", [
-    ("dim1", DiagGaussianParams(mu1=0.0, mu2=0.0, sigma1=1.8, sigma2=1.8)),
-    ("dim2", DiagGaussianParams(mu1=0.0, mu2=0.0, sigma1=1.2, sigma2=2.1)),
+    ("dim1", {"mu1": 0.0, "mu2": 0.0, "sigma1": 1.8, "sigma2": 1.8}),
+    ("dim2", {"mu1": 0.0, "mu2": 0.0, "sigma1": 1.2, "sigma2": 2.1}),
 ], ids=["dim1", "dim2"])
 def test_fit_gaussian_grid_full_size_pinned(name, want):
     """Criterion 5's first fits, at the default grid, n and m: a change of

@@ -21,8 +21,8 @@ from the code. The list covers:
 
 - ``eval`` shaped as the ``eval-full`` benchmark workload (2,000 frames, a
   full-scale checkpoint, K = 32, joints of 3 coordinates): plain, with
-  ``zero_noise``, with ``base_sigma`` 0.3, and on a noise-free checkpoint,
-  there also at K = 30;
+  ``zero_noise``, with ``base_sigma`` 0.3, with both, and on a noise-free
+  checkpoint, there also at K = 30;
 - ``train`` shaped as the ``train-desk`` and ``train-full`` workloads, the
   second also on a noise-free net at K = 15, and ``toy`` as ``toy-grid``;
 - ``train`` on the desk net with ``checkpoint_every`` 1 over 3 epochs, L2 on
@@ -137,6 +137,9 @@ def write_inputs(work):
             "data": no_data, "eval": dict(EVAL, zero_noise=True)})] + full + frames),
         ("eval_full_base_sigma", ["eval", "--config", cfg("eval_base_sigma", {
             "data": no_data, "eval": dict(EVAL, base_sigma=0.3)})] + full + frames),
+        ("eval_full_base_sigma_zero_noise", ["eval", "--config", cfg("eval_base_sigma_zero_noise", {
+            "data": no_data, "eval": dict(EVAL, base_sigma=0.3, zero_noise=True)})]
+         + full + frames),
         ("eval_full_noise_free", ["eval", "--config", str(work / "eval.json"),
                                   "--checkpoint", str(work / "noise_free.txt")] + frames),
         ("eval_full_noise_free_k30", ["eval", "--config", cfg("eval_k30", {
