@@ -32,7 +32,7 @@ from .errors import (
     ParseError,
     SchemaError,
 )
-from .metrics import base_candidates, joint_count, metrics_report, report_rows
+from .metrics import EVAL_BLOCK, base_candidates, joint_count, metrics_report, report_rows
 from .network import (
     NetConfig,
     NetworkParams,
@@ -336,12 +336,14 @@ def cmd_eval(config, args):
     point = None  # the zero-noise prediction, one pass for the baseline and zero_noise
     if base_sigma > 0.0 or ev["zero_noise"]:
         point = predict_rows(params, x, np.zeros((x.shape[0], net.noise_dim)))
-    if base_sigma > 0.0:
-        outs = base_candidates(point, k, base_sigma, substream(seed, "base-jitter"))
-    else:
-        outs = eval_candidates(params, x, k, substream(seed, "eval-noise"))
+    # EVAL_BLOCK frames' candidates at a time, each scored before the next is
+    # drawn; a sampled frame's bits can depend on its block's height
+    rng, work = substream(seed, "base-jitter" if base_sigma > 0.0 else "eval-noise"), {}
+    blocks = (base_candidates(point[s:s + EVAL_BLOCK], k, base_sigma, rng) if base_sigma > 0.0
+              else sample_outputs(params, x[s:s + EVAL_BLOCK], k, rng, work)
+              for s in range(0, x.shape[0], EVAL_BLOCK))
     pointwise = point if ev["zero_noise"] else None
-    doc = metrics_report(outs, y, ev["group_size"], ev["distances"], pointwise_preds=pointwise)
+    doc = metrics_report(blocks, y, ev["group_size"], ev["distances"], pointwise_preds=pointwise)
     digest = doc["config_sha256"] = config_hash(config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -354,22 +356,6 @@ def cmd_eval(config, args):
     )
     print(f"eval: {x.shape[0]} frames, K={k}, report in {out}/metrics.json")
     return 0
-
-
-# Frames per eval sampling block. Timed in process on the full-scale net over
-# 2,000 frames at K = 32 (one BLAS thread, best of 12), 8, 16 and 32 frames
-# took 0.51, 0.48 and 0.51 s; 16 holds 3.1 MB beside the output, 32 7.5 MB.
-EVAL_BLOCK = 16
-
-
-def eval_candidates(params, x, k, rng):
-    """Eval's (N, K, y_dim) candidates: ``sample_outputs`` on EVAL_BLOCK
-    frames at a time in frame order, into arrays held across the blocks. A
-    frame's bits can depend on its block's height, so the size is fixed."""
-    out, work = np.empty((x.shape[0], k, params.config.y_dim)), {}
-    for s in range(0, x.shape[0], EVAL_BLOCK):
-        out[s : s + EVAL_BLOCK] = sample_outputs(params, x[s : s + EVAL_BLOCK], k, rng, work)
-    return out
 
 
 def cmd_gradcheck(config, args):

@@ -1,7 +1,9 @@
 """Pointwise prediction from candidate sets and evaluation metrics.
 
 Candidates come as one (N, K, y_dim) array, the K samples of each of N
-inputs, as ``network.sample_outputs`` returns them. The pointwise
+inputs, as ``network.sample_outputs`` returns them, or to ``metrics_report``
+as an iterator of such arrays over consecutive frames. Every metric is per
+frame, so one pass folds a block of EVAL_BLOCK frames at a time. The pointwise
 prediction is the candidate with maximum expected utility: the one
 minimizing its summed task loss to all candidates of the same input.
 Pointwise metrics follow the hand-pose convention: output coordinates are
@@ -14,6 +16,8 @@ plain document metrics.json holds, and ``report_rows`` flattens that
 document into the rows of metrics.csv.
 """
 
+from collections.abc import Iterator
+
 import numpy as np
 
 from .errors import ContractError, DimensionError, EstimatorError, ParameterError
@@ -21,9 +25,12 @@ from .network import candidate_array
 from .scoring import (LossSpec, data_term, mean_sem, pair_sq_norms, pair_term, pairwise_delta,
                       sorted_pairs)
 
-# Frames per block of the MEU/ProbLoss pass and of the correlations: small, to bound peak memory.
-DATA_BLOCK = 16
-PEARSON_BLOCK = 32
+# Frames per block of eval's candidates, drawn (``cli.cmd_eval``) and scored a block
+# at a time. On the full-scale net at K = 32 (one BLAS thread, best of 12), 8, 16
+# and 32 frames sampled 2,000 frames in 0.51, 0.48 and 0.51 s. A 16-frame block's
+# workspace holds 3.0 MB, its 0.17 MB of candidates included (32 frames: 6.0 MB);
+# all 2,000 frames' candidates took 21.5 MB.
+EVAL_BLOCK = 16
 
 
 def joint_count(y_dim, group_size):
@@ -82,42 +89,71 @@ def ff(preds, gts, group_size, distance):
     return float((worst <= distance).mean())
 
 
-def _frame_scores(outs, gts, meu):
-    """MEU indices (None unless `meu`) and energy scores (None for K = 1) of
-    (N, K, y_dim) candidates, bitwise ``meu_predict`` and ``energy_score_sample``
-    frame by frame: all three take the pair kernel's distances (``pair_sq_norms``),
-    which do not depend on the frames blocked with a frame."""
-    n, k, y_dim = outs.shape
+def _pearson_fold(outs, group_size, sums, counts):
+    """Adds the correlations of each frame of the (B, K, y_dim) candidates,
+    in frame order, to the (J, J) `sums` and its defined cells to `counts`."""
+    (b, k, _), j = outs.shape, len(sums)
+    dev = (outs - outs.mean(axis=1, keepdims=True)).reshape(b, k, j, group_size)
+    e = np.sqrt((dev * dev).sum(axis=3)) if group_size > 1 else dev[..., 0]
+    c = e - e.mean(axis=1, keepdims=True)
+    ss = (c * c).sum(axis=1)
+    differ = (outs != outs[:, :1]).any(axis=1).reshape(b, j, group_size).any(axis=2)
+    live = differ & (ss > 0.0)
+    mask = live[:, :, None] & live[:, None, :]
+    denom = np.sqrt(ss[:, :, None] * ss[:, None, :])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        r = np.where(mask, (c.transpose(0, 2, 1) @ c) / np.where(denom > 0.0, denom, 1.0), 0.0)
+    for r_f, mask_f in zip(np.clip(r, -1.0, 1.0) * mask, mask):  # one frame at a time, in order
+        sums += r_f
+        counts += mask_f
+
+
+def _fold(outs, gts, meu, group_size=None):
+    """One pass over the candidates `outs`, an array or an iterator of blocks
+    in frame order, against the (N, y_dim) ground truths `gts`: (K, y_dim),
+    the MEU picks (unless `meu` is False) and energy scores (if K > 1), and for
+    a `group_size` (if K > 1) the correlation sums and counts. Picks and scores
+    are bitwise ``meu_predict`` and ``energy_score_sample`` frame by frame: all
+    take the pair kernel's distances, which do not depend on a frame's block."""
+    if not isinstance(outs, Iterator):
+        a = candidate_array(outs)
+        outs = (a[s:s + EVAL_BLOCK] for s in range(0, a.shape[0], EVAL_BLOCK))
     gts = np.asarray(gts, dtype=np.float64)
-    if gts.shape[0] != n:
-        raise ContractError(f"{gts.shape[0]} ground truths but {n} candidate sets")
-    if gts.size != n * y_dim:
-        raise DimensionError(f"ground truths of shape {gts.shape} for candidate dim {y_dim}")
-    w, sort = np.ones(y_dim), sorted_pairs(y_dim, 1.0)
-    rows, totals = np.empty((n, k)), np.empty(n)
-    if meu or not sort:
-        held = np.empty((min(n, DATA_BLOCK), k, k))
-        for s in range(0, n, DATA_BLOCK):
-            dist = np.sqrt(pair_sq_norms(outs[s:s + DATA_BLOCK], w, held[:n - s]), out=held[:n - s])
-            dist.sum(axis=2, out=rows[s:s + DATA_BLOCK])
-            dist.sum(axis=(1, 2), out=totals[s:s + DATA_BLOCK])
-    idx = rows.argmin(axis=1) if meu else None  # argmin keeps the lowest index on ties
-    if k < 2:
-        return idx, None
-    gts = gts.reshape(n, y_dim)
-    data = np.concatenate([data_term(gts[s:s + DATA_BLOCK], outs[s:s + DATA_BLOCK], w, 1.0)
-                           for s in range(0, n, DATA_BLOCK)])
-    pair = pair_term(outs, w, 1.0) if sort else totals / (k * (k - 1))
-    return idx, data - 0.5 * pair
+    n, s = gts.shape[0], 0
+    for o in outs:
+        b, k, y_dim = o.shape
+        if not s:
+            if gts.size != n * y_dim:
+                raise DimensionError(f"ground truths of shape {gts.shape} for {y_dim} outputs")
+            shape, y = o.shape[1:], gts.reshape(n, y_dim)
+            j = joint_count(y_dim, group_size) if group_size and k > 1 else 0
+            picks, scores, sums, counts = (np.empty((n, y_dim)), np.empty(n), np.zeros((j, j)),
+                                           np.zeros((j, j), dtype=np.int64))
+        w, sort = np.ones(y_dim), sorted_pairs(y_dim, 1.0)
+        if o.shape[1:] != shape or s + b > n:
+            raise ContractError(f"a candidate block of shape {o.shape} after {s} of {n} frames")
+        if meu or not sort:
+            dist = np.sqrt(pair_sq_norms(o, w))
+            totals = dist.sum(axis=(1, 2))
+            if meu:  # argmin keeps the lowest index on ties
+                picks[s:s + b] = o[np.arange(b), dist.sum(axis=2).argmin(axis=1)]
+        if k > 1:
+            pair = pair_term(o, w, 1.0) if sort else totals / (k * (k - 1))
+            scores[s:s + b] = data_term(y[s:s + b], o, w, 1.0) - 0.5 * pair
+        if j:
+            _pearson_fold(o, group_size, sums, counts)
+        s += b
+    if s != n or not s:
+        raise ContractError(f"{n} ground truths but {s} candidate sets")
+    return shape, picks if meu else None, scores if k > 1 else None, (sums, counts) if j else None
 
 
 def probloss(outs, gts):
     """Mean per-frame energy score (beta = 1, unit weights) of (N, K, y_dim)
     candidates against (N, y_dim) ground truths, with its sem."""
-    outs = candidate_array(outs)
-    if outs.shape[1] < 2:
+    if candidate_array(outs).shape[1] < 2:
         raise EstimatorError("energy score needs at least two candidates")
-    return mean_sem(_frame_scores(outs, gts, meu=False)[1])
+    return mean_sem(_fold(outs, gts, meu=False)[2])
 
 
 def pearson_matrix(outs, group_size):
@@ -141,31 +177,21 @@ def pearson_matrix(outs, group_size):
         the defined diagonal, and NaN filler where ``defined`` is False.
     """
     outs = candidate_array(outs)
-    _, k, y_dim = outs.shape
-    j = joint_count(y_dim, group_size)
-    if k < 2:
+    j = joint_count(outs.shape[2], group_size)
+    if outs.shape[1] < 2:
         raise EstimatorError("correlations need at least two candidates")
     sums, counts = np.zeros((j, j)), np.zeros((j, j), dtype=np.int64)
-    for start in range(0, outs.shape[0], PEARSON_BLOCK):
-        o = outs[start:start + PEARSON_BLOCK]
-        dev = (o - o.mean(axis=1, keepdims=True)).reshape(o.shape[0], k, j, group_size)
-        e = np.sqrt((dev * dev).sum(axis=3)) if group_size > 1 else dev[..., 0]
-        c = e - e.mean(axis=1, keepdims=True)
-        ss = (c * c).sum(axis=1)
-        differ = (o != o[:, :1]).any(axis=1).reshape(o.shape[0], j, group_size).any(axis=2)
-        live = differ & (ss > 0.0)
-        mask = live[:, :, None] & live[:, None, :]
-        denom = np.sqrt(ss[:, :, None] * ss[:, None, :])
-        with np.errstate(invalid="ignore", divide="ignore"):
-            r = np.where(mask, (c.transpose(0, 2, 1) @ c) / np.where(denom > 0.0, denom, 1.0), 0.0)
-        for r_f, mask_f in zip(np.clip(r, -1.0, 1.0) * mask, mask):  # one frame at a time, in order
-            sums += r_f
-            counts += mask_f
+    for s in range(0, outs.shape[0], EVAL_BLOCK):
+        _pearson_fold(outs[s:s + EVAL_BLOCK], group_size, sums, counts)
+    return _pearson_values(sums, counts)
+
+
+def _pearson_values(sums, counts):
     defined = counts > 0
-    values = np.full((j, j), np.nan)
+    values = np.full(sums.shape, np.nan)
     values[defined] = sums[defined] / counts[defined]
     # r(x, x) = 1 identically; write the identity rather than its roundoff.
-    di = np.arange(j)
+    di = np.arange(sums.shape[0])
     values[di, di] = np.where(defined[di, di], 1.0, np.nan)
     return values, defined
 
@@ -173,7 +199,7 @@ def pearson_matrix(outs, group_size):
 def base_candidates(points, num_candidates, sigma, rng):
     """Candidates for a point predictor: each of the (N, y_dim) predictions
     plus Gaussian jitter, as an (N, K, y_dim) array from one
-    ``standard_normal((N, K, y_dim))`` draw."""
+    ``standard_normal((N, K, y_dim))`` draw, bitwise also when drawn by blocks."""
     if sigma <= 0.0:
         raise ParameterError("sigma must be positive")
     if num_candidates < 1:
@@ -189,7 +215,8 @@ def metrics_report(outs, gts, group_size, distances, pointwise_preds=None):
     """The evaluation report for one dataset, as the document metrics.json
     holds (less the config hash).
 
-    `outs` holds the (N, K, y_dim) candidates. Pointwise predictions
+    `outs` holds the (N, K, y_dim) candidates, as an array or an iterator
+    of blocks of consecutive frames, in frame order. Pointwise predictions
     default to maximum-expected-utility selection per input under the
     default loss; pass `pointwise_preds` to evaluate externally chosen
     predictions (e.g. the zero-noise forward pass) instead. ``probloss``,
@@ -201,31 +228,23 @@ def metrics_report(outs, gts, group_size, distances, pointwise_preds=None):
     print alike under ``:g`` are a ContractError, since the report keys FF
     values by that label.
     """
-    outs = candidate_array(outs)
-    gts = np.asarray(gts, dtype=np.float64)
-    k = outs.shape[1]
     labels = {}
     for d in dict.fromkeys(map(float, distances)):  # equal distances are one entry
         seen = labels.setdefault(f"{d:g}", d)
         if seen != d:
             raise ContractError(f"FF distances {seen!r} and {d!r} share the label {d:g}")
-    idx, scores = _frame_scores(outs, gts, meu=pointwise_preds is None)
-    if pointwise_preds is None:
-        preds = outs[np.arange(outs.shape[0]), idx]
-    else:
-        preds = np.asarray(pointwise_preds, dtype=np.float64)
+    gts, meu = np.asarray(gts, dtype=np.float64), pointwise_preds is None
+    (k, y_dim), picks, scores, pearson = _fold(outs, gts, meu, group_size)
+    preds = picks if meu else np.asarray(pointwise_preds, dtype=np.float64)
     pairs = {"probloss": None if scores is None else mean_sem(scores),
              "mejee": mejee(preds, gts, group_size), "majee": majee(preds, gts, group_size)}
     doc = {name: None if pair is None else {"value": float(pair[0]), "sem": float(pair[1])}
            for name, pair in pairs.items()}
     doc["ff"] = {label: ff(preds, gts, group_size, d) for label, d in labels.items()}
-    doc["pearson"] = None
-    if k >= 2:
-        values, defined = pearson_matrix(outs, group_size)
-        doc["pearson"] = [[float(v) if ok else None for v, ok in zip(*row)]
-                          for row in zip(values, defined)]
+    doc["pearson"] = None if pearson is None else [
+        [float(v) if ok else None for v, ok in zip(*r)] for r in zip(*_pearson_values(*pearson))]
     doc["counts"] = {"frames": gts.shape[0], "candidates": k,
-                     "joints": joint_count(outs.shape[2], group_size)}
+                     "joints": joint_count(y_dim, group_size)}
     return doc
 
 

@@ -12,7 +12,7 @@ the same pass with noise of width zero: its K candidates coincide and it is
 an ordinary deterministic regressor.
 
 ``layer_walk`` is the one forward pass: training, prediction and every
-sampler run through it, eval's blocks of frames (``cli.eval_candidates``) too.
+sampler run through it, eval's blocks of frames (``cli.cmd_eval``) too.
 """
 
 import json

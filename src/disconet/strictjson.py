@@ -61,39 +61,49 @@ def _table(rows, width, text):
     return flat.reshape(len(rows), width) if np.isfinite(flat).all() else None
 
 
+CHUNK_CHARS = 1 << 16  # some 3,000 checkpoint lines, 0.2 MB as strings where all take 15 MB
+
+
 def read_rows(path, text, width, first=1, comments=False):
     """The rows of numbers in `text`, ``read_file`` text of file `path` whose
     lines are numbered from `first`, as a (rows, width) float64 array. Blank
     lines and, with `comments`, lines whose first non-blank character is '#'
     are skipped. Every other line is `width` finite numbers split at ',',
     each as ``float`` reads it but in ASCII without '_'. The first line that
-    is not raises SchemaError (its width) or ParseError; only once the
-    one-pass parse has failed are the lines walked one at a time, by the
-    same rule, to find it."""
-    # a file seldom has a line to skip, so its lines are first read as they are
-    lines = text.split("\n")
-    if not lines[-1]:
-        lines.pop()  # the end of the last line: an empty last line is none
-    table = _table(lines, width, text)
-    if table is None:
-        numbered = [(ln, t) for ln, t in enumerate(lines, start=first)
-                    if t.strip() and not (comments and t.lstrip().startswith("#"))]
-        rows = [t for _, t in numbered]
-        table = _table(rows, width, "\n".join(rows))
-    if table is not None:
-        return table
-    for ln, line in numbered:
-        cells = line.split(",")
-        if len(cells) != width:
-            raise SchemaError(f"{path}: line {ln}: expected {width} fields, got {len(cells)}")
-        for field in cells:
-            try:  # a field that is not plain text is read as '', which float refuses
-                value = float(field if plain_text(field) else "")
-            except ValueError:
-                raise ParseError(f"{path}: line {ln}: not a number: {field!r}") from None
-            if not math.isfinite(value):
-                raise ParseError(f"{path}: line {ln}: not a finite number: {field!r}")
-    raise AssertionError(f"{path}: the one-pass parse refused rows that hold no fault")
+    is not raises SchemaError (its width) or ParseError. The text is read in
+    chunks, each the fewest whole lines of at least CHUNK_CHARS characters,
+    in one pass per chunk; only once that has failed are the chunk's lines
+    walked one at a time, by the same rule, to find the line."""
+    tables, pos = [], 0
+    while pos < len(text) or not tables:
+        end = text.find("\n", pos + CHUNK_CHARS - 1) + 1 or len(text)
+        chunk, pos = text[pos:end], end
+        lines = chunk.split("\n")
+        if not lines[-1]:
+            lines.pop()  # the end of the last line: an empty last line is none
+        # a file seldom has a line to skip, so its lines are first read as they are
+        table = _table(lines, width, chunk)
+        if table is None:
+            numbered = [(ln, t) for ln, t in enumerate(lines, start=first)
+                        if t.strip() and not (comments and t.lstrip().startswith("#"))]
+            rows = [t for _, t in numbered]
+            table = _table(rows, width, "\n".join(rows))
+        if table is None:
+            for ln, line in numbered:
+                cells = line.split(",")
+                if len(cells) != width:
+                    raise SchemaError(f"{path}: line {ln}: expected {width} fields, got {len(cells)}")
+                for field in cells:
+                    try:  # a field that is not plain text is read as '', which float refuses
+                        value = float(field if plain_text(field) else "")
+                    except ValueError:
+                        raise ParseError(f"{path}: line {ln}: not a number: {field!r}") from None
+                    if not math.isfinite(value):
+                        raise ParseError(f"{path}: line {ln}: not a finite number: {field!r}")
+            raise AssertionError(f"{path}: the one-pass parse refused rows that hold no fault")
+        tables.append(table)
+        first += len(lines)
+    return np.concatenate(tables)
 
 
 def _int(v):

@@ -15,11 +15,12 @@ from disconet import (
     ObjectiveConfig,
     TrainConfig,
     gen_conditional_bimodal,
+    sample_outputs,
     substream,
     train,
     train_val_split,
 )
-from disconet.cli import eval_candidates
+from disconet.metrics import EVAL_BLOCK
 
 ABLATION_SEEDS = (0, 1, 2)
 ABLATION_K = 16
@@ -66,6 +67,18 @@ def save_csv(path, x, y, comments=()):
         lines.append(",".join(repr(float(v)) for v in np.concatenate([xi, yi])))
     with open(path, "w", encoding="utf8") as fh:
         fh.write("\n".join(lines) + ("\n" if lines else ""))
+
+
+def eval_candidates(params, x, k, rng, block=EVAL_BLOCK):
+    """The test oracle of eval's sampling rule, as one (N, K, y_dim) array:
+    ``sample_outputs`` on `block` frames at a time in frame order, from one
+    stream, into one held workspace. ``disconet eval`` scores these blocks as
+    it draws them and never holds them all."""
+    x = np.asarray(x, dtype=np.float64)
+    out, work = np.empty((x.shape[0], k, params.config.y_dim)), {}
+    for s in range(0, x.shape[0], block):
+        out[s : s + block] = sample_outputs(params, x[s : s + block], k, rng, work)
+    return out
 
 
 def sampled_candidates(params, x, seed, num_candidates=ABLATION_K):

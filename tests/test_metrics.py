@@ -30,7 +30,7 @@ from disconet import (
     report_rows,
     sgd_momentum_step,
 )
-from disconet.metrics import DATA_BLOCK, PEARSON_BLOCK, _frame_scores
+from disconet.metrics import EVAL_BLOCK, _fold
 from disconet.network import draw_noise
 from disconet.scoring import mean_sem, pair_grad
 
@@ -199,6 +199,20 @@ def test_base_candidates(rng):
         base_candidates(pin[0], 5, 0.1, rng)
 
 
+@pytest.mark.parametrize("n", [1, EVAL_BLOCK - 1, EVAL_BLOCK, EVAL_BLOCK + 1, 67])
+def test_base_candidates_block_by_block_are_one_draw(n):
+    """Eval draws the jitter of EVAL_BLOCK frames at a time from one stream:
+    bitwise one ``standard_normal((N, K, y_dim))`` draw, with the stream left
+    where that draw leaves it."""
+    points = np.random.default_rng(n).normal(size=(n, 42))
+    rng, one = np.random.default_rng(5), np.random.default_rng(5)
+    blocks = [base_candidates(points[s:s + EVAL_BLOCK], 32, 0.3, rng)
+              for s in range(0, n, EVAL_BLOCK)]
+    npt.assert_array_equal(np.concatenate(blocks),
+                           points[:, None, :] + 0.3 * one.standard_normal((n, 32, 42)))
+    assert rng.bit_generator.state == one.bit_generator.state
+
+
 def _report_fixture():
     outs = np.array([
         [[1.0, 0.0], [3.0, 0.0]],
@@ -323,7 +337,9 @@ def _pearson_frame_by_frame(outs, group):
     return values, defined
 
 
-_FRAME_COUNTS = (1, DATA_BLOCK - 1, DATA_BLOCK, PEARSON_BLOCK, 2 * PEARSON_BLOCK + 3)
+# below, on and past the block size: one frame past it, two full blocks, and a
+# short last block after four full ones
+_FRAME_COUNTS = (1, EVAL_BLOCK - 1, EVAL_BLOCK, EVAL_BLOCK + 1, 2 * EVAL_BLOCK, 4 * EVAL_BLOCK + 3)
 
 
 @pytest.mark.parametrize("n", _FRAME_COUNTS)
@@ -347,9 +363,9 @@ def test_metrics_report_is_frame_by_frame_bitwise(n, k, y_dim, group):
     doc = metrics_report(outs, gts, group, distances)
 
     meu = [meu_predict(o) for o in outs]
-    indices, scores = _frame_scores(outs, gts, meu=True)
-    npt.assert_array_equal(indices, [i for i, _ in meu])
+    _, picks, scores, _ = _fold(outs, gts, meu=True)
     preds = np.array([p for _, p in meu])
+    npt.assert_array_equal(picks, preds)
     assert meu[0][0] == 0 and meu[-1][0] == 0
     assert doc["mejee"] == dict(zip(("value", "sem"), mejee(preds, gts, group)))
     assert doc["majee"] == dict(zip(("value", "sem"), majee(preds, gts, group)))

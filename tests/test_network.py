@@ -19,8 +19,8 @@ from disconet import (
     sample_candidates,
     sample_outputs,
 )
-from disconet import cli
-from disconet.cli import EVAL_BLOCK, eval_candidates
+from disconet.metrics import EVAL_BLOCK
+from tests.conftest import eval_candidates
 from disconet.network import draw_noise, layer_walk
 
 
@@ -423,7 +423,7 @@ def _rng_after_blocks(cfg, n, k, block, seed):
 
 
 @pytest.mark.parametrize("name", sorted(set(_FRAME_NETS) - {"noise_free"}))
-def test_eval_candidates_at_k32_do_not_depend_on_the_block(monkeypatch, name):
+def test_eval_candidates_at_k32_do_not_depend_on_the_block(name):
     """At K = 32 a frame's 32 rows round alike in blocks of eval's size, of
     larger sizes and of all 67 frames at once (tails of 3 and 16 frames
     included), and `rng` ends where one noise draw per block leaves it. A
@@ -439,16 +439,15 @@ def test_eval_candidates_at_k32_do_not_depend_on_the_block(monkeypatch, name):
     outs = eval_candidates(p, x, k, rng)
     assert rng.random() == _rng_after_blocks(cfg, n, k, EVAL_BLOCK, 8).random()
     for block in (EVAL_BLOCK + 1, 2 * EVAL_BLOCK, 64, n):
-        monkeypatch.setattr(cli, "EVAL_BLOCK", block)
         rng = np.random.default_rng(8)
-        npt.assert_array_equal(eval_candidates(p, x, k, rng), outs)
+        npt.assert_array_equal(eval_candidates(p, x, k, rng, block), outs)
         assert rng.random() == _rng_after_blocks(cfg, n, k, block, 8).random()
 
 
 @pytest.mark.parametrize("k", [1, 2, 7, 32])
 @pytest.mark.parametrize("name", sorted(_FRAME_NETS))
 def test_sample_frames_matches_per_frame_loop(name, k):
-    """Eval's frame sampler (`cli.eval_candidates`) is deterministic, and
+    """Eval's sampling rule (the oracle `eval_candidates`) is deterministic, and
     its candidates agree with sampling one frame at a time to 1e-12
     relative, whether N falls below, on or off the block size, and `rng`
     ends where one noise draw per block leaves it.
@@ -468,8 +467,8 @@ def test_sample_frames_matches_per_frame_loop(name, k):
         assert np.abs(outs - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
-def test_sample_frames_memory_stays_flat():
-    """Eval's frame sampler, on 2,000 frames of 32 candidates of the
+def test_eval_candidates_memory_stays_flat():
+    """Eval's sampling rule, on 2,000 frames of 32 candidates of the
     full-scale net, holds the output and blocks of EVAL_BLOCK frames: one
     (2000 * 32, 256) activation array alone would take 131 MB."""
     full = NetConfig(x_dim=1, y_dim=42, z_dim=200, encoder_widths=(256,), decoder_widths=(256, 256))
@@ -487,8 +486,8 @@ def test_sample_frames_memory_stays_flat():
     assert peak - start < outs.nbytes + 4 * 2**20
 
 
-def test_sample_frames_rejects_bad_input():
-    """Eval's frame sampler rejects K = 0 and a wrong `x_dim`."""
+def test_eval_candidates_reject_bad_input():
+    """Eval's sampling rule rejects K = 0 and a wrong `x_dim`."""
     p = init_params(CFG, seed=9)
     with pytest.raises(ContractError):
         eval_candidates(p, np.zeros((3, 2)), 0, np.random.default_rng(0))

@@ -5,12 +5,13 @@ both of its passes."""
 import math
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from disconet import ConfigError, ParseError, SchemaError
-from disconet.strictjson import read_file, read_rows
+from disconet import ConfigError, ParseError, SchemaError, strictjson
+from disconet.strictjson import CHUNK_CHARS, read_file, read_rows
 
 
 def read_lines(path, error=ParseError):
@@ -129,9 +130,67 @@ def test_read_rows_is_the_documented_rule(tmp_path):
             assert got.tolist() == expected, (seed, lines)
 
 
+@pytest.mark.parametrize("chunk", [1, 5])
+def test_read_rows_in_chunks_of_a_line_or_two_is_the_documented_rule(tmp_path, monkeypatch, chunk):
+    """The seeded random files above, read in chunks of a line or two, where
+    every line opens or closes a chunk."""
+    monkeypatch.setattr(strictjson, "CHUNK_CHARS", chunk)
+    test_read_rows_is_the_documented_rule(tmp_path)
+
+
 def test_read_rows_numbers_lines_from_first(tmp_path):
     path = tmp_path / "ckpt.txt"
     path.write_text("header\n0.5\n\noops\n", encoding="utf8")
     with pytest.raises(ParseError, match="line 4: not a number: 'oops'"):
         read_rows(path, read_file(path).partition("\n")[2], 1, first=2)
     assert np.array_equal(read_rows(path, "0.5\n0.25", 1, first=2), [[0.5], [0.25]])
+
+
+# A chunk is the fewest whole lines of at least CHUNK_CHARS characters, so
+# lines of "0.5\n" fill the first chunk with exactly CHUNK_CHARS // 4 lines.
+_EDGE = CHUNK_CHARS // 4
+
+
+@pytest.mark.parametrize("changes, comments", [
+    ({}, False),                                 # exactly one chunk
+    ({_EDGE + 1: "0.5"}, False),                 # one line past it
+    ({_EDGE: "x.5", _EDGE + 1: "0.5"}, False),   # a bad last line of a chunk
+    ({_EDGE + 1: "x.5"}, False),                 # a bad first line of a chunk
+    ({_EDGE + 1: "1,2", _EDGE + 2: "0.5"}, False),
+    ({_EDGE: "   ", _EDGE + 1: "0.5"}, False),   # a blank line closes a chunk
+    ({_EDGE + 1: "", _EDGE + 2: "0.5"}, False),  # and opens one
+    ({_EDGE + 1: "", _EDGE + 9: "nan"}, False),  # the walk numbers the lines after it
+    ({_EDGE: "# a", _EDGE + 1: "# b", _EDGE + 2: "-1"}, True),
+])
+def test_read_rows_at_a_chunk_edge(tmp_path, changes, comments):
+    """Bad, blank and comment lines on either side of the first chunk's end
+    give the rows, or the error and line, of the documented rule."""
+    lines = ["0.5"] * max([_EDGE, *changes])
+    for ln, line in changes.items():
+        lines[ln - 1] = line
+    if not changes:
+        assert len("\n".join(lines) + "\n") == CHUNK_CHARS
+    expected = _documented_rule(lines, 1, comments)
+    if isinstance(expected, tuple):
+        error, ln = expected
+        with pytest.raises(error, match=f": line {ln}: "):
+            _write_and_read(tmp_path, lines, 1, comments)
+    else:
+        assert _write_and_read(tmp_path, lines, 1, comments).tolist() == expected
+
+
+def test_read_rows_of_a_full_scale_checkpoint_holds_a_chunk_of_lines():
+    """The 194,090 values of a full-scale checkpoint, one a line: the rows
+    are read exactly, holding one chunk's lines at a time beside the chunk
+    tables and their joined copy, where a list of all lines took ~15 MB."""
+    values = np.random.default_rng(5).uniform(-0.1, 0.1, size=194_090)
+    text = "".join("%.17g\n" % v for v in values.tolist())
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        table = read_rows("ckpt.txt", text, 1, first=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(table[:, 0], values)
+    assert peak - start < 2 * table.nbytes + 2**20

@@ -23,6 +23,8 @@ from the code. The list covers:
   full-scale checkpoint, K = 32, joints of 3 coordinates): plain, with
   ``zero_noise``, with ``base_sigma`` 0.3, with both, and on a noise-free
   checkpoint, there also at K = 30;
+- ``eval`` on 1,999 frames, plain and with ``base_sigma`` 0.3: eval draws
+  and scores its candidates 16 frames at a time, so its last block is short;
 - ``train`` shaped as the ``train-desk`` and ``train-full`` workloads, the
   second also on a noise-free net at K = 15, and ``toy`` as ``toy-grid``;
 - ``train`` on the desk net with ``checkpoint_every`` 1 over 3 epochs, L2 on
@@ -117,6 +119,7 @@ def write_inputs(work):
     write_csv(work / "full.csv", *pose(448, rng))
     write_checkpoint(work / "full.txt", FULL_NET, rng)
     write_checkpoint(work / "noise_free.txt", dict(FULL_NET, noise_enabled=False), rng)
+    write_csv(work / "frames_1999.csv", *pose(1999, rng))
 
     def cfg(name, doc):
         return write_config(work / f"{name}.json", doc)
@@ -145,6 +148,10 @@ def write_inputs(work):
         ("eval_full_noise_free_k30", ["eval", "--config", cfg("eval_k30", {
             "data": no_data, "eval": dict(EVAL, num_candidates=30)}),
             "--checkpoint", str(work / "noise_free.txt")] + frames),
+        ("eval_1999", ["eval", "--config", str(work / "eval.json")] + full
+         + ["--data", str(work / "frames_1999.csv")]),
+        ("eval_1999_base_sigma", ["eval", "--config", str(work / "eval_base_sigma.json")] + full
+         + ["--data", str(work / "frames_1999.csv")]),
         ("train_desk", ["train", "--config", cfg("train_desk", {
             "net": DESK_NET, "objective": objective, "data": no_data,
             "train": dict(train, epochs=6, val_count=256)}), "--data", str(work / "desk.csv")]),
