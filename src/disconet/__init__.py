@@ -56,8 +56,6 @@ from .objective import (
 )
 from .rng import derive_seed, substream
 from .scoring import (
-    LOSS_DIM1,
-    LOSS_DIM2,
     SINGULARITY_EPS,
     DiscreteDistribution,
     LossSpec,
@@ -67,8 +65,9 @@ from .scoring import (
     energy_score_sample,
 )
 from .synth import (
+    LOSS_DIM1,
+    LOSS_DIM2,
     TOY_MIXTURE,
-    GridSpec,
     fit_gaussian_grid,
     gen_conditional_bimodal,
     gen_gmm2d,
@@ -135,7 +134,6 @@ __all__ = [
     "divergence_discrete",
     "energy_score_sample",
     "TOY_MIXTURE",
-    "GridSpec",
     "fit_gaussian_grid",
     "gen_conditional_bimodal",
     "gen_gmm2d",

@@ -51,8 +51,8 @@ from .objective import (
 from .rng import derive_seed, substream
 from .scoring import LossSpec
 from .strictjson import TYPES, dataclass_keys, keyspec, read_file, read_json
-from .synth import BIMODAL_NOISE_SIGMA, TOY_GAMMA, TOY_M, TOY_N
-from .synth import GridSpec, gen_conditional_bimodal, load_csv, toy_cross_table
+from .synth import BIMODAL_NOISE_SIGMA, TOY_GAMMA, TOY_M, TOY_MU_VALUES, TOY_N, TOY_SIGMA_VALUES
+from .synth import gen_conditional_bimodal, load_csv, toy_cross_table
 from .training import TrainConfig, train, train_val_split
 from .metrics import probloss as probloss_metric
 
@@ -89,8 +89,8 @@ _SCHEMA = {
         "n_test": keyspec("int", TOY_N),
         "m": keyspec("int", TOY_M),
         "gamma": keyspec("number", TOY_GAMMA),
-        "mu_values": keyspec("non-empty list of numbers", list(GridSpec.default().mu1_values)),
-        "sigma_values": keyspec("non-empty list of numbers", list(GridSpec.default().sigma1_values)),
+        "mu_values": keyspec("non-empty list of numbers", list(TOY_MU_VALUES)),
+        "sigma_values": keyspec("non-empty list of numbers", list(TOY_SIGMA_VALUES)),
     },
     "gradcheck": {
         "gammas": keyspec("non-empty list of numbers", [0.0, 0.25, 0.5]),
@@ -236,46 +236,17 @@ def _load_xy(config, data_override, seed, x_dim, y_dim):
 
 def cmd_toy(config, args):
     """Fit the 2-D mixture under both weighted losses and cross-evaluate."""
-    toy = config["toy"]
-    grid = GridSpec(
-        tuple(toy["mu_values"]),
-        tuple(toy["mu_values"]),
-        tuple(toy["sigma_values"]),
-        tuple(toy["sigma_values"]),
-    )
-    result = toy_cross_table(
-        seeds=toy["seeds"],
-        grid=grid,
-        n_train=toy["n_train"],
-        n_test=toy["n_test"],
-        gamma=float(toy["gamma"]),
-        m=toy["m"],
-    )
+    # the keys of the toy section are the parameters of toy_cross_table
+    result = toy_cross_table(**dict(config["toy"], gamma=float(config["toy"]["gamma"])))
     digest = config_hash(config)
-    names = result["losses"]
-    header = ["train_loss"]
-    for name in names:
-        header += [f"task_{name}", f"task_{name}_sem"]
-    rows = []
-    for train_name in names:
-        row = [train_name]
-        for task_name in names:
-            value, sem = result["aggregate"][train_name][task_name]
-            row += [_fmt(value), _fmt(sem)]
-        rows.append(row)
+    names, aggregate = result["losses"], result["aggregate"]
+    header = ["train_loss"] + [f"task_{name}{end}" for name in names for end in ("", "_sem")]
+    # a cell is the (mean, sem) pair of one training loss under one task loss
+    rows = [[train] + [_fmt(v) for task in names for v in aggregate[train][task]] for train in names]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "cross_table.csv", [f"config_sha256={digest}"], header, rows)
-    _write_json(
-        out / "fitted_params.json",
-        {
-            "config_sha256": digest,
-            "losses": names,
-            "per_seed": result["per_seed"],
-            "aggregate": result["aggregate"],
-            "diagonal_dominance": result["diagonal_dominance"],
-        },
-    )
+    _write_json(out / "fitted_params.json", {"config_sha256": digest, **result})
     verdict = "holds" if result["diagonal_dominance"] else "fails"
     print(f"toy: cross table written to {out}/cross_table.csv; diagonal dominance {verdict}")
     return 0 if result["diagonal_dominance"] else 1

@@ -48,7 +48,10 @@ def meu_predict(candidates, task_loss=LossSpec()):
 
     `candidates` is one input's (K, y_dim) matrix. Returns ``(index,
     output)`` for the candidate minimizing the sum of its task losses to
-    every candidate in the set; ties keep the lowest index. With one
+    every candidate in the set. An exact tie in the computed sums goes to
+    the lowest index. A tie in exact arithmetic need not survive roundoff:
+    at one output and even K under the L1 loss the two middle candidates
+    tie, and roundoff picks between them (README, "Determinism"). With one
     candidate that candidate is returned.
     """
     outs = np.asarray(candidates, dtype=np.float64)
@@ -135,7 +138,10 @@ def _fold(outs, gts, meu, group_size=None):
         if meu or not sort:
             dist = np.sqrt(pair_sq_norms(o, w))
             totals = dist.sum(axis=(1, 2))
-            if meu:  # argmin keeps the lowest index on ties
+            if meu:
+                # an exact tie in the computed sums goes to the lowest index;
+                # at one output and even K the two middle candidates tie in
+                # exact arithmetic, and roundoff picks between them
                 picks[s:s + b] = o[np.arange(b), dist.sum(axis=2).argmin(axis=1)]
         if k > 1:
             pair = pair_term(o, w, 1.0) if sort else totals / (k * (k - 1))

@@ -67,12 +67,6 @@ class LossSpec:
         return w
 
 
-# The two cross-evaluation losses for the 2-D mixture demo: the same norm
-# with the heavy weight on the first or on the second output axis.
-LOSS_DIM1 = LossSpec(beta=1.0, weights=(10.0, 0.1))
-LOSS_DIM2 = LossSpec(beta=1.0, weights=(0.1, 10.0))
-
-
 def sq_norm(d, w):
     """Weighted squared norm sum_i w_i d_i^2 over the trailing axis of `d`."""
     return (d * d) @ w

@@ -12,13 +12,13 @@ iteration order alone.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ContractError, NumericError, ParameterError
 from .rng import substream
-from .scoring import LOSS_DIM1, LOSS_DIM2, axis_sq, data_term, mean_sem, pair_term
+from .scoring import LossSpec, axis_sq, data_term, mean_sem, pair_term
 from .strictjson import read_file, read_rows
 
 TOY_GAMMA = 0.5
@@ -47,39 +47,22 @@ TOY_MIXTURE = (
 FIT_KEYS = ("mu1", "mu2", "sigma1", "sigma2")
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Axis-wise candidate values for the exhaustive Gaussian fit."""
+# The toy grid: every value of TOY_MU_VALUES on both mean axes and every
+# value of TOY_SIGMA_VALUES on both stddev axes, 9 * 9 * 10 * 10 points.
+TOY_MU_VALUES = (-2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0)
+TOY_SIGMA_VALUES = (0.3, 0.6, 0.9, 1.2, 1.5, 1.8, 2.1, 2.4, 2.7, 3.0)
 
-    mu1_values: tuple
-    mu2_values: tuple
-    sigma1_values: tuple
-    sigma2_values: tuple
 
-    def __post_init__(self):
-        for name in ("mu1_values", "mu2_values", "sigma1_values", "sigma2_values"):
-            vals = tuple(float(v) for v in getattr(self, name))
-            if not vals:
-                raise ContractError(f"{name} must not be empty")
-            if not all(map(math.isfinite, vals)):
-                raise ContractError(f"{name} must be finite, got {vals}")
-            object.__setattr__(self, name, vals)
-        if any(s <= 0.0 for s in self.sigma1_values + self.sigma2_values):
-            raise ContractError("sigma grid values must be positive")
+class _Grid(NamedTuple):
+    """The (mu_values, sigma_values) pair that toy_cross_table hands to
+    fit_gaussian_grid. ``size()`` is its point count: the benchmark's tracer
+    (bench/spans.py) reads it from the grid argument of every traced fit."""
 
-    @classmethod
-    def default(cls):
-        mus = tuple(np.round(np.linspace(-2.0, 2.0, 9), 10))
-        sigmas = tuple(np.round(np.linspace(0.3, 3.0, 10), 10))
-        return cls(mus, mus, sigmas, sigmas)
+    mu_values: tuple
+    sigma_values: tuple
 
     def size(self):
-        return (
-            len(self.mu1_values)
-            * len(self.mu2_values)
-            * len(self.sigma1_values)
-            * len(self.sigma2_values)
-        )
+        return len(self.mu_values) ** 2 * len(self.sigma_values) ** 2
 
 
 def gen_gmm2d(mixture, n, rng):
@@ -130,20 +113,19 @@ def _toy_inputs(name, data, loss, gamma, m, rng):
         raise ContractError("m must be >= 2")
     if not 0.0 <= gamma <= 1.0:
         raise ParameterError(f"gamma must lie in [0, 1], got {gamma}")
-    if rng is None:
-        raise ContractError("an rng is required")
     return y, rng.standard_normal((y.shape[0], m, 2)), loss.weight_vector(2)
 
 
-def _grid_table(y, grid, w, beta, gamma, eps):
+def _grid_table(y, axes, w, beta, gamma, eps):
     """Sampled dissimilarity of every grid point against the data `y` (n, 2),
     with model samples mu + sigma * eps for the shared draws `eps` (n, m, 2).
 
-    Returns a C-ordered (mu1, mu2, sigma1, sigma2) array. The squared norm
-    of a difference is an axis-1 term, set by (mu1, sigma1), plus an axis-2
-    term, set by (mu2, sigma2): the axis-1 terms of all mu1 values are built
-    once per sigma1, those of all mu2 values once per sigma pair, and each
-    grid point only adds the two.
+    `axes` holds the candidate values of (mu1, mu2, sigma1, sigma2); returns
+    the C-ordered array over them. The squared norm of a difference is an
+    axis-1 term, set by (mu1, sigma1), plus an axis-2 term, set by (mu2,
+    sigma2): the axis-1 terms of all mu1 values are built once per sigma1,
+    those of all mu2 values once per sigma pair, and each grid point only
+    adds the two.
 
     Reduction order: a point's data term is one sum over its n * m
     contiguous values, divided by n * m; it is not a mean over m and then
@@ -162,11 +144,11 @@ def _grid_table(y, grid, w, beta, gamma, eps):
     sums run in another order.
     """
     n, m = eps.shape[:2]
-    mu1 = np.asarray(grid.mu1_values)[:, None, None]
-    mu2 = np.asarray(grid.mu2_values)[:, None, None]
+    mu1_values, mu2_values, sigma1_values, sigma2_values = axes
+    mu1 = np.asarray(mu1_values)[:, None, None]
+    mu2 = np.asarray(mu2_values)[:, None, None]
     e1, e2 = np.moveaxis(eps, -1, 0).copy()
-    table = np.empty((len(grid.mu1_values), len(grid.mu2_values),
-                      len(grid.sigma1_values), len(grid.sigma2_values)))
+    table = np.empty(tuple(len(values) for values in axes))
     half = beta / 2.0
     if gamma > 0.0:
         a, b = np.triu_indices(m, 1)
@@ -180,11 +162,11 @@ def _grid_table(y, grid, w, beta, gamma, eps):
     point = np.empty_like(term1)
     rows = point.reshape(mu1.shape[0], n * m)
     diversity = 0.0
-    for i, s1 in enumerate(grid.sigma1_values):
+    for i, s1 in enumerate(sigma1_values):
         _axis_terms(y[:, :1], mu1, s1, e1, w[0], term1)
         if gamma > 0.0:
             np.multiply(pairs1, s1 * s1, out=scaled1)
-        for j, s2 in enumerate(grid.sigma2_values):
+        for j, s2 in enumerate(sigma2_values):
             _axis_terms(y[:, 1:], mu2, s2, e2, w[1], term2)
             if gamma > 0.0:
                 np.multiply(pairs2, s2 * s2, out=sq)
@@ -207,13 +189,15 @@ def _axis_terms(y_i, mu, s, e_i, w_i, out):
     return axis_sq(out, w_i, out=out)
 
 
-def fit_gaussian_grid(train, grid, loss, gamma=TOY_GAMMA, m=TOY_M, rng=None):
+def fit_gaussian_grid(train, grid, loss, gamma=TOY_GAMMA, m=TOY_M, *, rng):
     """Exhaustive argmin of the sampled dissimilarity over the grid.
 
     Parameters
     ----------
     train : array-like, shape (n, 2)
-    grid : GridSpec
+    grid : pair of sequences (mu_values, sigma_values)
+        Candidate means, used on both axes, and candidate stddevs, used on
+        both axes. Each must be non-empty and finite, the stddevs positive.
     loss : LossSpec
     gamma : float
         Diversity weight; 1/2 makes the criterion the sampled energy score.
@@ -228,13 +212,21 @@ def fit_gaussian_grid(train, grid, loss, gamma=TOY_GAMMA, m=TOY_M, rng=None):
     grid point whose objective is not finite (a sigma so large that the
     samples overflow) raises NumericError naming it.
     """
+    mu_values, sigma_values = (tuple(float(v) for v in values) for values in grid)
+    for name, values in (("mu_values", mu_values), ("sigma_values", sigma_values)):
+        if not values:
+            raise ContractError(f"{name} must not be empty")
+        if not all(map(math.isfinite, values)):
+            raise ContractError(f"{name} must be finite, got {values}")
+    if min(sigma_values) <= 0.0:
+        raise ContractError("sigma grid values must be positive")
     y, eps, w = _toy_inputs("train", train, loss, gamma, m, rng)
+    axes = (mu_values, mu_values, sigma_values, sigma_values)
     # overflow is reported below as a NumericError, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        table = _grid_table(y, grid, w, loss.beta, gamma, eps)
+        table = _grid_table(y, axes, w, loss.beta, gamma, eps)
     bad = np.flatnonzero(~np.isfinite(table))
     flat = bad[0] if bad.size else np.argmin(table)
-    axes = (grid.mu1_values, grid.mu2_values, grid.sigma1_values, grid.sigma2_values)
     index = np.unravel_index(flat, table.shape)
     point = {key: vals[i] for key, vals, i in zip(FIT_KEYS, axes, index)}
     if bad.size:
@@ -245,7 +237,7 @@ def fit_gaussian_grid(train, grid, loss, gamma=TOY_GAMMA, m=TOY_M, rng=None):
     return point
 
 
-def eval_gaussian(fit, test, loss, gamma=TOY_GAMMA, m=TOY_M, rng=None):
+def eval_gaussian(fit, test, loss, gamma=TOY_GAMMA, m=TOY_M, *, rng):
     """Sampled dissimilarity of a fitted Gaussian (the FIT_KEYS dict that
     ``fit_gaussian_grid`` returns) on held-out points.
 
@@ -269,11 +261,19 @@ def eval_gaussian(fit, test, loss, gamma=TOY_GAMMA, m=TOY_M, rng=None):
     return mean_sem(vals)
 
 
+# The two cross-evaluation losses for the 2-D mixture: the same norm with
+# the heavy weight on the first or on the second output axis.
+LOSS_DIM1 = LossSpec(beta=1.0, weights=(10.0, 0.1))
+LOSS_DIM2 = LossSpec(beta=1.0, weights=(0.1, 10.0))
 TOY_LOSSES = (("dim1", LOSS_DIM1), ("dim2", LOSS_DIM2))
 
 
-def toy_cross_table(seeds, grid=None, n_train=TOY_N, n_test=TOY_N, gamma=TOY_GAMMA, m=TOY_M):
+def toy_cross_table(seeds, mu_values=TOY_MU_VALUES, sigma_values=TOY_SIGMA_VALUES,
+                    n_train=TOY_N, n_test=TOY_N, gamma=TOY_GAMMA, m=TOY_M):
     """Fit ``TOY_MIXTURE`` under each of ``TOY_LOSSES``, evaluate under each, per seed.
+
+    The grid of every fit is ``mu_values`` on both mean axes and
+    ``sigma_values`` on both stddev axes (see ``fit_gaussian_grid``).
 
     Evaluation draws are shared across fitted models within a task-loss
     column (common random numbers) so column comparisons are paired.
@@ -286,8 +286,7 @@ def toy_cross_table(seeds, grid=None, n_train=TOY_N, n_test=TOY_N, gamma=TOY_GAM
     weighting leaves a fit direction nearly flat, so the contract is on
     the aggregate.
     """
-    if grid is None:
-        grid = GridSpec.default()
+    grid = _Grid(mu_values, sigma_values)
     names = [name for name, _ in TOY_LOSSES]
     per_seed = []
     for seed in seeds:
@@ -297,14 +296,14 @@ def toy_cross_table(seeds, grid=None, n_train=TOY_N, n_test=TOY_N, gamma=TOY_GAM
         fits = {}
         for name, loss in TOY_LOSSES:
             fit_rng = substream(seed, "toy-fit", name)
-            fits[name] = fit_gaussian_grid(train, grid, loss, gamma, m, fit_rng)
+            fits[name] = fit_gaussian_grid(train, grid, loss, gamma, m, rng=fit_rng)
         table = {}
         for train_name in names:
             table[train_name] = {}
             for task_name, task_loss in TOY_LOSSES:
                 eval_rng = substream(seed, "toy-eval", task_name)
                 table[train_name][task_name] = eval_gaussian(
-                    fits[train_name], test, task_loss, gamma, m, eval_rng
+                    fits[train_name], test, task_loss, gamma, m, rng=eval_rng
                 )
         per_seed.append(
             {
@@ -320,12 +319,8 @@ def toy_cross_table(seeds, grid=None, n_train=TOY_N, n_test=TOY_N, gamma=TOY_GAM
         }
         for train_name in names
     }
-    dominant = True
-    for task_name in names:
-        own = aggregate[task_name][task_name][0]
-        for train_name in names:
-            if train_name != task_name and not own < aggregate[train_name][task_name][0]:
-                dominant = False
+    dominant = all(aggregate[task][task][0] < aggregate[train][task][0]
+                   for task in names for train in names if train != task)
     return {
         "losses": names,
         "per_seed": per_seed,

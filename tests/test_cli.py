@@ -1,4 +1,6 @@
+import hashlib
 import importlib.util
+import inspect
 import json
 import math
 import os
@@ -13,7 +15,6 @@ import pytest
 
 from disconet import (
     ConfigError,
-    GridSpec,
     LossSpec,
     NetConfig,
     NetworkParams,
@@ -36,7 +37,16 @@ from disconet.cli import (
 )
 from disconet.objective import GRAD_CHECK_STEP
 from disconet.rng import substream
-from disconet.synth import BIMODAL_NOISE_SIGMA, TOY_GAMMA, TOY_M, TOY_N, gen_conditional_bimodal
+from disconet.synth import (
+    BIMODAL_NOISE_SIGMA,
+    TOY_GAMMA,
+    TOY_M,
+    TOY_MU_VALUES,
+    TOY_N,
+    TOY_SIGMA_VALUES,
+    gen_conditional_bimodal,
+    toy_cross_table,
+)
 from tests.conftest import eval_candidates, save_csv
 
 
@@ -86,9 +96,8 @@ def test_required_keys_alone_load_the_library_defaults(tmp_path):
     assert TrainConfig(**config["train"]) == TrainConfig()
     assert ObjectiveConfig(ob["gamma"], ob["num_candidates"]) == ObjectiveConfig()
     assert LossSpec(ob["beta"], ob["weights"]) == LossSpec()
-    grid = GridSpec.default()
     assert (toy["n_train"], toy["n_test"], toy["m"], toy["gamma"]) == (TOY_N, TOY_N, TOY_M, TOY_GAMMA)
-    assert (toy["mu_values"], toy["sigma_values"]) == (list(grid.mu1_values), list(grid.sigma1_values))
+    assert (toy["mu_values"], toy["sigma_values"]) == (list(TOY_MU_VALUES), list(TOY_SIGMA_VALUES))
     assert config["data"]["noise_sigma"] == BIMODAL_NOISE_SIGMA
     assert config["gradcheck"]["step"] == GRAD_CHECK_STEP
 
@@ -422,6 +431,41 @@ def test_toy_degenerate_grid(tmp_path):
     text = (out / "cross_table.csv").read_text()
     assert text.startswith("# config_sha256=")
     assert "train_loss,task_dim1,task_dim1_sem,task_dim2,task_dim2_sem" in text
+
+
+def test_toy_artifacts_pinned(tmp_path):
+    """Criterion 9's toy config (one seed, n 40, m 8, a 3 x 3 grid) writes
+    these exact bytes and exits 1: its one-seed table is not dominant. A
+    change to the grid fit, the table or the writers that moves a bit of
+    either file shows here."""
+    doc = {"toy": {"seeds": [0], "n_train": 40, "n_test": 40, "m": 8,
+                   "mu_values": [-1.4, 0.0, 1.4], "sigma_values": [0.3, 0.9, 1.5]}}
+    out = tmp_path / "out"
+    assert main(["toy", "--config", write_config(tmp_path / "toy.json", doc), "--out", str(out)]) == 1
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert digests == {
+        "cross_table.csv": "a9fb8e6c43b9be2b0ee0200875cee1f7604e7b3b12b1f017c160e729b62c5ef5",
+        "fitted_params.json": "c8c78b7f56592b561db363969dc5d1b683de91fed0a4a3e0172528a2c5b99447",
+    }
+
+
+def test_toy_sigma_not_positive_exit_2(tmp_path, capsys):
+    """A stddev of 0 in the grid is a contract error: exit 2 naming the
+    rule, in one line, and nothing written into --out."""
+    doc = {"toy": {"seeds": [0], "n_train": 20, "n_test": 20, "m": 4,
+                   "mu_values": [0.0, 0.5], "sigma_values": [0.0, 0.9]}}
+    out = tmp_path / "o"
+    code = main(["toy", "--config", write_config(tmp_path / "toy.json", doc), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: sigma grid values must be positive\n"
+    assert not out.exists()
+
+
+def test_toy_section_is_toy_cross_table_parameters():
+    """``cmd_toy`` passes the toy section as keyword arguments, so its keys
+    and toy_cross_table's parameters are the same names."""
+    assert set(_SCHEMA["toy"]) == set(inspect.signature(toy_cross_table).parameters)
 
 
 @pytest.mark.parametrize("gamma", [2.0, -0.5])

@@ -8,7 +8,6 @@ import pytest
 
 from disconet import (
     ContractError,
-    GridSpec,
     LOSS_DIM1,
     LOSS_DIM2,
     LossSpec,
@@ -29,7 +28,9 @@ from disconet.synth import (
     TOY_GAMMA,
     TOY_LOSSES,
     TOY_M,
+    TOY_MU_VALUES,
     TOY_N,
+    TOY_SIGMA_VALUES,
     _grid_table,
     eval_gaussian,
 )
@@ -162,25 +163,22 @@ def test_fit_gaussian_grid_point_mass():
     """Data concentrated at one grid point pulls the fitted mean there and
     the fitted spread to the smallest grid value."""
     train = np.tile([1.0, -0.5], (60, 1))
-    grid = GridSpec(
-        mu1_values=(-1.0, 0.0, 1.0),
-        mu2_values=(-0.5, 0.0, 0.5),
-        sigma1_values=(0.3, 1.0),
-        sigma2_values=(0.3, 1.0),
-    )
+    grid = ((-1.0, -0.5, 0.0, 0.5, 1.0), (0.3, 1.0))
     fit = fit_gaussian_grid(train, grid, LossSpec(), gamma=0.5, m=24,
                             rng=substream(0, "fit"))
     assert fit == {"mu1": 1.0, "mu2": -0.5, "sigma1": 0.3, "sigma2": 0.3}
 
 
 def test_fit_gaussian_grid_contracts():
-    grid = GridSpec((0.0,), (0.0,), (0.3,), (0.3,))
+    grid = ((0.0,), (0.3,))
     with pytest.raises(ContractError):
         fit_gaussian_grid(np.zeros((0, 2)), grid, LossSpec(), rng=substream(0, "f"))
     with pytest.raises(ContractError):
         fit_gaussian_grid(np.zeros((4, 2)), grid, LossSpec(), m=1, rng=substream(0, "f"))
-    with pytest.raises(ContractError):
+    with pytest.raises(TypeError, match="rng"):
         fit_gaussian_grid(np.zeros((4, 2)), grid, LossSpec())  # rng required
+    with pytest.raises(TypeError, match="rng"):
+        eval_gaussian(dict(zip(FIT_KEYS, (0.0, 0.0, 1.0, 1.0))), np.zeros((4, 2)), LossSpec())
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -189,7 +187,7 @@ def test_toy_data_must_be_finite(bad):
     argument, not a NumericError blaming the first grid point."""
     data = np.zeros((5, 2))
     data[3, 1] = bad
-    grid = GridSpec((0.0,), (0.0,), (0.3,), (0.3,))
+    grid = ((0.0,), (0.3,))
     with pytest.raises(ContractError, match="train"):
         fit_gaussian_grid(data, grid, LossSpec(), rng=substream(0, "f"))
     with pytest.raises(ContractError, match="test"):
@@ -211,28 +209,41 @@ def test_eval_gaussian_near_point_mass():
     assert abs(mean - 1.0) < 1e-4
 
 
+def _fit_grid(grid):
+    train = gen_gmm2d(TOY_MIXTURE, 8, substream(0, "toy-data"))
+    return fit_gaussian_grid(train, grid, LossSpec(), m=4, rng=substream(0, "f"))
+
+
 def test_grid_spec_validation():
-    with pytest.raises(ContractError):
-        GridSpec((), (0.0,), (0.3,), (0.3,))
-    with pytest.raises(ContractError):
-        GridSpec((0.0,), (0.0,), (0.0,), (0.3,))
-    assert GridSpec.default().size() == 9 * 9 * 10 * 10
+    """The grid is its two value lists: an empty list or a stddev that is
+    not positive is refused before any work."""
+    with pytest.raises(ContractError, match="mu_values must not be empty"):
+        _fit_grid(((), (0.3,)))
+    with pytest.raises(ContractError, match="sigma_values must not be empty"):
+        _fit_grid(((0.0,), ()))
+    for sigmas in ((0.0, 0.3), (0.3, -0.3)):
+        with pytest.raises(ContractError, match="sigma grid values must be positive"):
+            _fit_grid(((0.0,), sigmas))
+    assert len(TOY_MU_VALUES) ** 2 * len(TOY_SIGMA_VALUES) ** 2 == 9 * 9 * 10 * 10
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
-@pytest.mark.parametrize("axis", range(4))
-def test_grid_spec_rejects_non_finite(axis, bad):
-    axes = [(0.0, 1.0), (0.0, 1.0), (0.3, 1.0), (0.3, 1.0)]
-    axes[axis] = (axes[axis][0], bad)
-    with pytest.raises(ContractError, match="must be finite"):
-        GridSpec(*axes)
+@pytest.mark.parametrize("where", range(4))
+def test_grid_spec_rejects_non_finite(where, bad):
+    """A non-finite value at either end of either list is refused, naming
+    the list: `where` is (list, end) as 2 * list + end."""
+    lists = [[0.0, 1.0], [0.3, 1.0]]
+    lists[where // 2][where % 2] = bad
+    name = ("mu_values", "sigma_values")[where // 2]
+    with pytest.raises(ContractError, match=f"{name} must be finite"):
+        _fit_grid(lists)
 
 
-def _reference_grid_fit(y, grid, w, beta, gamma, eps):
+def _reference_grid_fit(y, axes, w, beta, gamma, eps):
     """The per-point loop the vectorized table replaces: every grid point
-    builds its samples and calls data_term and pair_term. Returns the table
-    and the first strict minimum in iteration order."""
-    axes = (grid.mu1_values, grid.mu2_values, grid.sigma1_values, grid.sigma2_values)
+    builds its samples and calls data_term and pair_term over the four
+    `axes` (mu1, mu2, sigma1, sigma2). Returns the table and the first
+    strict minimum in iteration order."""
     table = np.empty(tuple(len(a) for a in axes))
     best = None
     for idx in np.ndindex(table.shape):
@@ -247,28 +258,32 @@ def _reference_grid_fit(y, grid, w, beta, gamma, eps):
     return table, {key: a[i] for key, a, i in zip(FIT_KEYS, axes, best)}
 
 
-# Axes of different lengths, out of order, so a transposed or mis-raveled
-# table changes the shape or the chosen point.
-SHUFFLED_GRID = GridSpec(
-    mu1_values=(1.4, -1.4, 0.0),
-    mu2_values=(0.0, 1.4, -0.7, -1.4),
-    sigma1_values=(0.9, 0.3, 1.5, 0.6, 2.1),
-    sigma2_values=(1.5, 0.3, 0.9),
+# Axes (mu1, mu2, sigma1, sigma2) of different lengths, out of order, so a
+# transposed or mis-raveled table changes the shape or the chosen point.
+SHUFFLED_AXES = (
+    (1.4, -1.4, 0.0),
+    (0.0, 1.4, -0.7, -1.4),
+    (0.9, 0.3, 1.5, 0.6, 2.1),
+    (1.5, 0.3, 0.9),
 )
+# The fit's two lists, out of order: each is used on both of its axes.
+SHUFFLED_GRID = ((1.4, -1.4, 0.0), (0.9, 0.3, 1.5, 0.6))
 
 
 @pytest.mark.parametrize("loss", [LOSS_DIM1, LOSS_DIM2], ids=["dim1", "dim2"])
 @pytest.mark.parametrize("gamma", [0.0, 0.5])
 def test_fit_gaussian_grid_matches_point_loop(gamma, loss):
     w = loss.weight_vector(2)
+    mus, sigmas = SHUFFLED_GRID
     # (n, m): the usual case, one candidate pair, an odd m, and one data point
     for (n, m), seed in itertools.product([(60, 8), (60, 2), (60, 3), (1, 8)], (0, 1, 2)):
         y = gen_gmm2d(TOY_MIXTURE, n, substream(seed, "toy-data"))
         eps = substream(seed, "toy-fit").standard_normal((n, m, 2))
-        want_table, want_fit = _reference_grid_fit(y, SHUFFLED_GRID, w, loss.beta, gamma, eps)
-        table = _grid_table(y, SHUFFLED_GRID, w, loss.beta, gamma, eps)
+        want_table, _ = _reference_grid_fit(y, SHUFFLED_AXES, w, loss.beta, gamma, eps)
+        table = _grid_table(y, SHUFFLED_AXES, w, loss.beta, gamma, eps)
         assert table.shape == want_table.shape
         npt.assert_allclose(table, want_table, rtol=1e-13, atol=0.0)
+        _, want_fit = _reference_grid_fit(y, (mus, mus, sigmas, sigmas), w, loss.beta, gamma, eps)
         fit = fit_gaussian_grid(y, SHUFFLED_GRID, loss, gamma, m=m,
                                 rng=substream(seed, "toy-fit"))
         assert fit == want_fit
@@ -284,7 +299,7 @@ def test_fit_gaussian_grid_full_size_pinned(name, want):
     literals, so they do not follow the kernel under test."""
     loss = dict(TOY_LOSSES)[name]
     train = gen_gmm2d(TOY_MIXTURE, TOY_N, substream(0, "toy-data"))
-    fit = fit_gaussian_grid(train, GridSpec.default(), loss, TOY_GAMMA, TOY_M,
+    fit = fit_gaussian_grid(train, (TOY_MU_VALUES, TOY_SIGMA_VALUES), loss, TOY_GAMMA, TOY_M,
                             rng=substream(0, "toy-fit", name))
     assert fit == want
 
@@ -292,22 +307,17 @@ def test_fit_gaussian_grid_full_size_pinned(name, want):
 def test_fit_gaussian_grid_rejects_overflowing_point():
     """A sigma so large that the samples overflow makes that point's
     objective NaN; the fit names the point instead of choosing it."""
-    grid = GridSpec((0.0, 1.0), (0.0,), (1e308, 0.5), (0.5,))
+    grid = ((0.0, 1.0), (1e308, 0.5))
     train = gen_gmm2d(TOY_MIXTURE, 20, substream(0, "toy-data"))
     with pytest.raises(NumericError, match=r"'mu1': 0.0, 'mu2': 0.0, 'sigma1': 1e\+308"):
         fit_gaussian_grid(train, grid, LOSS_DIM1, m=4, rng=substream(0, "f"))
 
 
-SMALL_GRID = GridSpec(
-    mu1_values=(-1.4, 0.0, 1.4),
-    mu2_values=(-1.4, 0.0, 1.4),
-    sigma1_values=(0.3, 0.9, 1.5, 2.1),
-    sigma2_values=(0.3, 0.9, 1.5, 2.1),
-)
+SMALL_GRID = {"mu_values": (-1.4, 0.0, 1.4), "sigma_values": (0.3, 0.9, 1.5, 2.1)}
 
 
 def test_toy_cross_table_structure_and_aggregate():
-    result = toy_cross_table((0, 1), grid=SMALL_GRID, n_train=80, n_test=80, m=8)
+    result = toy_cross_table((0, 1), **SMALL_GRID, n_train=80, n_test=80, m=8)
     assert result["losses"] == ["dim1", "dim2"]
     assert [e["seed"] for e in result["per_seed"]] == [0, 1]
     for entry in result["per_seed"]:
@@ -323,7 +333,7 @@ def test_toy_cross_table_structure_and_aggregate():
 
 
 def test_toy_cross_table_deterministic():
-    a = toy_cross_table((3,), grid=SMALL_GRID, n_train=60, n_test=60, m=8)
-    b = toy_cross_table((3,), grid=SMALL_GRID, n_train=60, n_test=60, m=8)
+    a = toy_cross_table((3,), **SMALL_GRID, n_train=60, n_test=60, m=8)
+    b = toy_cross_table((3,), **SMALL_GRID, n_train=60, n_test=60, m=8)
     assert a["per_seed"][0]["fits"] == b["per_seed"][0]["fits"]
     assert a["aggregate"] == b["aggregate"]

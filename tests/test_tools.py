@@ -36,3 +36,15 @@ def test_compare_reads_bits(tmp_path, a, b, verdict):
     sign, a NaN against a number and a NaN against a NaN of the other sign
     are changes, each named; the same bits written differently are not."""
     assert _compare(tmp_path, a, b) == verdict
+
+
+def test_command_list_runs_every_subcommand(tmp_path, monkeypatch):
+    """The compared command list runs every ``disconet`` subcommand, so a new
+    subcommand cannot miss the byte comparison. The input writers are
+    stubbed: only the list is read."""
+    from disconet.cli import _COMMANDS
+
+    monkeypatch.setattr(same_artifacts.inputs, "write_csv", lambda *args: None)
+    monkeypatch.setattr(same_artifacts.inputs, "write_checkpoint", lambda *args: None)
+    commands = same_artifacts.write_inputs(tmp_path)
+    assert {argv[0] for _, argv in commands} == set(_COMMANDS)

@@ -6,13 +6,14 @@ Usage, from anywhere:
 
 PARENT and CHANGED are checkouts (each with a ``src/disconet``). The script
 writes one set of seeded inputs into the work directory (a fresh temporary
-one unless ``--work`` names a new one), then runs one fixed list of ``disconet``
-commands from each tree's ``src/``, each in a fresh Python process with one
-BLAS thread, and compares their artifacts: every file a command writes to
-``--out``, and the standard output of ``gradcheck``. For each artifact it
-prints ``identical``, or how many of its numbers differ with the largest
-absolute and relative difference, or where its text differs apart from the
-numbers. Numbers are compared by their float64 bits, so a zero whose sign
+one unless ``--work`` names a new one) with the benchmark's data generators
+and file writers, ``bench/inputs.py`` of the checkout that holds this
+script. It then runs one fixed list of ``disconet`` commands from each
+tree's ``src/``, each in a fresh Python process with one BLAS thread, and
+compares their artifacts: every file a command writes to ``--out``, and the
+standard output of ``gradcheck``. For each artifact it prints
+``identical``, or how many of its numbers differ with the largest absolute
+and relative difference, or where its text differs apart from the numbers. Numbers are compared by their float64 bits, so a zero whose sign
 changes and a NaN or infinity on either side count as changes, each named.
 The exit status is 0 when every artifact and exit code is the same, else 1.
 
@@ -41,8 +42,8 @@ Every command runs with ``--seed 1``.
 """
 
 import argparse
+import importlib.util
 import json
-import math
 import os
 import re
 import subprocess
@@ -65,44 +66,15 @@ C9_TRAIN = {"epochs": 2, "batch_size": 16, "seed": 0, "val_count": 8}
 C9_DATA = {"generator": "conditional_bimodal", "n": 48}
 EVAL = {"num_candidates": 32, "group_size": 3, "distances": [0.5, 1.0, 1.5, 2.0, 3.0]}
 
+_INPUTS = importlib.util.spec_from_file_location(
+    "bench_inputs", Path(__file__).resolve().parents[1] / "bench" / "inputs.py")
+inputs = importlib.util.module_from_spec(_INPUTS)
+_INPUTS.loader.exec_module(inputs)
+
 # A number standing alone: not part of a word such as a hex digest. NaN and
 # infinity count as numbers, as Python and JSON spell them.
 NUMBER = re.compile(r"(?<![\w.])[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
                     r"|(?i:nan|inf(?:inity)?))(?![\w.])")
-
-
-def bimodal(n, rng):
-    """y = +-(1 + x^2) + noise with x uniform on [-1, 1]."""
-    x = rng.uniform(-1.0, 1.0, size=(n, 1))
-    sign = rng.integers(0, 2, size=(n, 1)) * 2 - 1
-    return x, sign * (1.0 + x * x) + 0.1 * rng.standard_normal((n, 1))
-
-
-def pose(n, rng):
-    """42 outputs, two modes per x: y = a + b x +- c (1 + x^2) + noise."""
-    a, b, c = np.random.default_rng(20160606).normal(0.0, 0.5, size=(3, 42))
-    x = rng.uniform(-1.0, 1.0, size=(n, 1))
-    sign = (rng.integers(0, 2, size=(n, 1)) * 2 - 1).astype(np.float64)
-    return x, a + b * x + sign * c * (1.0 + x * x) + 0.1 * rng.standard_normal((n, 42))
-
-
-def write_csv(path, x, y):
-    rows = np.concatenate([x, y], axis=1)
-    path.write_text("\n".join(",".join(map(repr, row.tolist())) for row in rows) + "\n")
-
-
-def write_checkpoint(path, net, rng):
-    """The documented text format: a JSON header line, then per dense layer
-    the row-major weights and the bias, one value per line."""
-    enc = [net["x_dim"]] + net["encoder_widths"]
-    noise = net["z_dim"] if net["noise_enabled"] else 0
-    dec = [enc[-1] + noise] + net["decoder_widths"] + [net["y_dim"]]
-    values = []
-    for fi, fo in list(zip(enc, enc[1:])) + list(zip(dec, dec[1:])):
-        a = math.sqrt(6.0 / (fi + fo))
-        values += rng.uniform(-a, a, size=fi * fo).tolist() + rng.uniform(-0.1, 0.1, size=fo).tolist()
-    header = {"format": "disconet-params", "version": 1, "net": net}
-    path.write_text(json.dumps(header, sort_keys=True) + "\n" + "\n".join(map(repr, values)) + "\n")
 
 
 def write_config(path, doc):
@@ -114,12 +86,12 @@ def write_inputs(work):
     """Every input file, and the command list as (name, argv) pairs; an
     argv item ``{name}`` stands for that earlier command's output directory."""
     rng = np.random.default_rng([SEED, 16])
-    write_csv(work / "frames.csv", *pose(2000, rng))
-    write_csv(work / "desk.csv", *bimodal(1024, rng))
-    write_csv(work / "full.csv", *pose(448, rng))
-    write_checkpoint(work / "full.txt", FULL_NET, rng)
-    write_checkpoint(work / "noise_free.txt", dict(FULL_NET, noise_enabled=False), rng)
-    write_csv(work / "frames_1999.csv", *pose(1999, rng))
+    inputs.write_csv(work / "frames.csv", *inputs.pose(2000, rng))
+    inputs.write_csv(work / "desk.csv", *inputs.bimodal(1024, rng))
+    inputs.write_csv(work / "full.csv", *inputs.pose(448, rng))
+    inputs.write_checkpoint(work / "full.txt", FULL_NET, rng)
+    inputs.write_checkpoint(work / "noise_free.txt", dict(FULL_NET, noise_enabled=False), rng)
+    inputs.write_csv(work / "frames_1999.csv", *inputs.pose(1999, rng))
 
     def cfg(name, doc):
         return write_config(work / f"{name}.json", doc)
