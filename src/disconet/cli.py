@@ -239,10 +239,17 @@ def cmd_toy(config, args):
     # the keys of the toy section are the parameters of toy_cross_table
     result = toy_cross_table(**dict(config["toy"], gamma=float(config["toy"]["gamma"])))
     digest = config_hash(config)
-    names, aggregate = result["losses"], result["aggregate"]
-    header = ["train_loss"] + [f"task_{name}{end}" for name in names for end in ("", "_sem")]
-    # a cell is the (mean, sem) pair of one training loss under one task loss
-    rows = [[train] + [_fmt(v) for task in names for v in aggregate[train][task]] for train in names]
+    names = result["losses"]
+    header = ["train_loss"]
+    for name in names:
+        header += [f"task_{name}", f"task_{name}_sem"]
+    rows = []
+    for train_name in names:
+        row = [train_name]
+        for task_name in names:
+            value, sem = result["aggregate"][train_name][task_name]
+            row += [_fmt(value), _fmt(sem)]
+        rows.append(row)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "cross_table.csv", [f"config_sha256={digest}"], header, rows)

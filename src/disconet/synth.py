@@ -319,8 +319,12 @@ def toy_cross_table(seeds, mu_values=TOY_MU_VALUES, sigma_values=TOY_SIGMA_VALUE
         }
         for train_name in names
     }
-    dominant = all(aggregate[task][task][0] < aggregate[train][task][0]
-                   for task in names for train in names if train != task)
+    dominant = True
+    for task_name in names:
+        own = aggregate[task_name][task_name][0]
+        for train_name in names:
+            if train_name != task_name and not own < aggregate[train_name][task_name][0]:
+                dominant = False
     return {
         "losses": names,
         "per_seed": per_seed,
