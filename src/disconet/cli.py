@@ -169,19 +169,23 @@ def config_hash(config):
     return hashlib.sha256(canon.encode("utf8")).hexdigest()
 
 
-def _write_json(path, doc):
-    """Write standard JSON; a non-finite value is a NumericError, not a bare NaN token."""
+def _write_json(path, config, doc):
+    """Write `doc` and `config`'s ``config_sha256`` as standard JSON, making the
+    file's directory; a non-finite value is a NumericError, not a bare NaN token."""
     try:
-        text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+        text = json.dumps({"config_sha256": config_hash(config), **doc}, sort_keys=True,
+                          indent=2, allow_nan=False)
     except ValueError as exc:
         raise NumericError(f"{path}: {exc}") from exc
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     Path(path).write_text(text + "\n", encoding="utf8")
 
 
-def _write_csv(path, comments, header, rows):
-    lines = [f"# {c}" for c in comments]
-    lines.append(",".join(header))
+def _write_csv(path, config, header, rows):
+    """Write `config`'s ``# config_sha256=`` line, the header and the rows, making the directory."""
+    lines = [f"# config_sha256={config_hash(config)}", ",".join(header)]
     lines.extend(",".join(str(v) for v in row) for row in rows)
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf8")
 
 
@@ -189,26 +193,31 @@ def _fmt(x):
     return repr(float(x))
 
 
-def _train_and_score(config, data_override, checkpoint_dir=None):
-    """Train one model; returns ``(params, epochs, val)``.
+def _settings(config):
+    """The ``(NetConfig, TrainConfig)`` of `config`, each checked as it is built."""
+    net = NetConfig.from_dict(config["net"])
+    ob = config["objective"]
+    loss = LossSpec(beta=float(ob["beta"]), weights=tuple(ob["weights"]) if ob["weights"] else None)
+    objective = ObjectiveConfig(float(ob["gamma"]), ob["num_candidates"], loss)
+    return net, TrainConfig(objective=objective, **config["train"])
+
+
+def _train_and_score(config, net, tc, data_override, checkpoint_dir=None):
+    """Train one model on ``_settings(config)``; returns ``(params, epochs, val)``.
 
     ``val`` is the ``(value, sem)`` ProbLoss of the validation split, drawn
     from the "summary-eval" substream, or ``(None, None)`` when
     train.val_count is 0 or a single candidate per input leaves the energy
     score undefined.
     """
-    net = NetConfig.from_dict(config["net"])
-    ob, tc = config["objective"], config["train"]
-    loss = LossSpec(beta=float(ob["beta"]), weights=tuple(ob["weights"]) if ob["weights"] else None)
-    objective = ObjectiveConfig(float(ob["gamma"]), ob["num_candidates"], loss)
-    train_config = TrainConfig(objective=objective, **tc)
-    data = _load_xy(config, data_override, tc["seed"], net.x_dim, net.y_dim)
-    params, epochs = train(net, train_config, data, checkpoint_dir=checkpoint_dir)
-    if not tc["val_count"] or ob["num_candidates"] < 2:
+    k = tc.objective.num_candidates
+    data = _load_xy(config, data_override, tc.seed, net.x_dim, net.y_dim)
+    params, epochs = train(net, tc, data, checkpoint_dir=checkpoint_dir)
+    if not tc.val_count or k < 2:
         return params, epochs, (None, None)
-    (_, _), (x_val, y_val) = train_val_split(data, tc["val_count"], tc["seed"])
-    rng = substream(tc["seed"], "summary-eval")
-    outs = sample_outputs(params, x_val, ob["num_candidates"], rng)
+    (_, _), (x_val, y_val) = train_val_split(data, tc.val_count, tc.seed)
+    rng = substream(tc.seed, "summary-eval")
+    outs = sample_outputs(params, x_val, k, rng)
     return params, epochs, probloss_metric(outs, y_val)
 
 
@@ -238,7 +247,6 @@ def cmd_toy(config, args):
     """Fit the 2-D mixture under both weighted losses and cross-evaluate."""
     # the keys of the toy section are the parameters of toy_cross_table
     result = toy_cross_table(**dict(config["toy"], gamma=float(config["toy"]["gamma"])))
-    digest = config_hash(config)
     names = result["losses"]
     header = ["train_loss"]
     for name in names:
@@ -251,9 +259,8 @@ def cmd_toy(config, args):
             row += [_fmt(value), _fmt(sem)]
         rows.append(row)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "cross_table.csv", [f"config_sha256={digest}"], header, rows)
-    _write_json(out / "fitted_params.json", {"config_sha256": digest, **result})
+    _write_csv(out / "cross_table.csv", config, header, rows)
+    _write_json(out / "fitted_params.json", config, result)
     verdict = "holds" if result["diagonal_dominance"] else "fails"
     print(f"toy: cross table written to {out}/cross_table.csv; diagonal dominance {verdict}")
     return 0 if result["diagonal_dominance"] else 1
@@ -261,14 +268,12 @@ def cmd_toy(config, args):
 
 def cmd_train(config, args):
     """Train one model and write checkpoint, history, and summary."""
-    params, epochs, val = _train_and_score(config, args.data, checkpoint_dir=args.out)
+    params, epochs, val = _train_and_score(config, *_settings(config), args.data, args.out)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    digest = config_hash(config)
     params.save(out / "checkpoint.txt")
     _write_csv(
         out / "history.csv",
-        [f"config_sha256={digest}"],
+        config,
         ["epoch", "train_objective", "val_objective", "train_pq", "train_qq"],
         [
             [e.epoch, _fmt(e.train_objective), _fmt(e.val_objective), _fmt(e.train_pq),
@@ -278,7 +283,6 @@ def cmd_train(config, args):
     )
     final = epochs[-1]
     summary = {
-        "config_sha256": digest,
         "epochs": len(epochs),
         "final_train_objective": final.train_objective,
         "final_val_objective": None if math.isnan(final.val_objective) else final.val_objective,
@@ -286,7 +290,7 @@ def cmd_train(config, args):
         "val_probloss": val[0],
         "val_probloss_sem": val[1],
     }
-    _write_json(out / "summary.json", summary)
+    _write_json(out / "summary.json", config, summary)
     seconds = sum(e.seconds for e in epochs)
     print(
         f"train: {len(epochs)} epochs in {seconds:.1f}s, "
@@ -322,13 +326,11 @@ def cmd_eval(config, args):
               for s in range(0, x.shape[0], EVAL_BLOCK))
     pointwise = point if ev["zero_noise"] else None
     doc = metrics_report(blocks, y, ev["group_size"], ev["distances"], pointwise_preds=pointwise)
-    digest = doc["config_sha256"] = config_hash(config)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "metrics.json", doc)
+    _write_json(out / "metrics.json", config, doc)
     _write_csv(
         out / "metrics.csv",
-        [f"config_sha256={digest}"],
+        config,
         ["metric", "value", "sem"],
         report_rows(doc),
     )
@@ -342,29 +344,32 @@ def cmd_gradcheck(config, args):
     gc = config["gradcheck"]
     if not gc["tolerance"] > 0:
         raise ConfigError(f"gradcheck.tolerance must be > 0, got {gc['tolerance']}")
+    for key in ("num_examples", "num_candidates"):
+        if gc[key] < 1:
+            raise ConfigError(f"gradcheck.{key} must be >= 1, got {gc[key]}")
     n, k = gc["num_examples"], gc["num_candidates"]
+    objectives = [(gamma, beta, ObjectiveConfig(float(gamma), k, LossSpec(beta=float(beta))))
+                  for gamma in gc["gammas"] for beta in gc["betas"]]
     rng = substream(gc["seed"], "gradcheck-data")
     x = rng.uniform(-1.0, 1.0, size=(n, net.x_dim))
     y = rng.uniform(-1.0, 1.0, size=(n, net.y_dim))
     noises = draw_noise(net, n, k, rng)
     params = init_params(net, derive_seed(gc["seed"], "gradcheck-init"))
     worst = 0.0
-    for gamma in gc["gammas"]:
-        for beta in gc["betas"]:
-            objective = ObjectiveConfig(float(gamma), k, LossSpec(beta=float(beta)))
+    for gamma, beta, objective in objectives:
 
-            def f(flat):
-                p = NetworkParams.from_flat(net, flat)
-                _, _, value, grad = objective_terms(p, x, y, noises, objective)
-                return value, grad
+        def f(flat):
+            p = NetworkParams.from_flat(net, flat)
+            _, _, value, grad = objective_terms(p, x, y, noises, objective)
+            return value, grad
 
-            err, again = grad_check_detail(f, params.to_flat(), float(gc["step"]),
-                                           float(gc["tolerance"]))
-            worst = max(worst, err)
-            print(f"gradcheck: gamma={gamma:g} beta={beta:g} max_rel_err={err:.3e}")
-            if again:
-                print(f"gradcheck: gamma={gamma:g} beta={beta:g} measured {again} coordinates "
-                      "again, whose slopes sit below the step's roundoff")
+        err, again = grad_check_detail(f, params.to_flat(), float(gc["step"]),
+                                       float(gc["tolerance"]))
+        worst = max(worst, err)
+        print(f"gradcheck: gamma={gamma:g} beta={beta:g} max_rel_err={err:.3e}")
+        if again:
+            print(f"gradcheck: gamma={gamma:g} beta={beta:g} measured {again} coordinates "
+                  "again, whose slopes sit below the step's roundoff")
     ok = worst < float(gc["tolerance"])
     print(f"gradcheck: worst {worst:.3e} vs tolerance {gc['tolerance']:g}: "
           + ("PASS" if ok else "FAIL"))
@@ -377,22 +382,22 @@ def cmd_sweep(config, args):
         raise ConfigError("sweep needs train.val_count >= 1 to select by validation probloss")
     if config["objective"]["num_candidates"] < 2:
         raise ConfigError("sweep needs objective.num_candidates >= 2 to score validation probloss")
-    digest = config_hash(config)
+    runs = [dict(config, train=dict(config["train"], seed=seed, l2=l2))
+            for seed in config["sweep"]["seeds"] for l2 in config["sweep"]["l2_values"]]
+    settings = [_settings(run) for run in runs]  # every run is checked before the first trains
     rows = []
     best = None
-    for seed in config["sweep"]["seeds"]:
-        for l2 in config["sweep"]["l2_values"]:
-            run = dict(config, train=dict(config["train"], seed=seed, l2=l2))
-            params, epochs, (value, sem) = _train_and_score(run, args.data)
-            rows.append([seed, _fmt(l2), _fmt(epochs[-1].val_objective), _fmt(value), _fmt(sem)])
-            print(f"sweep: seed={seed} l2={l2:g} val_probloss={value:.6f}")
-            if best is None or value < best[0]:
-                best = (value, sem, seed, l2, params)
+    for run, (net, tc) in zip(runs, settings):
+        seed, l2 = tc.seed, tc.l2
+        params, epochs, (value, sem) = _train_and_score(run, net, tc, args.data)
+        rows.append([seed, _fmt(l2), _fmt(epochs[-1].val_objective), _fmt(value), _fmt(sem)])
+        print(f"sweep: seed={seed} l2={l2:g} val_probloss={value:.6f}")
+        if best is None or value < best[0]:
+            best = (value, sem, seed, l2, params)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     _write_csv(
         out / "sweep.csv",
-        [f"config_sha256={digest}"],
+        config,
         ["seed", "l2", "final_val_objective", "val_probloss", "val_probloss_sem"],
         rows,
     )
@@ -400,8 +405,8 @@ def cmd_sweep(config, args):
     params.save(out / "best_checkpoint.txt")
     _write_json(
         out / "best.json",
+        config,
         {
-            "config_sha256": digest,
             "seed": seed,
             "l2": l2,
             "val_probloss": value,

@@ -16,8 +16,8 @@ sampler run through it, eval's blocks of frames (``cli.cmd_eval``) too.
 """
 
 import json
-import math
 from dataclasses import dataclass, fields
+from pathlib import Path
 
 import numpy as np
 
@@ -146,13 +146,14 @@ class NetworkParams:
         Line 1 is a JSON header carrying the format name, version, and the
         architecture; every following line is one flat-view value printed
         with 17 significant digits (``%.17g``), which round-trip every
-        float64 exactly.
+        float64 exactly. The file's directory is made if it is missing.
         """
         header = {
             "format": PARAMS_FORMAT,
             "version": PARAMS_VERSION,
             "net": self.config.to_dict(),
         }
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", encoding="utf8") as fh:
             fh.write(json.dumps(header, sort_keys=True) + "\n")
             # in blocks: a full-scale checkpoint's lines are some 20 MB of Python
@@ -190,7 +191,7 @@ def init_params(config, seed):
     rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
     flat = np.zeros(config.param_count())
     for w, _ in layer_views(config, flat):
-        a = math.sqrt(6.0 / sum(w.shape))
+        a = np.sqrt(6.0 / sum(w.shape))
         w[...] = rng.uniform(-a, a, size=w.shape)
     return NetworkParams(config, flat)
 
@@ -258,23 +259,18 @@ def draw_noise(config, n, k, rng, work=None):
     an array kept in `work` as in ``layer_walk`` until the next draw of its
     shape. A noise-free net's draw is empty, kept nowhere, and draws nothing."""
     z = rng.random(out=_held(work if config.noise_enabled else None, (n, k, "noise"),
-                             lambda: np.empty((n, k, config.noise_dim))))
+                             (n, k, config.noise_dim), float))
     return np.subtract(np.multiply(z, 2.0, out=z), 1.0, out=z)  # -1 + 2 u, as uniform computes it
 
 
-def _held(work, key, make):
-    """``work[key]``, made by ``make()`` on first use, or a fresh ``make()``
-    when `work`, the dict of arrays a caller holds across walks, is None."""
+def _held(work, key, shape, dtype):
+    """``work[key]``, an empty array of `shape` and `dtype` made on first use,
+    or a fresh one when `work`, a caller's dict of arrays kept across walks, is None."""
     if work is None:
-        return make()
+        return np.empty(shape, dtype)
     if key not in work:
-        work[key] = make()
+        work[key] = np.empty(shape, dtype)
     return work[key]
-
-
-def _view(buf, shape):
-    """The first prod(shape) values of the vector `buf`, in that shape."""
-    return buf[: math.prod(shape)].reshape(shape)
 
 
 def layer_walk(params, x, z=None, k=1, work=None):
@@ -315,10 +311,10 @@ def layer_walk(params, x, z=None, k=1, work=None):
     for li, (w, b) in enumerate(params.layers):
         if pre is not None:
             h = np.maximum(pre, 0.0, out=pre)
-        pre = _held(work, (n, k, li), lambda: np.empty((n if li < join else n * k, w.shape[1])))
+        pre = _held(work, (n, k, li), (n if li < join else n * k, w.shape[1]), float)
         if li == join:
             h_w = h.shape[1]
-            part = _held(work, (n, k, "part"), lambda: np.empty((n, w.shape[1])))
+            part = _held(work, (n, k, "part"), (n, w.shape[1]), float)
             np.add(np.matmul(h, w[:h_w], out=part), b, out=part)
             candidates = np.matmul(z, w[h_w:], out=pre).reshape(n, k, -1)
             candidates += part[:, None, :]
@@ -335,14 +331,13 @@ def walk_back(params, inputs, delta, work=None):
     yielded and a `delta` shaped like its output. ReLU has derivative 0 at
     0, and its input is positive exactly where its output is. At the join
     layer the gradient is summed over each input's K candidates, so the
-    layers before it run on n rows. The gradient vector, two delta arrays
-    used in turn and one ReLU mask are kept in `work` as in ``layer_walk``."""
+    layers before it run on n rows. Each array it writes is one of its own:
+    the gradient, that sum, and each layer's delta and ReLU mask, kept in
+    `work` as in ``layer_walk``."""
     join = len(params.config.encoder_widths)
     n = inputs[join][0].shape[0]
-    most = max([h[0].size if li == join else h.size for li, h in enumerate(inputs)][1:], default=0)
-    size = max(most, n * params.layers[join][0].shape[1])  # or the join's sum over K
-    grad, spare, other, mask = _held(work, (n, delta.shape[0] // n, "back"), lambda: (
-        np.empty(params.size), np.empty(size), np.empty(size), np.empty(most, dtype=bool)))
+    k = delta.shape[0] // n
+    grad = _held(work, (n, k, "grad"), params.size, float)
     views = layer_views(params.config, grad)
     for li in range(len(inputs) - 1, -1, -1):
         h, w = inputs[li], params.layers[li][0]
@@ -352,17 +347,17 @@ def walk_back(params, inputs, delta, work=None):
             # h is shared by an input's K candidates, z is drawn per candidate
             h, zj = h
             h_w = h.shape[1]
-            ds = _view(spare, (n, delta.shape[1]))
+            ds = _held(work, (n, k, "sum"), (n, delta.shape[1]), float)
             np.sum(delta.reshape(n, -1, delta.shape[1]), axis=1, out=ds)
             np.matmul(h.T, ds, out=gw[:h_w])
             np.matmul(zj.T, delta, out=gw[h_w:])
-            delta, w, spare, other = ds, w[:h_w], other, spare
+            delta, w = ds, w[:h_w]
         else:
             np.matmul(h.T, delta, out=gw)
         if li > 0:
-            nxt = np.matmul(delta, w.T, out=_view(spare, h.shape))
-            delta = np.multiply(nxt, np.greater(h, 0.0, out=_view(mask, h.shape)), out=nxt)
-            spare, other = other, spare
+            nxt = np.matmul(delta, w.T, out=_held(work, (n, k, li, "delta"), h.shape, float))
+            mask = _held(work, (n, k, li, "mask"), h.shape, bool)
+            delta = np.multiply(nxt, np.greater(h, 0.0, out=mask), out=nxt)
     return grad
 
 

@@ -176,6 +176,5 @@ def train(net_config, train_config, data, checkpoint_dir=None):
         )
         if checkpoint_dir is not None and cfg.checkpoint_every:
             if epoch % cfg.checkpoint_every == 0:
-                Path(checkpoint_dir).mkdir(parents=True, exist_ok=True)
                 params.save(Path(checkpoint_dir) / f"checkpoint_epoch_{epoch}.txt")
     return NetworkParams(net_config, flat), epochs

@@ -914,7 +914,7 @@ def test_duplicate_config_key_exit_2(tmp_path, capsys):
 def test_write_json_rejects_non_finite(tmp_path):
     path = tmp_path / "doc.json"
     with pytest.raises(NumericError):
-        _write_json(path, {"value": float("nan")})
+        _write_json(path, {"schema_version": 1}, {"value": float("nan")})
     assert not path.exists()
 
 
@@ -992,6 +992,57 @@ def test_gradcheck_tolerance_not_positive_exit_2(tmp_path, capsys, tolerance):
     captured = capsys.readouterr()
     assert captured.err == f"error: gradcheck.tolerance must be > 0, got {tolerance}\n"
     assert captured.out == ""
+
+
+# a one-output net, as the refusals below were first seen on
+_GRADCHECK_NET = {"x_dim": 1, "y_dim": 1, "encoder_widths": [4], "decoder_widths": [4]}
+
+
+@pytest.mark.parametrize("key, value", [
+    ("num_examples", -1), ("num_examples", 0), ("num_candidates", -2), ("num_candidates", 0),
+])
+def test_gradcheck_sizes_below_one_exit_2(tmp_path, capsys, key, value):
+    """A size below 1 is a config error naming its key, before any work."""
+    doc = {"net": dict(_GRADCHECK_NET), "gradcheck": {key: value}}
+    assert main(["gradcheck", "--config", write_config(tmp_path / "gc.json", doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: gradcheck.{key} must be >= 1, got {value}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("section, message", [
+    ({"betas": [1.0, 2.5]}, "beta must lie strictly inside (0, 2), got 2.5"),
+    ({"num_candidates": 1}, "gamma > 0 needs at least two candidates per input"),
+], ids=["beta", "k1"])
+def test_gradcheck_refuses_an_objective_before_the_first_check(tmp_path, capsys, section,
+                                                               message):
+    """Every (gamma, beta) objective is built before the first draw, so a bad
+    one late in the grid is refused with nothing printed to stdout."""
+    doc = {"net": dict(_GRADCHECK_NET), "gradcheck": section}
+    assert main(["gradcheck", "--config", write_config(tmp_path / "gc.json", doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+def test_sweep_refuses_a_bad_run_before_training(tmp_path, capsys, monkeypatch):
+    """A negative L2 value late in the grid is refused before the first run
+    trains: exit 2, nothing on stdout and no --out."""
+    import disconet.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli, "train", lambda *args, **kwargs: calls.append(args))
+    doc = train_doc()
+    doc["sweep"] = {"seeds": [0], "l2_values": [0.001, -1.0]}
+    out = tmp_path / "o"
+    code = main(["sweep", "--config", write_config(tmp_path / "sweep.json", doc),
+                 "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: l2 must be non-negative\n"
+    assert captured.out == ""
+    assert calls == []
+    assert not out.exists()
 
 
 def test_sweep_requires_validation(tmp_path):
@@ -1151,3 +1202,56 @@ for metric, targets in spans.TIMED.items():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == ""
+
+
+def test_bench_tracer_hooks_leave_runs_unchanged(tmp_path):
+    """The benchmark's tracer, installed as ``bench/worker.py`` installs it,
+    wraps the package's functions without changing a run: a tiny toy, train
+    and eval of that checkpoint exit and write as they do untraced, and the
+    grid hook counts the toy grid's points (two fits of 2 x 2 means and 2 x 2
+    stddevs)."""
+    root = Path(__file__).resolve().parents[1]
+    toy = write_config(tmp_path / "toy.json", {"toy": {
+        "seeds": [0], "n_train": 20, "n_test": 20, "m": 4,
+        "mu_values": [-1.0, 1.0], "sigma_values": [0.5, 1.0]}})
+    train_cfg = write_config(tmp_path / "train.json", train_doc())
+    eval_cfg = write_config(tmp_path / "eval.json",
+                            {"data": dict(SMALL_DATA), "eval": {"num_candidates": 4}})
+
+    def runs(out):
+        return [
+            ["toy", "--config", toy, "--out", str(out / "toy")],
+            ["train", "--config", train_cfg, "--out", str(out / "train")],
+            ["eval", "--config", eval_cfg, "--out", str(out / "eval"),
+             "--checkpoint", str(out / "train" / "checkpoint.txt")],
+        ]
+
+    script = """
+import importlib.util, json, sys
+import disconet
+import disconet.cli
+spec = importlib.util.spec_from_file_location("bench_spans", sys.argv[1])
+spans = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(spans)
+tracer = spans.Tracer()
+tracer.install("disconet")
+codes = [disconet.cli.main(argv) for argv in json.loads(sys.argv[3])]
+with open(sys.argv[2], "w") as fh:
+    json.dump({"codes": codes, "grid_points": tracer.report()["synth.grid_points"]}, fh)
+"""
+    result = tmp_path / "traced.json"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(root / "bench" / "spans.py"), str(result),
+         json.dumps(runs(tmp_path / "traced"))],
+        env={**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"},
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    traced = json.loads(result.read_text())
+    assert traced["codes"] == [main(argv) for argv in runs(tmp_path / "plain")]
+    assert traced["grid_points"] == 2 * 2 ** 2 * 2 ** 2
+    files = [sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file())
+             for out in (tmp_path / "plain", tmp_path / "traced")]
+    assert files[0] == files[1] and len(files[0]) == 7
+    for name in files[0]:
+        assert (tmp_path / "traced" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()

@@ -308,11 +308,15 @@ ORACLE_CASES = [
     (dict(gamma=0.5, weights=(2.7,)), dict(y_dim=1)),
     (dict(gamma=0.5, beta=0.5), dict(y_dim=1)),
     (dict(gamma=0.5), dict(y_dim=1, noise_enabled=False)),
+    # two encoder layers: the walk back runs on n rows on both sides of one
+    (dict(gamma=0.5), dict(encoder_widths=(4, 3))),
+    (dict(gamma=0.5), dict(encoder_widths=(4, 3), noise_enabled=False)),
 ]
 ORACLE_IDS = [f"gamma{c['gamma']}-beta{c['beta']}" for c, _ in ORACLE_CASES[:9]] + [
     "weights", "no-encoder", "noise-disabled", "batch-1", "k1-gamma0",
     "no-decoder", "no-encoder-noise-disabled", "y1-gamma0.25-beta1.0",
     "y1-gamma0.5-beta1.0", "y1-weights", "y1-beta0.5", "y1-noise-disabled",
+    "two-encoder", "two-encoder-noise-disabled",
 ]
 
 
@@ -351,6 +355,30 @@ def test_objective_terms_match_graph_oracle(case, net_kw):
     npt.assert_allclose(qq, div_qq_hat(outs.reshape(n, k, -1), loss), **tol)
     if not net.noise_enabled:
         assert qq == 0.0  # coincident candidates: every pair sits at the singularity
+
+
+@pytest.mark.parametrize("noise", [True, False], ids=["noise", "noise-disabled"])
+def test_objective_terms_workspace_is_bitwise(noise):
+    """With a workspace, cold and then warm after a walk over other data of
+    the same shape, objective_terms returns bitwise the value and gradient it
+    returns without one, on a net with layers on both sides of the join."""
+    n, k = 5, 4
+    net = NetConfig(x_dim=2, y_dim=2, z_dim=3, encoder_widths=(4, 3), decoder_widths=(5, 4),
+                    noise_enabled=noise)
+    cfg = ObjectiveConfig(gamma=0.5, num_candidates=k)
+    params = init_params(net, seed=17)
+    rng = np.random.default_rng(17)
+    batches = [(rng.normal(size=(n, 2)), rng.normal(size=(n, 2)),
+                rng.uniform(-1.0, 1.0, size=(n, k, 3))) for _ in range(2)]
+    _, _, value, grad = objective_terms(params, *batches[0], cfg)
+    work = {}
+    _, _, cold_value, cold = objective_terms(params, *batches[0], cfg, work)
+    cold = cold.copy()
+    objective_terms(params, *batches[1], cfg, work)
+    _, _, warm_value, warm = objective_terms(params, *batches[0], cfg, work)
+    assert cold_value == warm_value == value
+    for got in (cold, warm):
+        assert got.view(np.uint64).tolist() == grad.view(np.uint64).tolist()
 
 
 @pytest.mark.parametrize("y_dim", [1, 2])
