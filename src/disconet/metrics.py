@@ -106,9 +106,9 @@ def _pearson_fold(outs, group_size, sums, counts):
     denom = np.sqrt(ss[:, :, None] * ss[:, None, :])
     with np.errstate(invalid="ignore", divide="ignore"):
         r = np.where(mask, (c.transpose(0, 2, 1) @ c) / np.where(denom > 0.0, denom, 1.0), 0.0)
-    for r_f, mask_f in zip(np.clip(r, -1.0, 1.0) * mask, mask):  # one frame at a time, in order
-        sums += r_f
-        counts += mask_f
+    # one sum over the frame axis, outermost, so frame after frame in order
+    np.add.reduce(np.concatenate([sums[None], np.clip(r, -1.0, 1.0) * mask]), axis=0, out=sums)
+    counts += mask.sum(axis=0)
 
 
 def _fold(outs, gts, meu, group_size=None):

@@ -131,24 +131,28 @@ def _pair_shifts(g, w, s):
     """The pair kernel: for each shift t = 1 .. K//2, one subtraction gives
     d_a = g_a - g_b, b = a + t mod K, for the candidates g (..., K, y_dim);
     its squared norms v_a (one gemv per K-row slab) go to s[..., a, b] and
-    s[..., b, a] of the (..., K, K) `s`; it yields (t, m, d, v), and d may be
-    overwritten. At t = K/2 only the m = K/2 rows a < K/2 are written: each
-    unordered pair is computed once, so s is exactly symmetric."""
+    s[..., b, a] of the C-contiguous (..., K, K) `s`, through strided views
+    of the circulant diagonals of its flat (..., K*K) form; it yields (t, m,
+    d, v), and d may be overwritten. At t = K/2 only the m = K/2 rows a < K/2
+    are written: each unordered pair is computed once, so s is exactly
+    symmetric."""
     k = g.shape[-2]
-    a = np.arange(k)
-    s[..., a, a] = 0.0
+    flat = s.reshape(s.shape[:-2] + (k * k,))
+    flat[..., ::k + 1] = 0.0
     ring, d = np.concatenate([g, g[..., :k // 2, :]], axis=-2), np.empty(g.shape)
     for t in range(1, k // 2 + 1):
         v = sq_norm(np.subtract(g, ring[..., t:t + k, :], out=d), w)
-        m = k - t if 2 * t == k else k
-        b = (a[:m] + t) % k
-        s[..., a[:m], b] = s[..., b, a[:m]] = v[..., :m]
+        m, j = k - t if 2 * t == k else k, k - t
+        # s[a, a + t] and s[a + t, a] for a < j = K - t; s[a, a - j] and s[a - j, a] after
+        for start, rows in ((t, v[..., :j]), (t * k, v[..., :j]), (j * k, v[..., j:m]),
+                            (j, v[..., j:m])):
+            flat[..., start:start + rows.shape[-1] * (k + 1):k + 1] = rows
         yield t, m, d, v
 
 
 def pair_sq_norms(g, w, out=None):
     """The (..., K, K) squared norms sum_i w_i (g_a - g_b)_i^2 of candidates
-    g (..., K, y_dim) from the pair kernel, into `out` when given."""
+    g (..., K, y_dim) from the pair kernel, into a C-contiguous `out` if given."""
     s = np.empty(g.shape[:-1] + g.shape[-2:-1]) if out is None else out
     for _ in _pair_shifts(g, w, s):
         pass

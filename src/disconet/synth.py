@@ -2,13 +2,17 @@
 
 The 2-D mixture task: data from a two-component diagonal Gaussian mixture
 is fitted by a single diagonal Gaussian under different weighted losses by
-exhaustive grid search on the sampled dissimilarity estimate. Evaluating
-each fitted model under each loss gives a cross table whose diagonal
-should dominate: training under a loss wins when judged by that loss.
+the exact argmin of the sampled dissimilarity estimate over a grid.
+Evaluating each fitted model under each loss gives a cross table whose
+diagonal should dominate: training under a loss wins when judged by that loss.
 
 Common random numbers: all grid points see the same standard-normal draws,
 so the argmin is stable at small sample counts and ties are broken by grid
-iteration order alone.
+iteration order alone. The argmin is found by branch and bound: a point's
+value, the powers of its summed axis terms less the diversity term, is at
+least that of its larger axis alone, times 1 - BOUND_MARGIN for pow and sum
+rounding. Points are computed as full table rows in ascending bound order
+until a bound exceeds the least value, so the result is the table's first minimum.
 """
 
 import math
@@ -25,6 +29,7 @@ TOY_GAMMA = 0.5
 TOY_M = 24  # model samples per data point
 TOY_N = 400  # train and test points per seed
 BIMODAL_NOISE_SIGMA = 0.1
+BOUND_MARGIN = 1e-9  # relative margin of fit_gaussian_grid's lower bound
 
 
 def _read_only(values):
@@ -116,81 +121,62 @@ def _toy_inputs(name, data, loss, gamma, m, rng):
     return y, rng.standard_normal((y.shape[0], m, 2)), loss.weight_vector(2)
 
 
-def _grid_table(y, axes, w, beta, gamma, eps):
-    """Sampled dissimilarity of every grid point against the data `y` (n, 2),
-    with model samples mu + sigma * eps for the shared draws `eps` (n, m, 2).
-
-    `axes` holds the candidate values of (mu1, mu2, sigma1, sigma2); returns
-    the C-ordered array over them. The squared norm of a difference is an
-    axis-1 term, set by (mu1, sigma1), plus an axis-2 term, set by (mu2,
-    sigma2): the axis-1 terms of all mu1 values are built once per sigma1,
-    those of all mu2 values once per sigma pair, and each grid point only
-    adds the two.
-
-    Reduction order: a point's data term is one sum over its n * m
-    contiguous values, divided by n * m; it is not a mean over m and then
-    over n. The diversity term depends on the sigmas alone. The weighted
-    squared differences w_i (eps_a - eps_b)^2 of each axis are built once
-    per fit, for the candidate pairs a < b only. Each sigma pair scales
-    them by sigma_i^2, adds the two axes and sums the beta/2 powers over
-    all n and all pairs. Doubling that sum counts the pairs a > b. A
-    point's value is its data sum over n * m less gamma times the doubled
-    pair sum over n * m * (m - 1).
-
-    Values match the per-point form, the mean over n of data_term less
-    gamma * pair_term, to a few ulp and not bitwise: the axis terms are
-    added by one `+` where sq_norm's matmul sums them its own way, sigma
-    scales the difference of the draws rather than each sample, and the
-    sums run in another order.
-    """
-    n, m = eps.shape[:2]
-    mu1_values, mu2_values, sigma1_values, sigma2_values = axes
-    mu1 = np.asarray(mu1_values)[:, None, None]
-    mu2 = np.asarray(mu2_values)[:, None, None]
-    e1, e2 = np.moveaxis(eps, -1, 0).copy()
-    table = np.empty(tuple(len(values) for values in axes))
-    half = beta / 2.0
-    if gamma > 0.0:
-        a, b = np.triu_indices(m, 1)
-        pairs1 = axis_sq(e1[:, a] - e1[:, b], w[0])
-        pairs2 = axis_sq(e2[:, a] - e2[:, b], w[1])
-        scaled1 = np.empty_like(pairs1)
-        sq = np.empty_like(pairs2)
-        pair_scale = gamma * 2.0 / (n * m * (m - 1))
-    term1 = np.empty((mu1.shape[0], n, m))
-    term2 = np.empty((mu2.shape[0], n, m))
-    point = np.empty_like(term1)
-    rows = point.reshape(mu1.shape[0], n * m)
-    diversity = 0.0
-    for i, s1 in enumerate(sigma1_values):
-        _axis_terms(y[:, :1], mu1, s1, e1, w[0], term1)
-        if gamma > 0.0:
-            np.multiply(pairs1, s1 * s1, out=scaled1)
-        for j, s2 in enumerate(sigma2_values):
-            _axis_terms(y[:, 1:], mu2, s2, e2, w[1], term2)
-            if gamma > 0.0:
-                np.multiply(pairs2, s2 * s2, out=sq)
-                sq += scaled1
-                sq **= half
-                diversity = pair_scale * sq.sum()
-            for k in range(mu2.shape[0]):
-                np.add(term1, term2[k], out=point)
-                point **= half
-                table[:, k, i, j] = rows.sum(axis=-1) / (n * m) - diversity
-    return table
-
-
 def _axis_terms(y_i, mu, s, e_i, w_i, out):
     """axis_sq(y_i - (mu + s * e_i), w_i) into `out`, for the (n, 1) data
     column y_i, the (p, 1, 1) candidate means mu of one axis, its sigma s and
-    the (n, m) draws e_i: the axis terms of all p means, shape (p, n, m)."""
+    the (n, m) draws e_i: the axis terms of all p means, shape (p, n, m), or
+    bitwise the same (n, m) terms of one mean for a scalar mu."""
     np.add(mu, s * e_i, out=out)
     np.subtract(y_i, out, out=out)
     return axis_sq(out, w_i, out=out)
 
 
+def _diversities(e, w, sigma_values, half, gamma):
+    """gamma times the pair term of every (sigma1, sigma2) pair, shape (q, q),
+    for the (2, n, m) draws e: w_i (e_ia - e_ib)^2 of each axis is built once
+    for the pairs a < b, scaled by each sigma_i^2 and the two axes added; the
+    sum of their beta/2 powers is doubled to count the pairs a > b."""
+    (n, m), q = e.shape[1:], len(sigma_values)
+    out = np.zeros((q, q))
+    if gamma > 0.0:
+        a, b = np.triu_indices(m, 1)
+        pairs1, pairs2 = (axis_sq(e_i[:, a] - e_i[:, b], w_i) for e_i, w_i in zip(e, w))
+        scaled1, sq = np.empty_like(pairs1), np.empty_like(pairs2)
+        pair_scale = gamma * 2.0 / (n * m * (m - 1))
+        for i, s1 in enumerate(sigma_values):
+            np.multiply(pairs1, s1 * s1, out=scaled1)
+            for j, s2 in enumerate(sigma_values):
+                np.multiply(pairs2, s2 * s2, out=sq)
+                sq += scaled1
+                sq **= half
+                out[i, j] = pair_scale * sq.sum()
+    return out
+
+
+def _grid_bounds(y, e, w, mu_values, sigma_values, half, gamma):
+    """The lower bounds of all grid points' values (see fit_gaussian_grid),
+    C-ordered over (mu1, mu2, sigma1, sigma2); the (q, q) diversities; and the
+    C-ordered flat indices of the points whose largest axis terms or diversity
+    may make them non-finite, for the (n, 2) data y and (2, n, m) draws e."""
+    p, (n, m) = len(mu_values), e.shape[1:]
+    mu, terms = np.asarray(mu_values)[:, None, None], np.empty((p, n, m))
+    rows = terms.reshape(p, n * m)
+    sums, most = np.empty((2, 2, p, len(sigma_values)))  # [axis, mu, sigma]
+    for i, j in np.ndindex(sums.shape[0], sums.shape[-1]):
+        _axis_terms(y[:, i:i + 1], mu, sigma_values[j], e[i], w[i], terms)
+        most[i, :, j] = rows.max(axis=-1)
+        terms **= half
+        sums[i, :, j] = rows.sum(axis=-1)
+    diversity = _diversities(e, w, sigma_values, half, gamma)
+    # twice the largest sum a point's powers can reach: not finite where one may overflow
+    most = (most[0][:, None, :, None] + most[1][None, :, None, :]) ** half * (2 * n * m)
+    bound = np.maximum(sums[0][:, None, :, None], sums[1][None, :, None, :])
+    bound = bound * (1.0 - BOUND_MARGIN) / (n * m) - diversity
+    return bound, diversity, np.flatnonzero(~np.isfinite(most + diversity))
+
+
 def fit_gaussian_grid(train, grid, loss, gamma=TOY_GAMMA, m=TOY_M, *, rng):
-    """Exhaustive argmin of the sampled dissimilarity over the grid.
+    """Exact argmin of the sampled dissimilarity over the grid, by branch and bound.
 
     Parameters
     ----------
@@ -206,11 +192,22 @@ def fit_gaussian_grid(train, grid, loss, gamma=TOY_GAMMA, m=TOY_M, *, rng):
     rng : numpy Generator
         Source of the standard-normal draws shared by all grid points.
 
-    Returns the fitted point as a dict of the FIT_KEYS. Ties keep the
-    earliest grid point in iteration order: the first minimum of the
-    C-ordered (mu1, mu2, sigma1, sigma2) table, the last axis fastest. A
-    grid point whose objective is not finite (a sigma so large that the
-    samples overflow) raises NumericError naming it.
+    A point's value is sum((A + B) ** (beta/2)) / (n m) - D: A holds its n * m
+    axis-1 terms, set by (mu1, sigma1), B its axis-2 terms, set by (mu2,
+    sigma2), and D is the diversity term of (sigma1, sigma2). A and B are
+    non-negative, rounding is monotone and sums of larger non-negative terms
+    are larger, so max(S_A, S_B) (1 - BOUND_MARGIN) / (n m) - D bounds the
+    computed value from below, S_A and S_B being the sums of A ** (beta/2)
+    and B ** (beta/2); the margin covers a pow that is not correctly rounded
+    and another summation order. Points are computed as full table rows, in
+    ascending bound order until a bound exceeds the least value (Land and
+    Doig 1960). No point left out can reach it, so the result is the full
+    table's first minimum: ties keep the earliest point of the C-ordered
+    (mu1, mu2, sigma1, sigma2) table, the last axis fastest.
+
+    Returns the fitted point as a dict of the FIT_KEYS. A grid point whose
+    objective is not finite (a sigma so large that the samples overflow)
+    raises NumericError naming it, the first in that order.
     """
     mu_values, sigma_values = (tuple(float(v) for v in values) for values in grid)
     for name, values in (("mu_values", mu_values), ("sigma_values", sigma_values)):
@@ -221,20 +218,34 @@ def fit_gaussian_grid(train, grid, loss, gamma=TOY_GAMMA, m=TOY_M, *, rng):
     if min(sigma_values) <= 0.0:
         raise ContractError("sigma grid values must be positive")
     y, eps, w = _toy_inputs("train", train, loss, gamma, m, rng)
-    axes = (mu_values, mu_values, sigma_values, sigma_values)
+    axes, e = (mu_values, mu_values, sigma_values, sigma_values), np.moveaxis(eps, -1, 0).copy()
+    shape, terms, half = tuple(map(len, axes)), np.empty(e.shape), loss.beta / 2.0
+
+    def value(ix):
+        # the point's two axis rows, added, raised and summed as a table row
+        for i in range(2):
+            _axis_terms(y[:, i:i + 1], mu_values[ix[i]], sigma_values[ix[i + 2]], e[i], w[i], terms[i])
+        np.add(terms[0], terms[1], out=terms[0])
+        terms[0] **= half
+        return terms[0].reshape(1, -1).sum(axis=-1)[0] / terms[0].size - diversity[ix[2:]]
+
     # overflow is reported below as a NumericError, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        table = _grid_table(y, axes, w, loss.beta, gamma, eps)
-    bad = np.flatnonzero(~np.isfinite(table))
-    flat = bad[0] if bad.size else np.argmin(table)
-    index = np.unravel_index(flat, table.shape)
-    point = {key: vals[i] for key, vals, i in zip(FIT_KEYS, axes, index)}
-    if bad.size:
-        raise NumericError(
-            f"toy grid point {point} gives a non-finite objective "
-            f"({table.flat[flat]}) under loss weights {w.tolist()}"
-        )
-    return point
+        bound, diversity, unsure = _grid_bounds(y, e, w, mu_values, sigma_values, half, gamma)
+        for index in zip(*np.unravel_index(unsure, shape)):
+            v = value(index)
+            if not np.isfinite(v):
+                point = {key: vals[i] for key, vals, i in zip(FIT_KEYS, axes, index)}
+                raise NumericError(f"toy grid point {point} gives a non-finite objective "
+                                   f"({v}) under loss weights {w.tolist()}")
+        best, least = None, np.inf
+        for flat in np.argsort(bound, axis=None):
+            if bound.flat[flat] > least:
+                break
+            v = value(np.unravel_index(flat, shape))
+            if v < least or v == least and flat < best:
+                best, least = flat, v
+    return {key: vals[i] for key, vals, i in zip(FIT_KEYS, axes, np.unravel_index(best, shape))}
 
 
 def eval_gaussian(fit, test, loss, gamma=TOY_GAMMA, m=TOY_M, *, rng):

@@ -21,8 +21,9 @@ from disconet import (
     load_csv,
     toy_cross_table,
 )
+from disconet import synth
 from disconet.rng import substream
-from disconet.scoring import data_term, pair_term
+from disconet.scoring import axis_sq, data_term, pair_term
 from disconet.synth import (
     FIT_KEYS,
     TOY_GAMMA,
@@ -31,7 +32,8 @@ from disconet.synth import (
     TOY_MU_VALUES,
     TOY_N,
     TOY_SIGMA_VALUES,
-    _grid_table,
+    _axis_terms,
+    _grid_bounds,
     eval_gaussian,
 )
 from tests.conftest import save_csv
@@ -258,6 +260,72 @@ def _reference_grid_fit(y, axes, w, beta, gamma, eps):
     return table, {key: a[i] for key, a, i in zip(FIT_KEYS, axes, best)}
 
 
+def _grid_table(y, axes, w, beta, gamma, eps):
+    """The full-table oracle of fit_gaussian_grid, which computes each point
+    it evaluates as this table does: the sampled dissimilarity of every grid
+    point against the data `y` (n, 2), with model samples mu + sigma * eps
+    for the shared draws `eps` (n, m, 2).
+
+    `axes` holds the candidate values of (mu1, mu2, sigma1, sigma2); returns
+    the C-ordered array over them. The squared norm of a difference is an
+    axis-1 term, set by (mu1, sigma1), plus an axis-2 term, set by (mu2,
+    sigma2): the axis-1 terms of all mu1 values are built once per sigma1,
+    those of all mu2 values once per sigma pair, and each grid point only
+    adds the two.
+
+    Reduction order: a point's data term is one sum over its n * m
+    contiguous values, divided by n * m; it is not a mean over m and then
+    over n. The diversity term depends on the sigmas alone. The weighted
+    squared differences w_i (eps_a - eps_b)^2 of each axis are built once
+    per fit, for the candidate pairs a < b only. Each sigma pair scales
+    them by sigma_i^2, adds the two axes and sums the beta/2 powers over
+    all n and all pairs. Doubling that sum counts the pairs a > b. A
+    point's value is its data sum over n * m less gamma times the doubled
+    pair sum over n * m * (m - 1).
+
+    Values match the per-point form, the mean over n of data_term less
+    gamma * pair_term, to a few ulp and not bitwise: the axis terms are
+    added by one `+` where sq_norm's matmul sums them its own way, sigma
+    scales the difference of the draws rather than each sample, and the
+    sums run in another order.
+    """
+    n, m = eps.shape[:2]
+    mu1_values, mu2_values, sigma1_values, sigma2_values = axes
+    mu1 = np.asarray(mu1_values)[:, None, None]
+    mu2 = np.asarray(mu2_values)[:, None, None]
+    e1, e2 = np.moveaxis(eps, -1, 0).copy()
+    table = np.empty(tuple(len(values) for values in axes))
+    half = beta / 2.0
+    if gamma > 0.0:
+        a, b = np.triu_indices(m, 1)
+        pairs1 = axis_sq(e1[:, a] - e1[:, b], w[0])
+        pairs2 = axis_sq(e2[:, a] - e2[:, b], w[1])
+        scaled1 = np.empty_like(pairs1)
+        sq = np.empty_like(pairs2)
+        pair_scale = gamma * 2.0 / (n * m * (m - 1))
+    term1 = np.empty((mu1.shape[0], n, m))
+    term2 = np.empty((mu2.shape[0], n, m))
+    point = np.empty_like(term1)
+    rows = point.reshape(mu1.shape[0], n * m)
+    diversity = 0.0
+    for i, s1 in enumerate(sigma1_values):
+        _axis_terms(y[:, :1], mu1, s1, e1, w[0], term1)
+        if gamma > 0.0:
+            np.multiply(pairs1, s1 * s1, out=scaled1)
+        for j, s2 in enumerate(sigma2_values):
+            _axis_terms(y[:, 1:], mu2, s2, e2, w[1], term2)
+            if gamma > 0.0:
+                np.multiply(pairs2, s2 * s2, out=sq)
+                sq += scaled1
+                sq **= half
+                diversity = pair_scale * sq.sum()
+            for k in range(mu2.shape[0]):
+                np.add(term1, term2[k], out=point)
+                point **= half
+                table[:, k, i, j] = rows.sum(axis=-1) / (n * m) - diversity
+    return table
+
+
 # Axes (mu1, mu2, sigma1, sigma2) of different lengths, out of order, so a
 # transposed or mis-raveled table changes the shape or the chosen point.
 SHUFFLED_AXES = (
@@ -311,6 +379,126 @@ def test_fit_gaussian_grid_rejects_overflowing_point():
     train = gen_gmm2d(TOY_MIXTURE, 20, substream(0, "toy-data"))
     with pytest.raises(NumericError, match=r"'mu1': 0.0, 'mu2': 0.0, 'sigma1': 1e\+308"):
         fit_gaussian_grid(train, grid, LOSS_DIM1, m=4, rng=substream(0, "f"))
+
+
+def _first_point(table, flat, axes):
+    return {key: a[i] for key, a, i in zip(FIT_KEYS, axes, np.unravel_index(flat, table.shape))}
+
+
+def _random_grid(seed):
+    """Two short value lists drawn with replacement, each with a repeated
+    value, so equal grid points tie exactly."""
+    rs = np.random.default_rng(seed)
+    mus = tuple(rs.choice(np.arange(-4, 5) * 0.5, size=rs.integers(2, 5)).tolist())
+    sigmas = tuple(rs.choice([0.3, 0.6, 0.9, 1.5, 2.4], size=rs.integers(2, 5)).tolist())
+    return mus + mus[-1:], sigmas + sigmas[:1]
+
+
+# Losses of every beta the fit's bound must hold for; a zero weight makes the
+# fit flat along an axis, so exact ties occur between distinct grid values.
+BOUND_LOSSES = {
+    f"beta{beta}-{name}": LossSpec(beta=beta, weights=weights)
+    for beta in (0.5, 1.0, 1.5)
+    for name, weights in (("weighted", (10.0, 0.1)), ("zero", (0.0, 1.0)))
+}
+
+
+@pytest.mark.parametrize("n, m", [(1, 8), (60, 2)])
+@pytest.mark.parametrize("gamma", [0.0, 0.5])
+@pytest.mark.parametrize("loss", BOUND_LOSSES.values(), ids=BOUND_LOSSES.keys())
+def test_fit_gaussian_grid_is_the_tables_first_minimum(loss, gamma, n, m):
+    """The pruned search returns the full table's first minimum on seeded
+    random grids, ties included: at a zero weight every mu and sigma of
+    that axis ties, and the first of each list must win."""
+    w = loss.weight_vector(2)
+    for seed in range(4):
+        mus, sigmas = _random_grid(seed)
+        axes = (mus, mus, sigmas, sigmas)
+        y = gen_gmm2d(TOY_MIXTURE, n, substream(seed, "toy-data"))
+        eps = substream(seed, "toy-fit").standard_normal((n, m, 2))
+        table = _grid_table(y, axes, w, loss.beta, gamma, eps)
+        fit = fit_gaussian_grid(y, (mus, sigmas), loss, gamma, m=m,
+                                rng=substream(seed, "toy-fit"))
+        assert fit == _first_point(table, np.argmin(table), axes)
+        if w[0] == 0.0:
+            assert (fit["mu1"], fit["sigma1"]) == (mus[0], sigmas[0])
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.5])
+@pytest.mark.parametrize("loss", BOUND_LOSSES.values(), ids=BOUND_LOSSES.keys())
+def test_grid_bounds_are_at_or_below_the_table(loss, gamma):
+    """At every point of small grids, the bound the search prunes by is at
+    or below the value the full table computes, and no point is flagged as
+    possibly non-finite."""
+    w = loss.weight_vector(2)
+    for seed, (n, m) in itertools.product(range(3), [(1, 8), (60, 2), (40, 5)]):
+        mus, sigmas = _random_grid(seed)
+        y = gen_gmm2d(TOY_MIXTURE, n, substream(seed, "toy-data"))
+        eps = substream(seed, "toy-fit").standard_normal((n, m, 2))
+        table = _grid_table(y, (mus, mus, sigmas, sigmas), w, loss.beta, gamma, eps)
+        bound, _, unsure = _grid_bounds(y, np.moveaxis(eps, -1, 0).copy(), w, mus, sigmas,
+                                        loss.beta / 2.0, gamma)
+        assert bound.shape == table.shape
+        assert np.all(bound <= table)
+        assert unsure.size == 0
+
+
+def test_fit_gaussian_grid_prunes_most_points(monkeypatch):
+    """Criterion 5's first fits evaluate at most 1,000 of the 8,100 points:
+    the search computes two axis rows per point it evaluates, and the bounds
+    one block of means per axis and sigma."""
+    rows, axis_terms = [], synth._axis_terms
+    monkeypatch.setattr(synth, "_axis_terms",
+                        lambda *a: rows.append(np.ndim(a[1])) or axis_terms(*a))
+    train = gen_gmm2d(TOY_MIXTURE, TOY_N, substream(0, "toy-data"))
+    for name, loss in TOY_LOSSES:
+        rows.clear()
+        fit_gaussian_grid(train, (TOY_MU_VALUES, TOY_SIGMA_VALUES), loss, TOY_GAMMA, TOY_M,
+                          rng=substream(0, "toy-fit", name))
+        assert rows.count(3) == 2 * len(TOY_SIGMA_VALUES)
+        assert 0 < rows.count(0) // 2 <= 1000
+
+
+def _raises_the_tables_first_non_finite(train, grid, loss, gamma, m, seed):
+    """Checks that the fit raises the NumericError of the oracle table's
+    first non-finite point, with its value; returns that index and value."""
+    y = np.asarray(train, dtype=np.float64)
+    axes = (grid[0], grid[0], grid[1], grid[1])
+    eps = substream(seed, "f").standard_normal((y.shape[0], m, 2))
+    w = loss.weight_vector(2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = _grid_table(y, axes, w, loss.beta, gamma, eps)
+    flat = np.flatnonzero(~np.isfinite(table))[0]
+    want = (f"toy grid point {_first_point(table, flat, axes)} gives a non-finite objective "
+            f"({table.flat[flat]}) under loss weights {w.tolist()}")
+    with pytest.raises(NumericError) as caught:
+        fit_gaussian_grid(train, grid, loss, gamma, m=m, rng=substream(seed, "f"))
+    assert str(caught.value) == want
+    return np.unravel_index(flat, table.shape), table.flat[flat]
+
+
+def test_fit_gaussian_grid_rejects_a_sum_that_overflows():
+    """Sigmas near 1.3e154 on both axes: each axis term is finite, but
+    their sum overflows at the first point of two such sigmas."""
+    m, seed = 8, 0
+    eps = substream(seed, "f").standard_normal((1, m, 2))
+    big = float(1.3e154 / np.abs(eps).max())
+    train, grid = np.zeros((1, 2)), ((0.0, 1.0), (0.5, big))
+    index, _ = _raises_the_tables_first_non_finite(train, grid, LossSpec(), 0.0, m, seed)
+    assert index == (0, 0, 1, 1)
+    with np.errstate(over="ignore"):
+        terms = [_axis_terms(train[:, i:i + 1], 0.0, big, eps[..., i], 1.0, np.empty((1, m)))
+                 for i in range(2)]
+        assert np.all(np.isfinite(terms)) and not np.all(np.isfinite(terms[0] + terms[1]))
+
+
+def test_fit_gaussian_grid_rejects_an_overflow_at_zero_weight():
+    """An overflowing sample on an axis of weight 0 gives 0 * inf, a NaN."""
+    train = gen_gmm2d(TOY_MIXTURE, 20, substream(0, "toy-data"))
+    loss = LossSpec(weights=(1.0, 0.0))
+    index, value = _raises_the_tables_first_non_finite(train, ((0.0, 1.0), (0.5, 1e200)), loss,
+                                                       TOY_GAMMA, 4, 0)
+    assert index == (0, 0, 0, 1) and np.isnan(value)
 
 
 SMALL_GRID = {"mu_values": (-1.4, 0.0, 1.4), "sigma_values": (0.3, 0.9, 1.5, 2.1)}
