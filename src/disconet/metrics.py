@@ -49,17 +49,31 @@ def meu_predict(candidates, task_loss=LossSpec()):
     `candidates` is one input's (K, y_dim) matrix. Returns ``(index,
     output)`` for the candidate minimizing the sum of its task losses to
     every candidate in the set. An exact tie in the computed sums goes to
-    the lowest index. A tie in exact arithmetic need not survive roundoff:
-    at one output and even K under the L1 loss the two middle candidates
-    tie, and roundoff picks between them (README, "Determinism"). With one
-    candidate that candidate is returned.
+    the lowest index. At one output under the L1 loss (``sorted_pairs``)
+    the pick follows the candidates' order, not the sums' roundoff: it is
+    the lowest index among the exact minimizers (``_median_pick``). With
+    one candidate that candidate is returned.
     """
     outs = np.asarray(candidates, dtype=np.float64)
     if outs.ndim != 2 or outs.shape[0] < 1:
         raise ContractError(f"candidates must be a non-empty (K, y_dim) matrix, got {outs.shape}")
-    totals = pairwise_delta(task_loss, outs).sum(axis=1)
-    idx = int(np.argmin(totals))  # argmin takes the first minimum: lowest index wins ties
+    if sorted_pairs(outs.shape[1], task_loss.beta):
+        task_loss.weight_vector(1)  # DimensionError for weights of another length
+        idx = int(_median_pick(outs[:, 0]))
+    else:
+        # argmin takes the first minimum: lowest index wins ties
+        idx = int(np.argmin(pairwise_delta(task_loss, outs).sum(axis=1)))
     return idx, outs[idx].copy()
+
+
+def _median_pick(g):
+    """The MEU pick of one output's candidates under the L1 loss, for the
+    (..., K) candidate values g: the lowest index whose value lies between
+    the two middle order statistics, where sum_b |g_a - g_b| is least in
+    exact arithmetic. It is the same for any g of the same order."""
+    k, ordered = g.shape[-1], np.sort(g, axis=-1)
+    inside = (g >= ordered[..., (k - 1) // 2, None]) & (g <= ordered[..., k // 2, None])
+    return inside.argmax(axis=-1)
 
 
 def _frame_errors(preds, gts, group_size):
@@ -117,7 +131,8 @@ def _fold(outs, gts, meu, group_size=None):
     the MEU picks (unless `meu` is False) and energy scores (if K > 1), and for
     a `group_size` (if K > 1) the correlation sums and counts. Picks and scores
     are bitwise ``meu_predict`` and ``energy_score_sample`` frame by frame: all
-    take the pair kernel's distances, which do not depend on a frame's block."""
+    take the pair kernel's distances, or at one output ``_median_pick``'s order,
+    neither of which depends on a frame's block."""
     if not isinstance(outs, Iterator):
         a = candidate_array(outs)
         outs = (a[s:s + EVAL_BLOCK] for s in range(0, a.shape[0], EVAL_BLOCK))
@@ -135,16 +150,14 @@ def _fold(outs, gts, meu, group_size=None):
         w, sort = np.ones(y_dim), sorted_pairs(y_dim, 1.0)
         if o.shape[1:] != shape or s + b > n:
             raise ContractError(f"a candidate block of shape {o.shape} after {s} of {n} frames")
-        if meu or not sort:
+        if not sort:
             dist = np.sqrt(pair_sq_norms(o, w))
-            totals = dist.sum(axis=(1, 2))
-            if meu:
-                # an exact tie in the computed sums goes to the lowest index;
-                # at one output and even K the two middle candidates tie in
-                # exact arithmetic, and roundoff picks between them
-                picks[s:s + b] = o[np.arange(b), dist.sum(axis=2).argmin(axis=1)]
+        if meu:
+            # one output: by order; else an exact tie in the sums goes to the lowest index
+            pick = _median_pick(o[..., 0]) if sort else dist.sum(axis=2).argmin(axis=1)
+            picks[s:s + b] = o[np.arange(b), pick]
         if k > 1:
-            pair = pair_term(o, w, 1.0) if sort else totals / (k * (k - 1))
+            pair = pair_term(o, w, 1.0) if sort else dist.sum(axis=(1, 2)) / (k * (k - 1))
             scores[s:s + b] = data_term(y[s:s + b], o, w, 1.0) - 0.5 * pair
         if j:
             _pearson_fold(o, group_size, sums, counts)

@@ -10,9 +10,10 @@ Common random numbers: all grid points see the same standard-normal draws,
 so the argmin is stable at small sample counts and ties are broken by grid
 iteration order alone. The argmin is found by branch and bound: a point's
 value, the powers of its summed axis terms less the diversity term, is at
-least that of its larger axis alone, times 1 - BOUND_MARGIN for pow and sum
-rounding. Points are computed as full table rows in ascending bound order
-until a bound exceeds the least value, so the result is the table's first minimum.
+least Minkowski's bound on its two per-axis sums of powers (0 where both
+are 0), times 1 - BOUND_MARGIN for pow and sum rounding. Points are computed
+as full table rows in ascending bound order until a bound exceeds the least
+value, so the result is the table's first minimum.
 """
 
 import math
@@ -170,8 +171,12 @@ def _grid_bounds(y, e, w, mu_values, sigma_values, half, gamma):
     diversity = _diversities(e, w, sigma_values, half, gamma)
     # twice the largest sum a point's powers can reach: not finite where one may overflow
     most = (most[0][:, None, :, None] + most[1][None, :, None, :]) ** half * (2 * n * m)
-    bound = np.maximum(sums[0][:, None, :, None], sums[1][None, :, None, :])
-    bound = bound * (1.0 - BOUND_MARGIN) / (n * m) - diversity
+    sum1, sum2 = sums[0][:, None, :, None], sums[1][None, :, None, :]
+    big, small = np.maximum(sum1, sum2), np.minimum(sum1, sum2)
+    # (S_A^(1/h) + S_B^(1/h))^h over the larger sum, which cannot overflow; 0, not a NaN that
+    # would sort last, where both sums are 0
+    ratio = np.divide(small, big, out=np.zeros(big.shape), where=big > 0.0)
+    bound = big * (1.0 + ratio ** (1.0 / half)) ** half * (1.0 - BOUND_MARGIN) / (n * m) - diversity
     return bound, diversity, np.flatnonzero(~np.isfinite(most + diversity))
 
 
@@ -194,12 +199,15 @@ def fit_gaussian_grid(train, grid, loss, gamma=TOY_GAMMA, m=TOY_M, *, rng):
 
     A point's value is sum((A + B) ** (beta/2)) / (n m) - D: A holds its n * m
     axis-1 terms, set by (mu1, sigma1), B its axis-2 terms, set by (mu2,
-    sigma2), and D is the diversity term of (sigma1, sigma2). A and B are
-    non-negative, rounding is monotone and sums of larger non-negative terms
-    are larger, so max(S_A, S_B) (1 - BOUND_MARGIN) / (n m) - D bounds the
-    computed value from below, S_A and S_B being the sums of A ** (beta/2)
-    and B ** (beta/2); the margin covers a pow that is not correctly rounded
-    and another summation order. Points are computed as full table rows, in
+    sigma2), and D is the diversity term of (sigma1, sigma2). Let h = beta/2
+    <= 1 and S_A, S_B be the sums of A ** h and B ** h. Each (A_t + B_t) ** h
+    is the 1/h-norm of (A_t ** h, B_t ** h), so Minkowski's inequality (Hardy,
+    Littlewood and Polya 1934, 2.11) gives sum((A + B) ** h) >= (S_A ** (1/h)
+    + S_B ** (1/h)) ** h. Computed as big (1 + (small / big) ** (1/h)) ** h
+    over the larger and smaller sum, and as exactly 0 where both are 0, times
+    (1 - BOUND_MARGIN) / (n m), less D, it bounds the computed value from
+    below: the margin covers a pow that is not correctly rounded and another
+    summation order. Points are computed as full table rows, in
     ascending bound order until a bound exceeds the least value (Land and
     Doig 1960). No point left out can reach it, so the result is the full
     table's first minimum: ties keep the earliest point of the C-ordered

@@ -74,15 +74,11 @@ def test_meu_hand_values():
 
 def test_meu_scale_invariant(rng):
     """Positive rescaling of all candidates never changes the selection,
-    tie-breaks included.
-
-    Dimensions stay >= 2: in 1-D with beta = 1 every point on the median
-    plateau has the mathematically identical candidate-distance total, and
-    roundoff then decides the argmin differently at different scales.
-    """
+    tie-breaks included. In 1-D every candidate on the median plateau has
+    the same total in exact arithmetic; the pick follows their order there."""
     for _ in range(50):
         k = int(rng.integers(1, 7))
-        dim = int(rng.integers(2, 4))
+        dim = int(rng.integers(1, 4))
         cands = rng.normal(size=(k, dim))
         if k >= 2 and rng.uniform() < 0.5:
             cands[rng.integers(1, k)] = cands[0]  # engineered bitwise tie
@@ -90,6 +86,31 @@ def test_meu_scale_invariant(rng):
         for c in (0.1, 3.0, 250.0):
             idx, _ = meu_predict(c * cands)
             assert idx == base_idx
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 7, 16])
+def test_one_output_meu_follows_order_not_roundoff(k):
+    """At one output the pick is the lowest index among the exact minimizers
+    of sum_b |g_a - g_b|, here on quarter-integers whose sums are exact, and
+    a one-ulp move of every candidate that keeps their order leaves it, in
+    meu_predict and in the metric pass alike."""
+    rng = np.random.default_rng(k)
+    sets = rng.integers(-8, 9, size=(200, k)) / 4.0
+    sets[::4] = rng.integers(-1, 2, size=(50, k)) / 4.0  # many exact ties
+    wants = []
+    for g in sets:
+        totals = np.abs(g[:, None] - g[None, :]).sum(axis=1)
+        want = int(np.flatnonzero(totals == totals.min())[0])
+        wants.append(want)
+        distinct, inverse = np.unique(g, return_inverse=True)
+        up = rng.uniform(size=distinct.size) < 0.5  # tied candidates move alike
+        moved = np.nextafter(g, np.where(up[inverse], np.inf, -np.inf))
+        assert np.array_equal(np.argsort(moved, kind="stable"), np.argsort(g, kind="stable"))
+        for cands in (g, moved, 3.0 * moved):
+            assert meu_predict(cands[:, None])[0] == want
+    moved = np.nextafter(sets, np.inf)
+    _, picks, _, _ = _fold(moved[:, :, None], np.zeros((len(sets), 1)), meu=True)
+    npt.assert_array_equal(picks[:, 0], moved[np.arange(len(sets)), wants])
 
 
 def test_meu_respects_task_loss():

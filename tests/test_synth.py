@@ -443,8 +443,51 @@ def test_grid_bounds_are_at_or_below_the_table(loss, gamma):
         assert unsure.size == 0
 
 
+@pytest.mark.parametrize("gamma", [0.0, 0.5])
+@pytest.mark.parametrize("loss", BOUND_LOSSES.values(), ids=BOUND_LOSSES.keys())
+def test_grid_bounds_are_no_looser_than_the_larger_axis(loss, gamma):
+    """Minkowski's bound on the two per-axis sums is at least the larger sum
+    alone, max(S_A, S_B) (1 - BOUND_MARGIN) / (n m) - D, on the grids of
+    test_grid_bounds_are_at_or_below_the_table, and above it somewhere."""
+    w, half = loss.weight_vector(2), loss.beta / 2.0
+    tighter = False
+    for seed, (n, m) in itertools.product(range(3), [(1, 8), (60, 2), (40, 5)]):
+        mus, sigmas = _random_grid(seed)
+        y = gen_gmm2d(TOY_MIXTURE, n, substream(seed, "toy-data"))
+        eps = substream(seed, "toy-fit").standard_normal((n, m, 2))
+        e = np.moveaxis(eps, -1, 0).copy()
+        bound, diversity, _ = _grid_bounds(y, e, w, mus, sigmas, half, gamma)
+        sums = np.empty((2, len(mus), len(sigmas)))  # [axis, mu, sigma]
+        for i, (j, s) in itertools.product(range(2), enumerate(sigmas)):
+            terms = _axis_terms(y[:, i:i + 1], np.asarray(mus)[:, None, None], s, e[i], w[i],
+                                np.empty((len(mus), n, m)))
+            sums[i, :, j] = (terms ** half).reshape(len(mus), -1).sum(axis=-1)
+        larger = np.maximum(sums[0][:, None, :, None], sums[1][None, :, None, :])
+        old = larger * (1.0 - synth.BOUND_MARGIN) / (n * m) - diversity
+        assert np.all(bound >= old)
+        tighter |= bool(np.any(bound > old))
+    assert tighter or 0.0 in w
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.5])
+def test_fit_gaussian_grid_bound_is_zero_where_both_sums_are(gamma):
+    """At (0, 0, 1e-200, 1e-200) every axis term underflows to 0 on both
+    axes, so the bound there is 0, not 0/0: a NaN bound sorts last, and the
+    search would stop before it reaches that point, the minimum."""
+    train, grid, m = np.zeros((1, 2)), ((0.0, 1.0), (1e-200, 0.5)), 8
+    axes = (grid[0], grid[0], grid[1], grid[1])
+    eps = substream(0, "f").standard_normal((1, m, 2))
+    w = LossSpec().weight_vector(2)
+    for i in range(2):
+        terms = _axis_terms(train[:, i:i + 1], 0.0, 1e-200, eps[..., i], 1.0, np.empty((1, m)))
+        assert not np.any(terms)
+    table = _grid_table(train, axes, w, 1.0, gamma, eps)
+    fit = fit_gaussian_grid(train, grid, LossSpec(), gamma, m=m, rng=substream(0, "f"))
+    assert fit == _first_point(table, np.argmin(table), axes)
+
+
 def test_fit_gaussian_grid_prunes_most_points(monkeypatch):
-    """Criterion 5's first fits evaluate at most 1,000 of the 8,100 points:
+    """Criterion 5's first fits evaluate at most 400 of the 8,100 points:
     the search computes two axis rows per point it evaluates, and the bounds
     one block of means per axis and sigma."""
     rows, axis_terms = [], synth._axis_terms
@@ -456,7 +499,7 @@ def test_fit_gaussian_grid_prunes_most_points(monkeypatch):
         fit_gaussian_grid(train, (TOY_MU_VALUES, TOY_SIGMA_VALUES), loss, TOY_GAMMA, TOY_M,
                           rng=substream(0, "toy-fit", name))
         assert rows.count(3) == 2 * len(TOY_SIGMA_VALUES)
-        assert 0 < rows.count(0) // 2 <= 1000
+        assert 0 < rows.count(0) // 2 <= 400
 
 
 def _raises_the_tables_first_non_finite(train, grid, loss, gamma, m, seed):
