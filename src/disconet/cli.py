@@ -315,15 +315,22 @@ def cmd_eval(config, args):
     x, y = _load_xy(config, args.data, seed, net.x_dim, net.y_dim)
     joint_count(net.y_dim, ev["group_size"])  # a bad grouping fails before the sampling
     base_sigma = float(ev["base_sigma"])
-    point = None  # the zero-noise prediction, one pass for the baseline and zero_noise
-    if base_sigma > 0.0 or ev["zero_noise"]:
-        point = predict_rows(params, x, np.zeros((x.shape[0], net.noise_dim)))
-    # EVAL_BLOCK frames' candidates at a time, each scored before the next is
-    # drawn; a sampled frame's bits can depend on its block's height
+    # the zero-noise prediction, for the baseline and zero_noise, filled a block at a time
+    # as the fold draws: metrics_report reads pointwise_preds only after the fold
+    point = np.empty((x.shape[0], net.y_dim)) if base_sigma > 0.0 or ev["zero_noise"] else None
     rng, work = substream(seed, "base-jitter" if base_sigma > 0.0 else "eval-noise"), {}
-    blocks = (base_candidates(point[s:s + EVAL_BLOCK], k, base_sigma, rng) if base_sigma > 0.0
-              else sample_outputs(params, x[s:s + EVAL_BLOCK], k, rng, work)
-              for s in range(0, x.shape[0], EVAL_BLOCK))
+
+    def block(s):
+        """EVAL_BLOCK frames' candidates from frame s, scored before the next
+        block is drawn: a frame's bits can depend on its block's height."""
+        xb = x[s:s + EVAL_BLOCK]
+        if point is not None:
+            point[s:s + EVAL_BLOCK] = predict_rows(params, xb, np.zeros((len(xb), net.noise_dim)))
+        if base_sigma > 0.0:
+            return base_candidates(point[s:s + EVAL_BLOCK], k, base_sigma, rng)
+        return sample_outputs(params, xb, k, rng, work)
+
+    blocks = (block(s) for s in range(0, x.shape[0], EVAL_BLOCK))
     pointwise = point if ev["zero_noise"] else None
     doc = metrics_report(blocks, y, ev["group_size"], ev["distances"], pointwise_preds=pointwise)
     out = Path(args.out)

@@ -287,7 +287,8 @@ def layer_walk(params, x, z=None, k=1, work=None):
     later layer runs on the n K rows, example-major, and its input is the
     ReLU of the previous pre-activation, taken in place: a yielded
     pre-activation holds until the walk goes on. The last pre-activation is
-    the (n K, y_dim) output. Training keeps every input for ``walk_back``.
+    the (n K, y_dim) output. Training keeps every input for ``walk_back``,
+    which overwrites them with deltas: a caller that keeps them copies them.
 
     Each layer writes into an array of its own, and the join's per-input
     part into one more, made as the layer runs or kept by batch shape (n, K)
@@ -331,17 +332,17 @@ def walk_back(params, inputs, delta, work=None):
     yielded and a `delta` shaped like its output. ReLU has derivative 0 at
     0, and its input is positive exactly where its output is. At the join
     layer the gradient is summed over each input's K candidates, so the
-    layers before it run on n rows. Each array it writes is one of its own:
-    the gradient, that sum, and each layer's delta and ReLU mask, kept in
-    `work` as in ``layer_walk``."""
+    layers before it run on n rows. Each layer's delta is written over that
+    layer's input, dead once its weight gradient and ReLU mask are taken, so
+    afterwards the inputs hold deltas (x and the join's noise excepted). The
+    gradient, that sum and one ReLU mask per input shape are arrays of
+    their own, kept in `work` as in ``layer_walk``."""
     join = len(params.config.encoder_widths)
     n = inputs[join][0].shape[0]
     k = delta.shape[0] // n
     grad = _held(work, (n, k, "grad"), params.size, float)
-    views = layer_views(params.config, grad)
-    for li in range(len(inputs) - 1, -1, -1):
+    for li, (gw, gb) in reversed(tuple(enumerate(layer_views(params.config, grad)))):
         h, w = inputs[li], params.layers[li][0]
-        gw, gb = views[li]
         np.sum(delta, axis=0, out=gb)
         if li == join:
             # h is shared by an input's K candidates, z is drawn per candidate
@@ -354,10 +355,9 @@ def walk_back(params, inputs, delta, work=None):
             delta, w = ds, w[:h_w]
         else:
             np.matmul(h.T, delta, out=gw)
-        if li > 0:
-            nxt = np.matmul(delta, w.T, out=_held(work, (n, k, li, "delta"), h.shape, float))
-            mask = _held(work, (n, k, li, "mask"), h.shape, bool)
-            delta = np.multiply(nxt, np.greater(h, 0.0, out=mask), out=nxt)
+        if li > 0:  # h is dead once gw and its ReLU mask are taken: the delta goes over it
+            mask = np.greater(h, 0.0, out=_held(work, (n, k, "mask", h.shape), h.shape, bool))
+            delta = np.multiply(np.matmul(delta, w.T, out=h), mask, out=h)
     return grad
 
 

@@ -153,7 +153,7 @@ def objective_terms(params, x, y, z, cfg, work=None):
         qq_rows, qq_grad = pair_grad(g, w, beta)
         qq = float(np.mean(qq_rows))
         value = pq - cfg.gamma * qq
-        grad = grad - cfg.gamma * qq_grad
+        grad -= np.multiply(qq_grad, cfg.gamma, out=qq_grad)
     elif walked >= 2:
         qq = float(np.mean(pair_term(g, w, beta)))
     grad /= n

@@ -104,8 +104,9 @@ def data_grad(y, g, w, beta):
     respect to g, the same shape as g."""
     d = g - y[..., None, :]
     s = sq_norm(d, w)
-    slope = _slope(s, beta) / g.shape[-2]
-    return (s ** (beta / 2.0)).mean(axis=-1), slope[..., None] * (w * d)
+    d *= w
+    d *= (_slope(s, beta) / g.shape[-2])[..., None]
+    return (s ** (beta / 2.0)).mean(axis=-1), d
 
 
 def sorted_pairs(y_dim, beta):
@@ -198,7 +199,8 @@ def pair_grad(g, w, beta):
         grad[..., :m, :] += c
         grad[..., t:, :] -= c[..., :k - t, :]
         grad[..., :m + t - k, :] -= c[..., k - t:, :]
-    return _broadcast_pair_sum(s, beta), (2.0 / (k * (k - 1))) * (w * grad)
+    grad *= w
+    return _broadcast_pair_sum(s, beta), np.multiply(grad, 2.0 / (k * (k - 1)), out=grad)
 
 
 def mean_sem(values):

@@ -35,6 +35,7 @@ from disconet.cli import (
     load_config,
     main,
 )
+from disconet.metrics import EVAL_BLOCK
 from disconet.objective import GRAD_CHECK_STEP
 from disconet.rng import substream
 from disconet.synth import (
@@ -613,7 +614,8 @@ def test_eval_zero_noise_and_base(tmp_path):
 
 def test_eval_runs_the_zero_noise_pass_once(tmp_path, monkeypatch):
     """With base_sigma > 0 and zero_noise both set, the baseline's jitter
-    centres and the pointwise predictions are one zero-noise pass."""
+    centres and the pointwise predictions are one zero-noise pass, taken a
+    block of EVAL_BLOCK frames at a time: each of the 48 frames once."""
     import disconet.cli as cli
 
     ckpt = _trained_checkpoint(tmp_path)
@@ -629,7 +631,7 @@ def test_eval_runs_the_zero_noise_pass_once(tmp_path, monkeypatch):
     cfg = write_config(tmp_path / "eval.json", doc)
     assert main(["eval", "--config", cfg, "--out", str(tmp_path / "ev"),
                  "--checkpoint", str(ckpt)]) == 0
-    assert len(calls) == 1
+    assert [len(args[1]) for args in calls] == [EVAL_BLOCK] * 3
 
 
 @pytest.mark.parametrize("key, value, message", [
@@ -677,7 +679,7 @@ def test_eval_probloss_replays_draw_order(tmp_path, base_sigma):
     scores, with each frame's candidates drawn in frame order: K noise rows
     from "eval-noise", sampled EVAL_BLOCK frames at a time (40 frames make
     two full blocks and a short one), or K jitter rows from "base-jitter"
-    around the zero-noise prediction."""
+    around the zero-noise prediction, taken in the same blocks."""
     net = NetConfig(x_dim=1, y_dim=2, z_dim=3, encoder_widths=(4,), decoder_widths=(4,))
     ckpt = tmp_path / "ckpt.txt"
     init_params(net, seed=5).save(ckpt)
@@ -696,7 +698,9 @@ def test_eval_probloss_replays_draw_order(tmp_path, base_sigma):
 
     if base_sigma > 0.0:
         rng = substream(seed, "base-jitter")
-        point = predict_rows(params, x, np.zeros((x.shape[0], net.z_dim)))
+        zero = np.zeros((x.shape[0], net.z_dim))
+        point = np.concatenate([predict_rows(params, x[s:s + EVAL_BLOCK], zero[s:s + EVAL_BLOCK])
+                                for s in range(0, x.shape[0], EVAL_BLOCK)])
     else:
         sampled = eval_candidates(params, x, k, substream(seed, "eval-noise"))
     scores = []
@@ -712,18 +716,14 @@ def test_eval_probloss_replays_draw_order(tmp_path, base_sigma):
     assert got["sem"] == float(scores.std(ddof=1) / math.sqrt(scores.size))
 
 
-def test_eval_peak_memory_does_not_grow_with_the_frames(tmp_path, capsys):
-    """`disconet eval` on the full-scale net at K = 32 draws and scores its
-    candidates EVAL_BLOCK frames at a time, so its traced peak is the same
-    at 500 and at 2,000 frames, and under half the 21.5 MB that 2,000
-    frames' candidates alone would take (the checkpoint read sets it). The
-    zero-noise pass of `base_sigma` and `zero_noise` still walks all frames
-    at once, so this holds for the sampled candidates only."""
+def _eval_peaks(tmp_path, eval_keys):
+    """The traced peaks of `disconet eval` on the full-scale net at K = 32,
+    with `eval_keys` added to its eval section, at 500 and 2,000 frames."""
     net = NetConfig(x_dim=1, y_dim=42, z_dim=200, encoder_widths=(256,), decoder_widths=(256, 256))
     ckpt = tmp_path / "ckpt.txt"
     init_params(net, seed=1).save(ckpt)
     cfg = write_config(tmp_path / "eval.json", {"data": {"generator": None}, "eval": {
-        "num_candidates": 32, "group_size": 3}})
+        "num_candidates": 32, "group_size": 3, **eval_keys}})
     rng, peaks = np.random.default_rng(23), []
     for n in (500, 2000):
         data = tmp_path / f"frames_{n}.csv"
@@ -737,9 +737,30 @@ def test_eval_peak_memory_does_not_grow_with_the_frames(tmp_path, capsys):
         finally:
             tracemalloc.stop()
         peaks.append(peak - start)
+    return peaks
+
+
+def test_eval_peak_memory_does_not_grow_with_the_frames(tmp_path, capsys):
+    """`disconet eval` on the full-scale net at K = 32 draws and scores its
+    candidates EVAL_BLOCK frames at a time, so its traced peak is the same
+    at 500 and at 2,000 frames, and under half the 21.5 MB that 2,000
+    frames' candidates alone would take (the checkpoint read sets it)."""
+    peaks = _eval_peaks(tmp_path, {})
     capsys.readouterr()
     assert abs(peaks[1] - peaks[0]) < 2**20
     assert max(peaks) < 2000 * 32 * 42 * 8 / 2
+
+
+@pytest.mark.parametrize("eval_keys", [{"base_sigma": 0.3}, {"zero_noise": True}],
+                         ids=["base_sigma", "zero_noise"])
+def test_eval_zero_noise_pass_peak_does_not_grow_with_the_frames(tmp_path, capsys, eval_keys):
+    """The zero-noise pass, the jitter centres of `base_sigma` and the
+    pointwise predictions of `zero_noise`, runs a block of frames at a time
+    as well: only its (N, y_dim) result is held, 0.5 MB more at 2,000 frames
+    than at 500, and the traced peak stays within 1 MB."""
+    peaks = _eval_peaks(tmp_path, eval_keys)
+    capsys.readouterr()
+    assert abs(peaks[1] - peaks[0]) < 2**20
 
 
 def test_eval_rejects_bad_csv(tmp_path):

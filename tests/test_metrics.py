@@ -31,7 +31,7 @@ from disconet import (
     sgd_momentum_step,
 )
 from disconet.metrics import EVAL_BLOCK, _fold
-from disconet.network import draw_noise
+from disconet.network import draw_noise, layer_walk, walk_back
 from disconet.scoring import mean_sem, pair_grad
 
 
@@ -457,6 +457,42 @@ def test_warm_training_step_allocates_no_batch_array():
     finally:
         tracemalloc.stop()
     assert peak - start < 64 * 32 * 16 * 8
+
+
+def test_full_scale_training_holds_only_its_working_set():
+    """At full scale (n 64, K 16, z_dim 200, widths 256, 42 outputs) the
+    backward walk writes each layer's delta over that layer's input, which
+    is dead once its weight gradient and ReLU mask are taken, and layers of
+    one shape share one mask. After two warm steps the arrays held in
+    `work` total under 9 MB (a delta array per layer took 12.4 MB), and its
+    (n K, 256) arrays are the two layers' own and one mask. Over its walk's
+    own inputs the backward walk gives bitwise the gradient it gives over
+    copies of them."""
+    net = NetConfig(x_dim=1, y_dim=42, z_dim=200, encoder_widths=(256,), decoder_widths=(256, 256))
+    objective = ObjectiveConfig(gamma=0.5, num_candidates=16)
+    rng = np.random.default_rng(29)
+    x, y = rng.uniform(-1.0, 1.0, size=(64, 1)), rng.normal(size=(64, 42))
+    work = {}
+    z = draw_noise(net, 64, 16, rng, work)  # as the training loop draws it
+    flat = init_params(net, seed=29).to_flat()
+    velocity, scratch = np.zeros(flat.size), np.empty(flat.size)
+    params = NetworkParams(net, flat, copy=False)
+    for _ in range(2):
+        _, _, _, grads = objective_terms(params, x, y, z, objective, work)
+        sgd_momentum_step(flat, grads, velocity, 0.01, 0.9, 0.0, None, scratch)
+    assert sum(a.nbytes for a in work.values()) < 9 * 2**20
+    assert not any("delta" in key for key in work)
+    wide = [a.dtype for a in work.values() if a.shape == (64 * 16, 256)]
+    assert sorted(map(str, wide)) == ["bool", "float64", "float64"]  # two layers, one mask
+
+    inputs = []
+    for h, out in layer_walk(params, x, z, 16, work):
+        inputs.append(h)
+    copies = [tuple(a.copy() for a in h) if isinstance(h, tuple) else h.copy() for h in inputs]
+    delta = rng.normal(size=out.shape)
+    want = walk_back(params, copies, delta)
+    got = walk_back(params, inputs, delta, work)
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
 def test_full_scale_pair_gradient_builds_no_pair_difference_array():

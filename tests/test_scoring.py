@@ -17,7 +17,8 @@ from disconet import (
     divergence_discrete,
     energy_score_sample,
 )
-from disconet.scoring import delta_rows, pair_grad, pair_sq_norms, pair_term, pairwise_delta, sorted_pairs
+from disconet.scoring import (SINGULARITY_EPS, _pair_shifts, _slope, data_grad, delta_rows,
+                              pair_grad, pair_sq_norms, pair_term, pairwise_delta, sorted_pairs)
 from disconet.synth import FIT_KEYS, eval_gaussian
 
 
@@ -374,3 +375,48 @@ def test_pair_grad_matches_per_pair_loop(k):
         want = [[np.sum([_loop_delta_grad(w, beta, ga, gb) for b, gb in enumerate(gn) if b != a], axis=0)
                  * 2.0 / (k * (k - 1)) for a, ga in enumerate(gn)] for gn in g]
         npt.assert_allclose(grad, want, rtol=1e-12, atol=1e-12)
+
+
+def _out_of_place_grads(y, g, w, beta):
+    """The data and pair gradients as fresh arrays, each scale a new product:
+    the oracle of the in-place scaling in ``data_grad`` and ``pair_grad``."""
+    d = g - y[..., None, :]
+    slope = _slope((d * d) @ w, beta) / g.shape[-2]
+    data = slope[..., None] * (w * d)
+    k = g.shape[-2]
+    if k < 2:
+        return data, None
+    if sorted_pairs(g.shape[-1], beta):
+        g1, w1 = g[..., 0], w[0]
+        t = np.sqrt(SINGULARITY_EPS / w1)
+        below = (g1[..., None, :] < (g1 - t)[..., :, None]).sum(axis=-1)
+        above = (g1[..., None, :] > (g1 + t)[..., :, None]).sum(axis=-1)
+        return data, ((2.0 * np.sqrt(w1) / (k * (k - 1))) * (below - above))[..., None]
+    s, grad = np.empty(g.shape[:-1] + (k,)), np.zeros(g.shape)
+    for t, m, d, v in _pair_shifts(g, w, s):
+        c = d[..., :m, :] * _slope(v[..., :m], beta)[..., None]
+        grad[..., :m, :] += c
+        grad[..., t:, :] -= c[..., :k - t, :]
+        grad[..., :m + t - k, :] -= c[..., k - t:, :]
+    return data, (2.0 / (k * (k - 1))) * (w * grad)
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0, 1.5])
+@pytest.mark.parametrize("y_dim", [1, 2, 42])
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 16, 32])
+def test_gradient_kernels_scale_in_place_bitwise(k, y_dim, beta):
+    """``data_grad`` and ``pair_grad`` scale their gradients in place, with
+    the products of the out-of-place formulas in the same order: the same
+    float64 bits, under weights not all 1, with a candidate on its truth and
+    two coincident candidates (slope 0)."""
+    rng = np.random.default_rng(1000 * k + 10 * y_dim + int(2 * beta))
+    w = rng.uniform(0.25, 4.0, size=y_dim)
+    y, g = rng.normal(size=(7, y_dim)), rng.normal(size=(7, k, y_dim))
+    g[0, -1] = g[0, 0]
+    g[1, 0] = y[1]
+    want_data, want_pair = _out_of_place_grads(y, g, w, beta)
+    _, got = data_grad(y, g, w, beta)
+    assert got.view(np.uint64).tolist() == want_data.view(np.uint64).tolist()
+    if k > 1:
+        _, got = pair_grad(g, w, beta)
+        assert got.view(np.uint64).tolist() == want_pair.view(np.uint64).tolist()
