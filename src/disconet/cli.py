@@ -41,17 +41,11 @@ from .network import (
     predict_rows,
     sample_outputs,
 )
-from .objective import (
-    GRAD_CHECK_STEP,
-    GRAD_CHECK_TOLERANCE,
-    ObjectiveConfig,
-    grad_check_detail,
-    objective_terms,
-)
+from .objective import GRAD_CHECK_TOLERANCE, ObjectiveConfig, grad_check_detail, objective_terms
 from .rng import derive_seed, substream
 from .scoring import LossSpec
 from .strictjson import TYPES, dataclass_keys, keyspec, read_file, read_json
-from .synth import BIMODAL_NOISE_SIGMA, TOY_GAMMA, TOY_M, TOY_MU_VALUES, TOY_N, TOY_SIGMA_VALUES
+from .synth import TOY_GAMMA, TOY_M, TOY_MU_VALUES, TOY_N, TOY_SIGMA_VALUES
 from .synth import gen_conditional_bimodal, load_csv, toy_cross_table
 from .training import TrainConfig, train, train_val_split
 from .metrics import probloss as probloss_metric
@@ -72,8 +66,6 @@ _SCHEMA = {
     "data": {
         "generator": keyspec("string or null", "conditional_bimodal"),
         "n": keyspec("int", 1000),
-        "path": keyspec("string or null", None),
-        "noise_sigma": keyspec("number", BIMODAL_NOISE_SIGMA),
     },
     "eval": {
         "num_candidates": keyspec("int", 16),
@@ -98,8 +90,6 @@ _SCHEMA = {
         "num_examples": keyspec("int", 4),
         "num_candidates": keyspec("int", 3),
         "seed": keyspec("int", 0),
-        "step": keyspec("number", GRAD_CHECK_STEP),
-        "tolerance": keyspec("number", GRAD_CHECK_TOLERANCE),
     },
     "sweep": {
         "seeds": keyspec("non-empty list of int", [0, 1, 2]),
@@ -202,7 +192,7 @@ def _settings(config):
     return net, TrainConfig(objective=objective, **config["train"])
 
 
-def _train_and_score(config, net, tc, data_override, checkpoint_dir=None):
+def _train_and_score(config, net, tc, data_path, checkpoint_dir=None):
     """Train one model on ``_settings(config)``; returns ``(params, epochs, val)``.
 
     ``val`` is the ``(value, sem)`` ProbLoss of the validation split, drawn
@@ -211,7 +201,7 @@ def _train_and_score(config, net, tc, data_override, checkpoint_dir=None):
     score undefined.
     """
     k = tc.objective.num_candidates
-    data = _load_xy(config, data_override, tc.seed, net.x_dim, net.y_dim)
+    data = _load_xy(config, data_path, tc.seed, net.x_dim, net.y_dim)
     params, epochs = train(net, tc, data, checkpoint_dir=checkpoint_dir)
     if not tc.val_count or k < 2:
         return params, epochs, (None, None)
@@ -221,25 +211,22 @@ def _train_and_score(config, net, tc, data_override, checkpoint_dir=None):
     return params, epochs, probloss_metric(outs, y_val)
 
 
-def _load_xy(config, data_override, seed, x_dim, y_dim):
-    """Resolve the (x, y) dataset: explicit path, config path, or generator."""
-    path = data_override or config["data"]["path"]
-    if path is not None:
-        x, y = load_csv(path, x_dim, y_dim)
+def _load_xy(config, data_path, seed, x_dim, y_dim):
+    """Resolve the (x, y) dataset: the ``--data`` CSV, else data.generator."""
+    if data_path:
+        x, y = load_csv(data_path, x_dim, y_dim)
         if x.shape[0] == 0:
-            raise SchemaError(f"{path}: no data rows")
+            raise SchemaError(f"{data_path}: no data rows")
         return x, y
     generator = config["data"]["generator"]
     if generator is None:
-        raise ConfigError("data.path and data.generator are both null")
+        raise ConfigError("data.generator is null and no --data file was given")
     if generator == "conditional_bimodal":
         if (x_dim, y_dim) != (1, 1):
             raise ConfigError(
                 f"generator 'conditional_bimodal' produces 1-D x and y, net wants {x_dim}/{y_dim}"
             )
-        return gen_conditional_bimodal(
-            config["data"]["n"], substream(seed, "data"), config["data"]["noise_sigma"]
-        )
+        return gen_conditional_bimodal(config["data"]["n"], substream(seed, "data"))
     raise ConfigError(f"unknown data.generator {generator!r}")
 
 
@@ -349,8 +336,6 @@ def cmd_gradcheck(config, args):
     """Check the training gradient (``objective_terms``) against central differences."""
     net = NetConfig.from_dict(config["net"])
     gc = config["gradcheck"]
-    if not gc["tolerance"] > 0:
-        raise ConfigError(f"gradcheck.tolerance must be > 0, got {gc['tolerance']}")
     for key in ("num_examples", "num_candidates"):
         if gc[key] < 1:
             raise ConfigError(f"gradcheck.{key} must be >= 1, got {gc[key]}")
@@ -370,15 +355,14 @@ def cmd_gradcheck(config, args):
             _, _, value, grad = objective_terms(p, x, y, noises, objective)
             return value, grad
 
-        err, again = grad_check_detail(f, params.to_flat(), float(gc["step"]),
-                                       float(gc["tolerance"]))
+        err, again = grad_check_detail(f, params.to_flat())
         worst = max(worst, err)
         print(f"gradcheck: gamma={gamma:g} beta={beta:g} max_rel_err={err:.3e}")
         if again:
             print(f"gradcheck: gamma={gamma:g} beta={beta:g} measured {again} coordinates "
                   "again, whose slopes sit below the step's roundoff")
-    ok = worst < float(gc["tolerance"])
-    print(f"gradcheck: worst {worst:.3e} vs tolerance {gc['tolerance']:g}: "
+    ok = worst < GRAD_CHECK_TOLERANCE
+    print(f"gradcheck: worst {worst:.3e} vs tolerance {GRAD_CHECK_TOLERANCE:g}: "
           + ("PASS" if ok else "FAIL"))
     return 0 if ok else 1
 
@@ -445,7 +429,7 @@ _FLAGS = {
     "--config": {"required": True, "help": "path to the JSON config"},
     "--out": {"required": True, "help": "output directory"},
     "--seed": {"type": int, "default": None, "help": "override the config seed(s)"},
-    "--data": {"default": None, "help": "CSV dataset overriding the config"},
+    "--data": {"default": None, "help": "CSV dataset; without it data.generator makes one"},
     "--checkpoint": {"required": True, "help": "checkpoint to evaluate"},
 }
 

@@ -162,29 +162,27 @@ def objective_terms(params, x, y, z, cfg, work=None):
     return pq, qq, value, walk_back(params, inputs, grad.reshape(n * walked, net.y_dim), work)
 
 
-def grad_check(f, params, step=GRAD_CHECK_STEP):
+def grad_check(f, params):
     """Max relative disagreement between an analytic gradient and central
     differences: the error ``grad_check_detail`` returns."""
-    return grad_check_detail(f, params, step)[0]
+    return grad_check_detail(f, params)[0]
 
 
-def grad_check_detail(f, params, step=GRAD_CHECK_STEP, tolerance=GRAD_CHECK_TOLERANCE):
+def grad_check_detail(f, params):
     """``max_i |analytic_i - numeric_i| / max(1e-8, |analytic_i| + |numeric_i|)``
-    over central differences of absolute `step`, and how many coordinates
-    were measured again.
+    over central differences of absolute step GRAD_CHECK_STEP, and how many
+    coordinates were measured again.
 
     `f` maps a flat parameter vector to ``(objective value, gradient
     vector)``; it must be deterministic, and only the value is used at the
     perturbed points. A central difference cannot resolve a slope below its
     roundoff, about eps |f| / step: an exactly zero analytic slope meets a
     one-ulp difference, which the 1e-8 floor turns into a large relative
-    error. Where the two disagree by `tolerance` or more and both sit below
-    that bound, the coordinate is measured again with a step whose roundoff
-    is half of `tolerance` times the floor, and that measurement stands: it
-    passes only if it agrees.
+    error. Where the two disagree by GRAD_CHECK_TOLERANCE or more and both
+    sit below that bound, the coordinate is measured again with a step whose
+    roundoff is half of GRAD_CHECK_TOLERANCE times the floor, and that
+    measurement stands: it passes only if it agrees.
     """
-    if not step > 0.0:
-        raise ParameterError("step must be positive")
     p = np.array(params, dtype=np.float64).reshape(-1)
     value, grad = f(p.copy())
     grad = np.asarray(grad, dtype=np.float64).reshape(-1)
@@ -192,12 +190,12 @@ def grad_check_detail(f, params, step=GRAD_CHECK_STEP, tolerance=GRAD_CHECK_TOLE
         raise ContractError(f"gradient length {grad.size} does not match {p.size} parameters")
     if p.size == 0:
         return 0.0, 0
-    numeric = np.array([_central_difference(f, p, i, step) for i in range(p.size)])
+    numeric = np.array([_central_difference(f, p, i, GRAD_CHECK_STEP) for i in range(p.size)])
     err = np.abs(grad - numeric) / np.maximum(GRAD_CHECK_FLOOR, np.abs(grad) + np.abs(numeric))
     eps_f = np.finfo(np.float64).eps * abs(float(value))
-    wide = 2.0 * eps_f / (tolerance * GRAD_CHECK_FLOOR)  # larger than step wherever `again` holds
-    tiny = np.maximum(np.abs(grad), np.abs(numeric)) <= eps_f / step
-    again = np.flatnonzero((err >= tolerance) & tiny)
+    wide = 2.0 * eps_f / (GRAD_CHECK_TOLERANCE * GRAD_CHECK_FLOOR)  # > the step wherever `again` holds
+    tiny = np.maximum(np.abs(grad), np.abs(numeric)) <= eps_f / GRAD_CHECK_STEP
+    again = np.flatnonzero((err >= GRAD_CHECK_TOLERANCE) & tiny)
     for i in again:
         n_i = _central_difference(f, p, i, wide)
         err[i] = abs(grad[i] - n_i) / max(GRAD_CHECK_FLOOR, abs(grad[i]) + abs(n_i))

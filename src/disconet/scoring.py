@@ -151,10 +151,10 @@ def _pair_shifts(g, w, s):
         yield t, m, d, v
 
 
-def pair_sq_norms(g, w, out=None):
+def pair_sq_norms(g, w):
     """The (..., K, K) squared norms sum_i w_i (g_a - g_b)_i^2 of candidates
-    g (..., K, y_dim) from the pair kernel, into a C-contiguous `out` if given."""
-    s = np.empty(g.shape[:-1] + g.shape[-2:-1]) if out is None else out
+    g (..., K, y_dim) from the pair kernel."""
+    s = np.empty(g.shape[:-1] + g.shape[-2:-1])
     for _ in _pair_shifts(g, w, s):
         pass
     return s

@@ -107,7 +107,7 @@ def read_rows(path, text, width, first=1, comments=False):
 
 
 def _int(v):
-    return type(v) is int  # a JSON true or false is a bool, never an int
+    return type(v) is int and -2**63 <= v < 2**63  # never a bool; an int64, as numpy sizes are
 
 
 def _number(v):

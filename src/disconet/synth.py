@@ -82,8 +82,9 @@ def gen_gmm2d(mixture, n, rng):
     return means[which] + stddevs[which] * eps
 
 
-def gen_conditional_bimodal(n, rng, noise_sigma=BIMODAL_NOISE_SIGMA):
-    """Scalar-input bimodal regression task: y = +-(1 + x^2) + noise.
+def gen_conditional_bimodal(n, rng):
+    """Scalar-input bimodal regression task: y = +-(1 + x^2) + noise of
+    standard deviation BIMODAL_NOISE_SIGMA.
 
     x is uniform on [-1, 1]; the sign is an even coin flip, so the
     conditional law of y given x has two modes a distance 2 (1 + x^2)
@@ -91,11 +92,9 @@ def gen_conditional_bimodal(n, rng, noise_sigma=BIMODAL_NOISE_SIGMA):
     """
     if n < 1:
         raise ContractError("n must be >= 1")
-    if noise_sigma < 0.0:
-        raise ContractError("noise_sigma must be non-negative")
     x = rng.uniform(-1.0, 1.0, size=(n, 1))
     sign = rng.integers(0, 2, size=(n, 1)) * 2 - 1
-    eps = rng.standard_normal((n, 1)) * noise_sigma
+    eps = rng.standard_normal((n, 1)) * BIMODAL_NOISE_SIGMA
     y = sign * (1.0 + x * x) + eps
     return x, y
 

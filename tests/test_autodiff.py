@@ -349,8 +349,6 @@ def test_grad_check_validation():
 
     with pytest.raises(ContractError):
         grad_check(f, np.ones(3))
-    with pytest.raises(ParameterError):
-        grad_check(lambda p: (0.0, p), np.ones(2), step=0.0)
 
     def f_nan(p):
         if np.any(p != 1.0):

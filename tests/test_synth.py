@@ -25,6 +25,7 @@ from disconet import synth
 from disconet.rng import substream
 from disconet.scoring import axis_sq, data_term, pair_term
 from disconet.synth import (
+    BIMODAL_NOISE_SIGMA,
     FIT_KEYS,
     TOY_GAMMA,
     TOY_LOSSES,
@@ -95,19 +96,21 @@ def test_gen_gmm2d_mean_clt(rng):
 
 
 def test_gen_conditional_bimodal(rng):
-    x, y = gen_conditional_bimodal(5000, rng, noise_sigma=0.0)
+    x, y = gen_conditional_bimodal(5000, rng)
     assert x.shape == (5000, 1)
     assert y.shape == (5000, 1)
     assert np.all(np.abs(x) <= 1.0)
-    # noise-free magnitudes sit exactly on the two branches
-    npt.assert_allclose(np.abs(y), 1.0 + x * x, rtol=1e-12)
+    # the residuals from the two branches are the noise: centred, of
+    # standard deviation BIMODAL_NOISE_SIGMA, and far too small to cross a branch
+    r = y - np.sign(y) * (1.0 + x * x)
+    assert abs(r.mean()) < 3 * BIMODAL_NOISE_SIGMA / np.sqrt(5000)
+    assert abs(r.std() / BIMODAL_NOISE_SIGMA - 1.0) < 0.05
+    assert np.abs(r).max() < 0.5
     # both branches are populated about evenly
     frac_pos = (y > 0).mean()
     assert abs(frac_pos - 0.5) < 3 * np.sqrt(0.25 / 5000)
     with pytest.raises(ContractError):
         gen_conditional_bimodal(0, rng)
-    with pytest.raises(ContractError):
-        gen_conditional_bimodal(10, rng, noise_sigma=-0.1)
 
 
 def test_csv_round_trip(tmp_path, rng):

@@ -29,8 +29,14 @@ def _compare(tmp_path, a, b):
     ("x,1.0\ny,2\n", "x,1.5\ny,2\n",
      "1 of 2 numbers differ, largest absolute 0.5, largest relative 0.333"),
     ("x,1.0\n", "z,1.0\n", "text differs beyond its numbers, first at line 1"),
+    (f"# config_sha256={'0a' * 32}\nx,1.0\n", f"# config_sha256={'b1' * 32}\nx,1.0\n",
+     "only the config hash differs"),
+    (f'{{"config_sha256": "{"0a" * 32}", "r": 1.5}}', f'{{"config_sha256": "{"b1" * 32}", "r": 1.5}}',
+     "only the config hash differs"),
+    (f"# config_sha256={'0a' * 32}\nx,1.0\n", f"# config_sha256={'b1' * 32}\nx,1.5\n",
+     "1 of 1 numbers differ, largest absolute 0.5, largest relative 0.333"),
 ], ids=["identical", "sign-of-zero", "nan-vs-number", "nan-payload", "respelled",
-        "nan-respelled", "value", "text"])
+        "nan-respelled", "value", "text", "csv-hash", "json-hash", "hash-and-value"])
 def test_compare_reads_bits(tmp_path, a, b, verdict):
     """Numbers are compared as float64 bit patterns: a zero that changes
     sign, a NaN against a number and a NaN against a NaN of the other sign

@@ -12,9 +12,13 @@ script. It then runs one fixed list of ``disconet`` commands from each
 tree's ``src/``, each in a fresh Python process with one BLAS thread, and
 compares their artifacts: every file a command writes to ``--out``, and the
 standard output of ``gradcheck``. For each artifact it prints
-``identical``, or how many of its numbers differ with the largest absolute
-and relative difference, or where its text differs apart from the numbers. Numbers are compared by their float64 bits, so a zero whose sign
-changes and a NaN or infinity on either side count as changes, each named.
+``identical``; or ``only the config hash differs``, when the embedded
+``config_sha256`` alone moved, as it does for any change to the effective
+config's keys; or, apart from that hash, how many of its numbers differ with
+the largest absolute and relative difference, or where its text differs
+apart from the numbers. Numbers are compared by their float64 bits, so a
+zero whose sign changes and a NaN or infinity on either side count as
+changes, each named.
 The exit status is 0 when every artifact and exit code is the same, else 1.
 
 Both trees run on one machine with the same BLAS, so any difference comes
@@ -75,6 +79,10 @@ _INPUTS.loader.exec_module(inputs)
 # infinity count as numbers, as Python and JSON spell them.
 NUMBER = re.compile(r"(?<![\w.])[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
                     r"|(?i:nan|inf(?:inity)?))(?![\w.])")
+
+# The config_sha256 value that every CSV and JSON artifact embeds:
+# '# config_sha256=<hex>' in a CSV, '"config_sha256": "<hex>"' in JSON.
+CONFIG_HASH = re.compile(r'(?:(?<=config_sha256=)|(?<=config_sha256": "))[0-9a-f]{64}')
 
 
 def write_config(path, doc):
@@ -185,12 +193,16 @@ def run_tree(tree, commands, outs):
 
 
 def compare(a, b):
-    """One line on how file `b` differs from file `a`. Numbers are compared
-    by their float64 bits, so a zero that changes sign and a change to or
-    from a NaN (or an infinity) are changes, and each kind is named."""
+    """One line on how file `b` differs from file `a`, apart from its
+    config hash. Numbers are compared by their float64 bits, so a zero that
+    changes sign and a change to or from a NaN (or an infinity) are changes,
+    and each kind is named."""
     ta, tb = a.read_text(), b.read_text()
     if ta == tb:
         return "identical"
+    ta, tb = CONFIG_HASH.sub("", ta), CONFIG_HASH.sub("", tb)
+    if ta == tb:
+        return "only the config hash differs"
     if NUMBER.split(ta) != NUMBER.split(tb):
         first = next((i for i, (x, y) in enumerate(zip(ta.splitlines(), tb.splitlines()), 1)
                       if NUMBER.split(x) != NUMBER.split(y)), None)
