@@ -10,8 +10,8 @@ CSV and JSON artifact embeds the SHA-256 hash of the effective config
 (after any ``--seed`` override); checkpoints do not.
 
 Exit codes: 0 success; 1 a checked result condition failed (cross-table
-dominance or gradient tolerance); 2 config error; 3 data error; 4 numeric
-error.
+dominance or gradient tolerance); 2 config error or MemoryError (every
+allocated size comes from the config); 3 data error; 4 numeric error.
 """
 
 import argparse
@@ -435,11 +435,11 @@ _FLAGS = {
 
 # error class -> exit code; the first match wins, so every DisconetError not
 # named before the last entry, ConfigError and the library's range checks
-# among them, is a config error
+# among them, is a config error; so is a MemoryError: sizes come from the config
 _EXIT_CODES = (
     ((ParseError, SchemaError, OSError), 3),
     (NumericError, 4),
-    (DisconetError, 2),
+    ((DisconetError, MemoryError), 2),
 )
 
 
@@ -449,7 +449,7 @@ def build_parser():
         description="Probabilistic predictors trained on a sampled dissimilarity objective.",
         epilog=(
             "exit codes: 0 success, 1 checked condition failed, "
-            "2 config error, 3 data error, 4 numeric error"
+            "2 config error or out of memory, 3 data error, 4 numeric error"
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -466,7 +466,7 @@ def main(argv=None):
         config = load_config(args.config, _COMMANDS[args.command][1], seed_override=args.seed)
         # looked up by name at call time, so a rebound cmd_<name> is the one called
         return globals()[f"cmd_{args.command}"](config, args)
-    except (DisconetError, OSError) as exc:
+    except (DisconetError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
 

@@ -22,8 +22,7 @@ import numpy as np
 
 from .errors import ContractError, DimensionError, EstimatorError, ParameterError
 from .network import candidate_array
-from .scoring import (LossSpec, data_term, mean_sem, pair_sq_norms, pair_term, pairwise_delta,
-                      sorted_pairs)
+from .scoring import LossSpec, data_term, mean_sem, pair_scores
 
 # Frames per block of eval's candidates, drawn (``cli.cmd_eval``) and scored a block
 # at a time. On the full-scale net at K = 32 (one BLAS thread, best of 12), 8, 16
@@ -48,32 +47,15 @@ def meu_predict(candidates, task_loss=LossSpec()):
 
     `candidates` is one input's (K, y_dim) matrix. Returns ``(index,
     output)`` for the candidate minimizing the sum of its task losses to
-    every candidate in the set. An exact tie in the computed sums goes to
-    the lowest index. At one output under the L1 loss (``sorted_pairs``)
-    the pick follows the candidates' order, not the sums' roundoff: it is
-    the lowest index among the exact minimizers (``_median_pick``). With
-    one candidate that candidate is returned.
+    every candidate in the set, as ``scoring.pair_scores`` picks it (ties,
+    and one output's order rule, there). With one candidate that candidate
+    is returned.
     """
     outs = np.asarray(candidates, dtype=np.float64)
     if outs.ndim != 2 or outs.shape[0] < 1:
         raise ContractError(f"candidates must be a non-empty (K, y_dim) matrix, got {outs.shape}")
-    if sorted_pairs(outs.shape[1], task_loss.beta):
-        task_loss.weight_vector(1)  # DimensionError for weights of another length
-        idx = int(_median_pick(outs[:, 0]))
-    else:
-        # argmin takes the first minimum: lowest index wins ties
-        idx = int(np.argmin(pairwise_delta(task_loss, outs).sum(axis=1)))
+    idx = int(pair_scores(outs, task_loss.weight_vector(outs.shape[1]), task_loss.beta)[1])
     return idx, outs[idx].copy()
-
-
-def _median_pick(g):
-    """The MEU pick of one output's candidates under the L1 loss, for the
-    (..., K) candidate values g: the lowest index whose value lies between
-    the two middle order statistics, where sum_b |g_a - g_b| is least in
-    exact arithmetic. It is the same for any g of the same order."""
-    k, ordered = g.shape[-1], np.sort(g, axis=-1)
-    inside = (g >= ordered[..., (k - 1) // 2, None]) & (g <= ordered[..., k // 2, None])
-    return inside.argmax(axis=-1)
 
 
 def _frame_errors(preds, gts, group_size):
@@ -125,14 +107,13 @@ def _pearson_fold(outs, group_size, sums, counts):
     counts += mask.sum(axis=0)
 
 
-def _fold(outs, gts, meu, group_size=None):
+def _fold(outs, gts, group_size=None):
     """One pass over the candidates `outs`, an array or an iterator of blocks
     in frame order, against the (N, y_dim) ground truths `gts`: (K, y_dim),
-    the MEU picks (unless `meu` is False) and energy scores (if K > 1), and for
-    a `group_size` (if K > 1) the correlation sums and counts. Picks and scores
-    are bitwise ``meu_predict`` and ``energy_score_sample`` frame by frame: all
-    take the pair kernel's distances, or at one output ``_median_pick``'s order,
-    neither of which depends on a frame's block."""
+    the MEU picks, the energy scores (if K > 1), and for a `group_size` (if
+    K > 1) the correlation sums and counts. Picks and scores are bitwise
+    ``meu_predict`` and ``energy_score_sample`` frame by frame: ``scoring``
+    takes each frame's pair losses alone, whatever its block."""
     if not isinstance(outs, Iterator):
         a = candidate_array(outs)
         outs = (a[s:s + EVAL_BLOCK] for s in range(0, a.shape[0], EVAL_BLOCK))
@@ -145,26 +126,20 @@ def _fold(outs, gts, meu, group_size=None):
                 raise DimensionError(f"ground truths of shape {gts.shape} for {y_dim} outputs")
             shape, y = o.shape[1:], gts.reshape(n, y_dim)
             j = joint_count(y_dim, group_size) if group_size and k > 1 else 0
-            picks, scores, sums, counts = (np.empty((n, y_dim)), np.empty(n), np.zeros((j, j)),
-                                           np.zeros((j, j), dtype=np.int64))
-        w, sort = np.ones(y_dim), sorted_pairs(y_dim, 1.0)
+            picks, scores, sums, counts, w = (np.empty((n, y_dim)), np.empty(n), np.zeros((j, j)),
+                                              np.zeros((j, j), dtype=np.int64), np.ones(y_dim))
         if o.shape[1:] != shape or s + b > n:
             raise ContractError(f"a candidate block of shape {o.shape} after {s} of {n} frames")
-        if not sort:
-            dist = np.sqrt(pair_sq_norms(o, w))
-        if meu:
-            # one output: by order; else an exact tie in the sums goes to the lowest index
-            pick = _median_pick(o[..., 0]) if sort else dist.sum(axis=2).argmin(axis=1)
-            picks[s:s + b] = o[np.arange(b), pick]
+        pair, pick = pair_scores(o, w, 1.0)
+        picks[s:s + b] = o[np.arange(b), pick]
         if k > 1:
-            pair = pair_term(o, w, 1.0) if sort else dist.sum(axis=(1, 2)) / (k * (k - 1))
             scores[s:s + b] = data_term(y[s:s + b], o, w, 1.0) - 0.5 * pair
         if j:
             _pearson_fold(o, group_size, sums, counts)
         s += b
     if s != n or not s:
         raise ContractError(f"{n} ground truths but {s} candidate sets")
-    return shape, picks if meu else None, scores if k > 1 else None, (sums, counts) if j else None
+    return shape, picks, scores if k > 1 else None, (sums, counts) if j else None
 
 
 def probloss(outs, gts):
@@ -172,7 +147,7 @@ def probloss(outs, gts):
     candidates against (N, y_dim) ground truths, with its sem."""
     if candidate_array(outs).shape[1] < 2:
         raise EstimatorError("energy score needs at least two candidates")
-    return mean_sem(_fold(outs, gts, meu=False)[2])
+    return mean_sem(_fold(outs, gts)[2])
 
 
 def pearson_matrix(outs, group_size):
@@ -252,9 +227,9 @@ def metrics_report(outs, gts, group_size, distances, pointwise_preds=None):
         seen = labels.setdefault(f"{d:g}", d)
         if seen != d:
             raise ContractError(f"FF distances {seen!r} and {d!r} share the label {d:g}")
-    gts, meu = np.asarray(gts, dtype=np.float64), pointwise_preds is None
-    (k, y_dim), picks, scores, pearson = _fold(outs, gts, meu, group_size)
-    preds = picks if meu else np.asarray(pointwise_preds, dtype=np.float64)
+    gts = np.asarray(gts, dtype=np.float64)
+    (k, y_dim), picks, scores, pearson = _fold(outs, gts, group_size)
+    preds = picks if pointwise_preds is None else np.asarray(pointwise_preds, dtype=np.float64)
     pairs = {"probloss": None if scores is None else mean_sem(scores),
              "mejee": mejee(preds, gts, group_size), "majee": majee(preds, gts, group_size)}
     doc = {name: None if pair is None else {"value": float(pair[0]), "sem": float(pair[1])}

@@ -31,6 +31,7 @@ from .scoring import LossSpec, data_grad, data_term, pair_grad, pair_term
 GRAD_CHECK_STEP = 1e-6
 GRAD_CHECK_TOLERANCE = 1e-4
 GRAD_CHECK_FLOOR = 1e-8  # the least gradient magnitude a relative error is taken against
+GRAD_CHECK_ROUNDOFF_ULPS = 4  # ulps of f that f(p +- step) may each sit off f(p) by roundoff
 
 
 @dataclass(frozen=True)
@@ -176,12 +177,13 @@ def grad_check_detail(f, params):
     `f` maps a flat parameter vector to ``(objective value, gradient
     vector)``; it must be deterministic, and only the value is used at the
     perturbed points. A central difference cannot resolve a slope below its
-    roundoff, about eps |f| / step: an exactly zero analytic slope meets a
-    one-ulp difference, which the 1e-8 floor turns into a large relative
-    error. Where the two disagree by GRAD_CHECK_TOLERANCE or more and both
-    sit below that bound, the coordinate is measured again with a step whose
-    roundoff is half of GRAD_CHECK_TOLERANCE times the floor, and that
-    measurement stands: it passes only if it agrees.
+    roundoff, GRAD_CHECK_ROUNDOFF_ULPS times eps |f| / step: an exactly zero
+    analytic slope meets a difference of a few ulps, which the 1e-8 floor
+    turns into a large relative error. Where the two disagree by
+    GRAD_CHECK_TOLERANCE or more and both sit below that bound, the
+    coordinate is measured again with a step whose one-ulp roundoff is half
+    of GRAD_CHECK_TOLERANCE times the floor, and that measurement stands: it
+    passes only if it agrees.
     """
     p = np.array(params, dtype=np.float64).reshape(-1)
     value, grad = f(p.copy())
@@ -193,8 +195,9 @@ def grad_check_detail(f, params):
     numeric = np.array([_central_difference(f, p, i, GRAD_CHECK_STEP) for i in range(p.size)])
     err = np.abs(grad - numeric) / np.maximum(GRAD_CHECK_FLOOR, np.abs(grad) + np.abs(numeric))
     eps_f = np.finfo(np.float64).eps * abs(float(value))
-    wide = 2.0 * eps_f / (GRAD_CHECK_TOLERANCE * GRAD_CHECK_FLOOR)  # > the step wherever `again` holds
-    tiny = np.maximum(np.abs(grad), np.abs(numeric)) <= eps_f / GRAD_CHECK_STEP
+    # at least step / GRAD_CHECK_ROUNDOFF_ULPS wherever `again` holds
+    wide = 2.0 * eps_f / (GRAD_CHECK_TOLERANCE * GRAD_CHECK_FLOOR)
+    tiny = np.maximum(np.abs(grad), np.abs(numeric)) <= GRAD_CHECK_ROUNDOFF_ULPS * eps_f / GRAD_CHECK_STEP
     again = np.flatnonzero((err >= GRAD_CHECK_TOLERANCE) & tiny)
     for i in again:
         n_i = _central_difference(f, p, i, wide)

@@ -8,8 +8,8 @@ divergence here evaluates its expectation exactly so that propriety and
 estimator unbiasedness can be verified by brute force.
 
 The loss kernel, its two sampled estimators (the data term and the pair
-term) and their gradients live here only; the objective, the graph op, the
-metrics and the toy grid fit all call them. The one pair kernel,
+term), their gradients and the MEU pick live here only; the objective, the
+graph op, the metrics and the toy grid fit all call them. The one pair kernel,
 ``_pair_shifts``, gives every distance between the candidates of one set.
 """
 
@@ -160,11 +160,11 @@ def pair_sq_norms(g, w):
     return s
 
 
-def _broadcast_pair_sum(s, beta):
-    """sum_{a, b} s_ab^(beta/2) / (K (K-1)) over (..., K, K) squared norms
-    whose zero diagonal is summed with the rest."""
-    k = s.shape[-1]
-    return (s ** (beta / 2.0)).sum(axis=(-2, -1)) / (k * (k - 1))
+def _pair_mean(loss):
+    """sum_{a, b} loss_ab / (K (K-1)) over a (..., K, K) loss matrix whose
+    zero diagonal is summed with the rest."""
+    k = loss.shape[-1]
+    return loss.sum(axis=(-2, -1)) / (k * (k - 1))
 
 
 def pair_term(g, w, beta):
@@ -174,7 +174,30 @@ def pair_term(g, w, beta):
     summed over ``pair_sq_norms``."""
     if sorted_pairs(g.shape[-1], beta):
         return _sorted_pair_sum(g[..., 0], w[0])
-    return _broadcast_pair_sum(pair_sq_norms(g, w), beta)
+    return _pair_mean(pair_sq_norms(g, w) ** (beta / 2.0))
+
+
+def _median_pick(g):
+    """The MEU pick of one output's candidates under the L1 loss, for the
+    (..., K) candidate values g: the lowest index whose value lies between
+    the two middle order statistics, where sum_b |g_a - g_b| is least in
+    exact arithmetic. It is the same for any g of the same order."""
+    k, ordered = g.shape[-1], np.sort(g, axis=-1)
+    inside = (g >= ordered[..., (k - 1) // 2, None]) & (g <= ordered[..., k // 2, None])
+    return inside.argmax(axis=-1)
+
+
+def pair_scores(g, w, beta):
+    """``(pair, pick)`` for candidate sets g (..., K, y_dim), from one K x K
+    loss matrix: ``pair_term`` (None at K = 1) and each set's MEU pick, the
+    index whose summed loss to the set is least, an exact tie going to the
+    lowest; where ``sorted_pairs`` holds, from one sort, and the pick follows
+    the candidates' order, not the sums' roundoff (``_median_pick``)."""
+    k = g.shape[-2]
+    if sorted_pairs(g.shape[-1], beta):
+        return _sorted_pair_sum(g[..., 0], w[0]) if k > 1 else None, _median_pick(g[..., 0])
+    loss = pair_sq_norms(g, w) ** (beta / 2.0)
+    return _pair_mean(loss) if k > 1 else None, loss.sum(axis=-1).argmin(axis=-1)
 
 
 def pair_grad(g, w, beta):
@@ -200,7 +223,7 @@ def pair_grad(g, w, beta):
         grad[..., t:, :] -= c[..., :k - t, :]
         grad[..., :m + t - k, :] -= c[..., k - t:, :]
     grad *= w
-    return _broadcast_pair_sum(s, beta), np.multiply(grad, 2.0 / (k * (k - 1)), out=grad)
+    return _pair_mean(s ** (beta / 2.0)), np.multiply(grad, 2.0 / (k * (k - 1)), out=grad)
 
 
 def mean_sem(values):

@@ -461,6 +461,23 @@ def test_main_looks_up_hooks_by_name(tmp_path, monkeypatch):
     assert calls == ["load_config", "cmd_toy"]
 
 
+def test_memory_error_exit_2(tmp_path, capsys, monkeypatch):
+    """A MemoryError is a config error, since every size that reaches an
+    allocation comes from the config: exit 2 with one error line and no
+    traceback. The command is stubbed, so nothing is allocated."""
+    import disconet.cli as cli
+
+    def out_of_memory(config, args):
+        raise MemoryError("Unable to allocate 8.00 EiB for an array")
+
+    monkeypatch.setattr(cli, "cmd_train", out_of_memory)
+    cfg = write_config(tmp_path / "train.json", train_doc())
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: Unable to allocate 8.00 EiB for an array\n"
+    assert captured.out == ""
+
+
 def test_config_hash_canonical(tmp_path):
     a = {"schema_version": 1, "net": {"x_dim": 1, "y_dim": 2}}
     b = {"net": {"y_dim": 2, "x_dim": 1}, "schema_version": 1}
@@ -1082,6 +1099,29 @@ def test_gradcheck_requires_its_section(tmp_path, capsys):
 
 # a one-output net, as the refusals below were first seen on
 _GRADCHECK_NET = {"x_dim": 1, "y_dim": 1, "encoder_widths": [4], "decoder_widths": [4]}
+
+
+@pytest.mark.parametrize("seed", [2, 3, 5])
+def test_gradcheck_one_output_net_passes(tmp_path, capsys, monkeypatch, seed):
+    """The one-output net's exact gradient passes. At seed 3, gamma 0.5,
+    beta 1, one coordinate's analytic slope is 1.2e-17 while f(p + h) and
+    f(p - h) each sit 2 ulps off f(p): its central difference reads -5.55e-11,
+    so a selection bound of one ulp of f over the step (3.64e-11) would judge
+    it at the 1e-6 step, where it reads 5.6e-3. A wrong gradient still fails."""
+    import disconet.cli as cli
+
+    cfg = write_config(tmp_path / "gc.json", {"net": dict(_GRADCHECK_NET), "gradcheck": {}})
+    assert main(["gradcheck", "--config", cfg, "--seed", str(seed)]) == 0
+    assert capsys.readouterr().out.endswith("vs tolerance 0.0001: PASS\n")
+    exact = cli.objective_terms
+
+    def offset(*args):
+        pq, qq, value, grad = exact(*args)
+        return pq, qq, value, grad + 1e-3
+
+    monkeypatch.setattr(cli, "objective_terms", offset)
+    assert main(["gradcheck", "--config", cfg, "--seed", str(seed)]) == 1
+    assert "FAIL" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("key, value", [

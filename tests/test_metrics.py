@@ -109,8 +109,17 @@ def test_one_output_meu_follows_order_not_roundoff(k):
         for cands in (g, moved, 3.0 * moved):
             assert meu_predict(cands[:, None])[0] == want
     moved = np.nextafter(sets, np.inf)
-    _, picks, _, _ = _fold(moved[:, :, None], np.zeros((len(sets), 1)), meu=True)
+    _, picks, _, _ = _fold(moved[:, :, None], np.zeros((len(sets), 1)))
     npt.assert_array_equal(picks[:, 0], moved[np.arange(len(sets)), wants])
+
+
+@pytest.mark.parametrize("y_dim", [1, 2])
+def test_meu_refuses_task_loss_weights_of_another_length(y_dim):
+    """Weights for another number of outputs are a DimensionError, at one
+    output (the sorted form) as at two."""
+    cands = np.arange(3.0 * y_dim).reshape(3, y_dim)
+    with pytest.raises(DimensionError):
+        meu_predict(cands, LossSpec(beta=1.0, weights=(1.0,) * (y_dim + 1)))
 
 
 def test_meu_respects_task_loss():
@@ -384,7 +393,7 @@ def test_metrics_report_is_frame_by_frame_bitwise(n, k, y_dim, group):
     doc = metrics_report(outs, gts, group, distances)
 
     meu = [meu_predict(o) for o in outs]
-    _, picks, scores, _ = _fold(outs, gts, meu=True)
+    _, picks, scores, _ = _fold(outs, gts)
     preds = np.array([p for _, p in meu])
     npt.assert_array_equal(picks, preds)
     assert meu[0][0] == 0 and meu[-1][0] == 0

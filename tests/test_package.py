@@ -50,6 +50,20 @@ def test_oracle_and_singularity_rule_stay_in_place():
     assert assigners == ["scoring.py"]
 
 
+def test_candidate_scorer_stays_in_scoring():
+    """The MEU pick and the pair term of a candidate set come from one
+    module: ``sorted_pairs``, which selects the one-output sorted form, and
+    ``_median_pick``, that form's MEU pick, are defined, called and imported
+    in ``scoring.py`` alone."""
+    seen = {"sorted_pairs": set(), "_median_pick": set()}
+    for path in sorted(Path(disconet.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf8"))):
+            for name in (getattr(node, key, None) for key in ("id", "attr", "name")):
+                if name in seen:
+                    seen[name].add(path.name)
+    assert seen == {"sorted_pairs": {"scoring.py"}, "_median_pick": {"scoring.py"}}
+
+
 def test_json_is_read_in_one_place():
     """Every JSON document the package reads, a config or a checkpoint
     header, goes through ``strictjson.read_json``, which refuses a repeated

@@ -40,6 +40,9 @@ from the code. The list covers:
   criterion 9 (its ``eval`` reads that ``train``'s checkpoint);
 - ``train`` and ``eval`` on configs that hold only the required keys, so
   every default is used (that ``eval`` reads that ``train``'s checkpoint);
+- ``eval`` with ``zero_noise`` on those two one-output checkpoints (K = 3
+  and K = 16), where the metric pass picks MEU candidates that the report
+  does not use;
 - ``gradcheck`` on a noisy and on a noise-free desk net.
 
 Every command runs with ``--seed 1``.
@@ -156,6 +159,10 @@ def write_inputs(work):
         ("c9_eval", ["eval", "--config", cfg("c9_eval", {
             "data": C9_DATA, "eval": {"num_candidates": 3, "distances": [0.5, 1.0]}}),
             "--checkpoint", "{c9_train}/checkpoint.txt"]),
+        ("c9_eval_zero_noise", ["eval", "--config", cfg("c9_eval_zero_noise", {
+            "data": C9_DATA, "eval": {"num_candidates": 3, "distances": [0.5, 1.0],
+                                      "zero_noise": True}}),
+            "--checkpoint", "{c9_train}/checkpoint.txt"]),
         ("c9_sweep", ["sweep", "--config", cfg("c9_sweep", {
             "net": C9_NET, "objective": {"gamma": 0.5, "num_candidates": 3},
             "train": C9_TRAIN, "data": C9_DATA,
@@ -164,6 +171,9 @@ def write_inputs(work):
             "net": {"x_dim": 1, "y_dim": 1}, "objective": {}, "train": {}, "data": {}})]),
         ("required_eval", ["eval", "--config", cfg("required_eval", {"data": {}, "eval": {}}),
                            "--checkpoint", "{required_train}/checkpoint.txt"]),
+        ("required_eval_zero_noise", ["eval", "--config", cfg("required_eval_zero_noise", {
+            "data": {}, "eval": {"zero_noise": True}}),
+            "--checkpoint", "{required_train}/checkpoint.txt"]),
         ("gradcheck", ["gradcheck", "--config", cfg("gradcheck", {
             "net": DESK_NET, "gradcheck": gradcheck})]),
         ("gradcheck_noise_free", ["gradcheck", "--config", cfg("gradcheck_noise_free", {
